@@ -24,7 +24,9 @@ class RangeError(EngineError):
 class SingularTensorError(EngineError):
     """A tensor that must be invertible is numerically singular.
 
-    Raised when |det| falls below 1e-12 relative to the tensor's scale.
+    Raised when the reciprocal condition number 1 / (||A|| ||A^-1||) in the
+    infinity norm falls below 1e-12 (jets.RCOND_MIN) or is not finite, and
+    when the inverse breaks down on an exactly zero pivot.
     """
 
 

@@ -11,6 +11,16 @@ These satisfy the cotangent ladder N^* dh_k = dh_{k+1}, the Lenard relations
 pi_i# dh_j = pi_{i+1}# dh_{j-1}, involution in every bracket of the ladder,
 and commuting flows; the functions here compute the objects and the defects
 of each identity, leaving pass/fail policy to the caller.
+
+Every ladder object is a power of the one operator N.  ``Hierarchy`` builds
+them all once for a fixed (Pi0, N[, Z0]): it inverts N at most once and
+walks N^k outward from k = 0, one factor per step, deriving at each k the
+bivector Pi_k, its modular field X^k, the hamiltonian h_k and, when a
+master field Z0 is given, Z_k = N^k Z0 and div Z_k.  It multiplies in the
+order ``jmatpow`` does, so each object is bit-identical to the single-shot
+functions ``jmatpow``, ``hierarchy_bivector``, ``hierarchy_hamiltonian``
+and ``master.master_field``, which stay as the reference and serve callers
+with one N per object (a flow builds a new N at every stage).
 """
 
 from __future__ import annotations
@@ -20,8 +30,9 @@ import numpy as np
 from .errors import RangeError
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
-from .jets import (Jet2, jinv, jlogabsdet, jmatmul, jmatpow, jtrace,
+from .jets import (Jet2, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
                    jtranspose)
+from .modular import div_mu, modular_vf
 
 
 def recursion_operator(P0, P1):
@@ -47,8 +58,8 @@ def hierarchy_hamiltonian(N, i):
     return jtrace(jmatpow(N, i)) * (1.0 / (2 * i))
 
 
-def hamiltonian_ladder(N, depth, neg_depth=0):
-    """dict {i: h_i} for i = -neg_depth..depth (0 included).
+def check_depths(depth, neg_depth):
+    """Validate a ladder range; returns (depth, neg_depth) as ints.
 
     Depth is capped at 12 in each direction: beyond m independent invariants
     the traces are functionally dependent anyway (see spectral_pairing), so
@@ -59,8 +70,111 @@ def hamiltonian_ladder(N, depth, neg_depth=0):
         raise RangeError(f"depth must be in 1..12, got {depth}")
     if not 0 <= neg_depth <= 12:
         raise RangeError(f"neg_depth must be in 0..12, got {neg_depth}")
+    return depth, neg_depth
+
+
+def hamiltonian_ladder(N, depth, neg_depth=0):
+    """dict {i: h_i} for i = -neg_depth..depth (0 included); see check_depths."""
+    depth, neg_depth = check_depths(depth, neg_depth)
     return {i: hierarchy_hamiltonian(N, i)
             for i in range(-neg_depth, depth + 1)}
+
+
+class Hierarchy:
+    """Every ladder object of one recursion operator, each built once.
+
+    The walk goes outward from k = 0 in either direction as far as the
+    largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
+    N^0, N and N^-1 taken from ``jmatpow``.  N is inverted on the first
+    negative index, never again.  Each object is kept at the lowest jet
+    order its consumers read:
+
+        power(k)       N^k                  values only
+        bivector(k)    Pi_k = N^k Pi0       order 1
+        modular(k)     X^k = D_mu Pi_k      order 1 (taken at order 2)
+        hamiltonian(k) h_k                  order 2
+        master(k)      Z_k = N^k Z0         order 1   (needs Z0)
+        master_div(k)  div_mu Z_k           order 1   (taken at order 2)
+
+    Order-2 matrices are held only where the walk continues: N^-1 and the
+    current power at each end.  h_0 = log|det N|/2 is computed on first
+    request.  Modular fields and divergences are taken in the density
+    exp(logg) dx (logg = None is the coordinate Lebesgue density).
+    """
+
+    def __init__(self, P0, N, Z0=None, logg=None):
+        self.P0, self.N, self.Z0, self.logg = P0, N, Z0, logg
+        self._power, self._bivector, self._modular = {}, {}, {}
+        self._hamiltonian, self._master, self._master_div = {}, {}, {}
+        self._base = {}    # +1 / -1 -> order-2 N / N^-1
+        self._edge = {}    # +1 / -1 -> (k, order-2 N^k) at that end of the walk
+
+    def power(self, k):
+        return self._get(self._power, k)
+
+    def bivector(self, k):
+        return self._get(self._bivector, k)
+
+    def modular(self, k):
+        return self._get(self._modular, k)
+
+    def hamiltonian(self, k):
+        if k != 0:
+            return self._get(self._hamiltonian, k)
+        if 0 not in self._hamiltonian:
+            self._hamiltonian[0] = jlogabsdet(self.N, "recursion operator") * 0.5
+        return self._hamiltonian[0]
+
+    def master(self, k):
+        return self._get(self._master, k, needs_z0=True)
+
+    def master_div(self, k):
+        return self._get(self._master_div, k, needs_z0=True)
+
+    def ladder(self, depth, neg_depth=0):
+        """dict {i: h_i} for i = -neg_depth..depth, as hamiltonian_ladder."""
+        depth, neg_depth = check_depths(depth, neg_depth)
+        return {i: self.hamiltonian(i) for i in range(-neg_depth, depth + 1)}
+
+    def _get(self, table, k, needs_z0=False):
+        if needs_z0 and self.Z0 is None:
+            raise RangeError("this hierarchy was built without a master field Z0")
+        if k not in self._power:
+            self._walk_to(k)
+        return table[k]
+
+    def _walk_to(self, k):
+        if 0 not in self._power:
+            self._derive(0, jmatpow(self.N, 0))
+        step = 1 if k > 0 else -1
+        while k not in self._power:
+            if step in self._edge:
+                j, prev = self._edge[step]
+                j, Nj = j + step, jmatmul(prev, self._base[step])
+            else:
+                j, Nj = step, jmatpow(self.N, step)
+                self._base[step] = Nj
+            self._edge[step] = (j, Nj)
+            self._derive(j, Nj)
+
+    def _derive(self, k, Nk):
+        Pk = jmatmul(Nk, self.P0)
+        self._power[k] = _truncate(Nk, 0)
+        self._bivector[k] = _truncate(Pk, 1)
+        self._modular[k] = modular_vf(Pk, self.logg)
+        if k != 0:
+            self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
+        if self.Z0 is not None:
+            Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
+            self._master[k] = _truncate(Zk, 1)
+            self._master_div[k] = div_mu(Zk, self.logg)
+
+
+def _truncate(J, order):
+    """J without the derivatives above ``order``, which no consumer reads."""
+    if J.order <= order:
+        return J
+    return Jet2(J.val, J.grad if order >= 1 else None, None, m=J.m)
 
 
 def cotangent_ladder_defect(N, ladder):
@@ -75,11 +189,12 @@ def cotangent_ladder_defect(N, ladder):
     return worst
 
 
-def lenard_defect(P0, N, ladder):
+def lenard_defect(hier, ladder):
     """Per-sample max |pi_i# dh_j - pi_{i+1}# dh_{j-1}| over ladder pairs.
 
-    Exercises the bivector ladder directly (matrix powers of N on pi0),
-    which makes it independent of the cotangent-ladder route.
+    Exercises the bivector ladder of the Hierarchy ``hier`` directly
+    (matrix powers of N on pi0), which makes it independent of the
+    cotangent-ladder route.
     """
     idx = sorted(ladder)
     worst = 0.0
@@ -87,9 +202,8 @@ def lenard_defect(P0, N, ladder):
         if j - 1 not in ladder:
             continue
         for i in (0, 1):
-            lhs = sharp(hierarchy_bivector(P0, N, i), differential(ladder[j]))
-            rhs = sharp(hierarchy_bivector(P0, N, i + 1),
-                        differential(ladder[j - 1]))
+            lhs = sharp(hier.bivector(i), differential(ladder[j]))
+            rhs = sharp(hier.bivector(i + 1), differential(ladder[j - 1]))
             worst = np.maximum(worst, per_sample(lhs.val - rhs.val))
     return worst
 

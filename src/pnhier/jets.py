@@ -210,26 +210,31 @@ def jstack(entries, m=None):
         raise DimensionError("jstack needs at least one Jet2 entry")
     if m is None:
         m = ref.m
-
-    def lift(e):
-        if isinstance(e, Jet2):
-            return e
-        return Jet2.const(np.broadcast_to(np.asarray(e, float), ref.val.shape),
-                          m, order=ref.order)
-
-    def collect(node):
-        if isinstance(node, (list, tuple)):
-            parts = [collect(c) for c in node]
-            val = np.stack([p[0] for p in parts], axis=1)
-            grad = None if parts[0][1] is None else np.stack([p[1] for p in parts], axis=1)
-            hess = None if parts[0][2] is None else np.stack([p[2] for p in parts], axis=1)
-            return val, grad, hess
-        j = lift(node)
-        return j.val, j.grad, j.hess
-
-    val, grad, hess = collect(entries)
-    # axis=1 stacking above builds shapes (B, n1, n2, ..., [m[, m]]) directly
+    val, grad, hess = _collect(entries, ref, m)
+    # axis=1 stacking in _collect builds shapes (B, n1, n2, ..., [m[, m]]) directly
     return Jet2(val, grad, hess, m=m)
+
+
+# Module-level rather than nested in jstack: a nested recursive helper refers
+# to itself through its closure cell, so every call would leave a reference
+# cycle (holding the first jet entry) for the cyclic garbage collector.
+
+def _collect(node, ref, m):
+    if isinstance(node, (list, tuple)):
+        parts = [_collect(c, ref, m) for c in node]
+        val = np.stack([p[0] for p in parts], axis=1)
+        grad = None if parts[0][1] is None else np.stack([p[1] for p in parts], axis=1)
+        hess = None if parts[0][2] is None else np.stack([p[2] for p in parts], axis=1)
+        return val, grad, hess
+    j = _lift(node, ref, m)
+    return j.val, j.grad, j.hess
+
+
+def _lift(e, ref, m):
+    if isinstance(e, Jet2):
+        return e
+    return Jet2.const(np.broadcast_to(np.asarray(e, float), ref.val.shape),
+                      m, order=ref.order)
 
 
 def _find_jet(node):
@@ -263,10 +268,13 @@ def jmatmul(A, B):
         grad = (np.einsum('...ika,...kj->...ija', A.grad, B.val)
                 + np.einsum('...ik,...kja->...ija', A.val, B.grad))
         if order >= 2:
+            # ((d2A B + A d2B) + cross) + cross^T, summed in place so that
+            # at most one Hessian-sized temporary lives beside the result
+            hess = np.einsum('...ikab,...kj->...ijab', A.hess, B.val)
+            hess += np.einsum('...ik,...kjab->...ijab', A.val, B.hess)
             cross = np.einsum('...ika,...kjb->...ijab', A.grad, B.grad)
-            hess = (np.einsum('...ikab,...kj->...ijab', A.hess, B.val)
-                    + np.einsum('...ik,...kjab->...ijab', A.val, B.hess)
-                    + cross + cross.swapaxes(-1, -2))
+            hess += cross
+            hess += cross.swapaxes(-1, -2)
     return Jet2(val, grad, hess, m=A.m)
 
 
@@ -301,26 +309,44 @@ def jtranspose(A):
                 None if A.hess is None else A.hess.swapaxes(-4, -3), m=A.m)
 
 
-def check_invertible(val, what="tensor"):
+# Reciprocal condition number below which a matrix counts as numerically
+# singular.  |det| is no measure of singularity: it scales with the n-th power
+# of the entries and is tiny for a wide but benign spectrum.  The condition
+# number is one (Higham, Accuracy and Stability of Numerical Algorithms).
+RCOND_MIN = 1e-12
+
+
+def check_invertible(val, inv, what="tensor"):
     """Raise SingularTensorError if any batched matrix is numerically singular.
 
-    The threshold is relative: |det| < 1e-12 * (max|entry|)^n counts as
-    singular (and so does a non-finite determinant).
+    ``inv`` is the inverse already computed for ``val``.  A matrix counts as
+    singular when its reciprocal condition number 1 / (||A|| ||A^-1||), in
+    the infinity norm, falls below RCOND_MIN = 1e-12 or is not a number.
+    The estimate reuses the inverse, so the guard adds no factorization.
     """
-    det = np.linalg.det(val)
-    n = val.shape[-1]
-    scale = np.max(np.abs(val), axis=(-1, -2)) ** n
-    bad = ~np.isfinite(det) | (np.abs(det) < 1e-12 * np.maximum(scale, 1e-300))
-    if np.any(bad):
+    cond = abs(val).sum(-1).max(-1) * abs(inv).sum(-1).max(-1)
+    ok = cond * RCOND_MIN <= 1.0          # False for inf and nan too
+    if not ok.all():
         raise SingularTensorError(
-            f"{what} is numerically singular at {int(np.sum(bad))} of "
-            f"{det.size} sample points (|det| < 1e-12 relative to scale)")
+            f"{what} is numerically singular at {int(ok.size - ok.sum())} of "
+            f"{ok.size} sample points (reciprocal condition number "
+            f"< {RCOND_MIN:g})")
+
+
+def _guarded_inv(val, what):
+    """np.linalg.inv with the singularity guard; exact breakdown raises too."""
+    try:
+        V = np.linalg.inv(val)
+    except np.linalg.LinAlgError:
+        raise SingularTensorError(
+            f"{what} is exactly singular at a sample point (zero pivot)") from None
+    check_invertible(val, V, what)
+    return V
 
 
 def jinv(A, what="matrix"):
     """Inverse of a matrix jet, with an explicit singularity guard."""
-    check_invertible(A.val, what)
-    V = np.linalg.inv(A.val)
+    V = _guarded_inv(A.val, what)
     grad = hess = None
     if A.grad is not None:
         VA = np.einsum('...ik,...kla->...ila', V, A.grad)      # V dA_a
@@ -328,16 +354,16 @@ def jinv(A, what="matrix"):
         if A.hess is not None:
             # d2(A^-1) = V dA_a V dA_b V + V dA_b V dA_a V - V d2A_ab V
             t = np.einsum('...ika,...klb,...lj->...ijab', VA, VA, V)
-            hess = (t + t.swapaxes(-1, -2)
-                    - np.einsum('...ik,...klab,...lj->...ijab', V, A.hess, V))
+            hess = t + t.swapaxes(-1, -2)
+            del t                                   # before the next temporary
+            hess -= np.einsum('...ik,...klab,...lj->...ijab', V, A.hess, V)
     return Jet2(V, grad, hess, m=A.m)
 
 
 def jlogabsdet(A, what="matrix"):
     """log|det| of a matrix jet, with an explicit singularity guard."""
-    check_invertible(A.val, what)
+    V = _guarded_inv(A.val, what)
     sign, logabs = np.linalg.slogdet(A.val)
-    V = np.linalg.inv(A.val)
     grad = hess = None
     if A.grad is not None:
         grad = np.einsum('...ij,...jia->...a', V, A.grad)

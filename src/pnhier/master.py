@@ -6,15 +6,16 @@ through powers of the recursion operator produces the family Z_i = N^i Z0,
 and the whole hierarchy closes on three coefficient laws plus a pair of
 relations tying the Z_i to the modular fields of the hierarchy bivectors.
 
-Every defect function returns per-sample arrays of shape (B,); callers
-reduce with np.max / np.mean and decide what "small" means.
+The family defects read Z_i, pi_j and the modular fields X^j from one
+``hierarchy.Hierarchy`` built with Z0; ``master_field`` is the single-shot
+reference for Z_i.  Every defect function returns per-sample arrays of shape
+(B,); callers reduce with np.max / np.mean and decide what "small" means.
 """
 
 import numpy as np
 
 from .fields import (evaluate, hamiltonian_vf, lie_bracket,
                      lie_der_bivector, per_sample)
-from .hierarchy import hierarchy_bivector
 from .jets import jmatpow, jmatvec
 from .modular import div_mu, modular_vf
 
@@ -53,16 +54,17 @@ def conformal_defects(P0, P1, Z0, lam, mu, nu, h_anchor):
     return {"pi0": per_sample(d0), "pi1": per_sample(d1), "h": per_sample(dh)}
 
 
-def hamiltonian_family_defect(N, Z0, ladder, lam, mu, nu, anchor, i_range, j_range):
+def hamiltonian_family_defect(hier, ladder, lam, mu, nu, anchor, i_range, j_range):
     """Per-sample max defect of Z_i(h_j) = coeff_h(i,j) * h_{i+j} over the index box.
 
-    Pairs with i + j = 0 are excluded: there the right-hand side degenerates
-    (h_0 is logarithmic) and Z_i(h_{-i}) is a constant instead; see
-    anomaly_defect.  The ladder must cover every i + j that occurs.
+    Z_i come from the Hierarchy ``hier``.  Pairs with i + j = 0 are
+    excluded: there the right-hand side degenerates (h_0 is logarithmic) and
+    Z_i(h_{-i}) is a constant instead; see anomaly_defect.  The ladder must
+    cover every i + j that occurs.
     """
     worst = 0.0
     for i in i_range:
-        Zi = master_field(N, Z0, i)
+        Zi = hier.master(i)
         for j in j_range:
             if i + j == 0:
                 continue
@@ -72,7 +74,7 @@ def hamiltonian_family_defect(N, Z0, ladder, lam, mu, nu, anchor, i_range, j_ran
     return worst
 
 
-def anomaly_defect(N, Z0, ladder, lam, mu, anomaly, i_range):
+def anomaly_defect(hier, ladder, lam, mu, anomaly, i_range):
     """Per-sample max defect of Z_i(h_{-i}) = anomaly, a constant, over i in i_range.
 
     For the open lattice systems the constant is n*(mu - lam) with n the
@@ -80,77 +82,60 @@ def anomaly_defect(N, Z0, ladder, lam, mu, anomaly, i_range):
     """
     worst = 0.0
     for i in i_range:
-        Zi = master_field(N, Z0, i)
-        lhs = evaluate(Zi, ladder[-i]).val
+        lhs = evaluate(hier.master(i), ladder[-i]).val
         worst = np.maximum(worst, per_sample(lhs - anomaly))
     return worst
 
 
-def bivector_family_defect(P0, N, Z0, lam, mu, i_range, j_range):
+def bivector_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample max defect of L_{Z_i} pi_j = coeff_pi(i,j) * pi_{i+j} over the box."""
     worst = 0.0
     for i in i_range:
-        Zi = master_field(N, Z0, i)
+        Zi = hier.master(i)
         for j in j_range:
-            Pj = hierarchy_bivector(P0, N, j)
-            lhs = lie_der_bivector(Zi, Pj).val
-            rhs = coeff_pi(lam, mu, i, j) * hierarchy_bivector(P0, N, i + j).val
+            lhs = lie_der_bivector(Zi, hier.bivector(j)).val
+            rhs = coeff_pi(lam, mu, i, j) * hier.bivector(i + j).val
             worst = np.maximum(worst, per_sample(lhs - rhs))
     return worst
 
 
-def commutator_family_defect(N, Z0, lam, mu, i_range, j_range):
+def commutator_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample max defect of [Z_i, Z_j] = coeff_z(i,j) * Z_{i+j} over the box."""
     worst = 0.0
-    fields = {}
-    for i in set(i_range) | set(j_range):
-        fields[i] = master_field(N, Z0, i)
     for i in i_range:
         for j in j_range:
-            lhs = lie_bracket(fields[i], fields[j]).val
-            rhs = coeff_z(lam, mu, i, j) * master_field(N, Z0, i + j).val
+            lhs = lie_bracket(hier.master(i), hier.master(j)).val
+            rhs = coeff_z(lam, mu, i, j) * hier.master(i + j).val
             worst = np.maximum(worst, per_sample(lhs - rhs))
     return worst
 
 
-def modular_family_defect(P0, N, Z0, lam, mu, i_range, j_range, logg=None):
+def modular_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample defects of the two relations mixing Z_i with the modular fields.
 
-    With X^j the modular field of pi_j and f_i = div(Z_i):
+    With X^j the modular field of pi_j and f_i = div(Z_i), all in the
+    density of the Hierarchy ``hier``:
 
         [X^j, Z_i] + coeff_pi(i,j) * X^{i+j} - X^j_{f_i} = 0
         L_{X^i} pi_j + L_{X^j} pi_i = 0
 
     Returns {"bracket": ..., "exchange": ...} with the max defect of each.
     """
-    xmu = {}
-
-    def modular(k):
-        if k not in xmu:
-            xmu[k] = modular_vf(hierarchy_bivector(P0, N, k), logg)
-        return xmu[k]
-
     worst_bracket = 0.0
     for i in i_range:
-        Zi = master_field(N, Z0, i)
-        fi = div_mu(Zi, logg)
+        Zi, fi = hier.master(i), hier.master_div(i)
         for j in j_range:
-            modular(i + j)
-            modular(j)
-            Pj = hierarchy_bivector(P0, N, j)
-            lhs = lie_bracket(xmu[j], Zi).val
+            lhs = lie_bracket(hier.modular(j), Zi).val
             rhs = (
-                -coeff_pi(lam, mu, i, j) * xmu[i + j].val
-                + hamiltonian_vf(Pj, fi).val
+                -coeff_pi(lam, mu, i, j) * hier.modular(i + j).val
+                + hamiltonian_vf(hier.bivector(j), fi).val
             )
             worst_bracket = np.maximum(worst_bracket, per_sample(lhs - rhs))
     worst_exchange = 0.0
     for i in i_range:
         for j in j_range:
-            Pi_ = hierarchy_bivector(P0, N, i)
-            Pj = hierarchy_bivector(P0, N, j)
-            lhs = lie_der_bivector(modular(i), Pj).val
-            rhs = -lie_der_bivector(modular(j), Pi_).val
+            lhs = lie_der_bivector(hier.modular(i), hier.bivector(j)).val
+            rhs = -lie_der_bivector(hier.modular(j), hier.bivector(i)).val
             worst_exchange = np.maximum(worst_exchange, per_sample(lhs - rhs))
     return {"bracket": worst_bracket, "exchange": worst_exchange}
 

@@ -21,11 +21,12 @@ environment-dependent iteration order.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
 from . import __version__
-from .errors import RangeError
+from .errors import EngineError, RangeError
 from .fields import (
     antisymmetry_defect,
     cotangent_apply,
@@ -45,11 +46,11 @@ from .fields import (
     wedge_vv,
 )
 from .hierarchy import (
+    Hierarchy,
+    check_depths,
     cotangent_ladder_defect,
     commuting_flows_defect,
     hamiltonian_ladder,
-    hierarchy_bivector,
-    hierarchy_hamiltonian,
     involution_defect,
     lenard_defect,
     n_act,
@@ -64,7 +65,6 @@ from .master import (
     conformal_defects,
     deformation_defect,
     hamiltonian_family_defect,
-    master_field,
     modular_family_defect,
 )
 from .modular import (
@@ -87,7 +87,11 @@ TOL_SCALE = {"commuting-flows": 10.0}
 # ---- shared per-report state -------------------------------------------------
 
 class _Workspace:
-    """Sampled jets and derived tensors, built once per report."""
+    """Sampled jets and derived tensors, built once per report.
+
+    Every row takes its powers of N, ladder bivectors, hamiltonians, modular
+    fields and master fields from the one Hierarchy ``hier``.
+    """
 
     def __init__(self, system, samples, seed, depth):
         if samples < 1:
@@ -102,17 +106,16 @@ class _Workspace:
         self.P1 = system.pi1(self.jets)
         self.N = recursion_operator(self.P0, self.P1)
         self.neg_depth = int(system.extras.get("neg_depth", 0))
-        self._ladders = {}
+        oevel = system.extras.get("oevel")
+        Z0 = None if oevel is None else oevel["z0"](self.jets)
+        self.hier = Hierarchy(self.P0, self.N, Z0)
         # two smooth log-densities besides Lebesgue; any polynomials work
         self.lg_b = self.jets[0]
         self.lg_c = self.jets[0] * self.jets[-1] * 0.5 + self.jets[1] * 0.25
 
     def ladder(self, depth=None, neg_depth=None):
-        key = (self.depth if depth is None else depth,
-               self.neg_depth if neg_depth is None else neg_depth)
-        if key not in self._ladders:
-            self._ladders[key] = hamiltonian_ladder(self.N, key[0], neg_depth=key[1])
-        return self._ladders[key]
+        return self.hier.ladder(self.depth if depth is None else depth,
+                                self.neg_depth if neg_depth is None else neg_depth)
 
 
 # ---- check runners -----------------------------------------------------------
@@ -143,15 +146,15 @@ def _r_compat(ws):
 
 def _r_nact(ws):
     two = n_act(ws.N, ws.P0)
-    one = hierarchy_bivector(ws.P0, ws.N, 2)
+    one = ws.hier.bivector(2)
     return per_sample(two.val - one.val)
 
 
 def _r_modular_routes(ws):
     direct = pn_modular_field(ws.P0, ws.N)
     pair = modular_pair_defect_field(ws.P0, ws.P1, ws.N)
-    ham0 = hamiltonian_vf(ws.P0, hierarchy_hamiltonian(ws.N, 1) * (-1.0))
-    ham1 = hamiltonian_vf(ws.P1, hierarchy_hamiltonian(ws.N, 0) * (-1.0))
+    ham0 = hamiltonian_vf(ws.P0, ws.hier.hamiltonian(1) * (-1.0))
+    ham1 = hamiltonian_vf(ws.P1, ws.hier.hamiltonian(0) * (-1.0))
     d = per_sample(pair.val - direct.val)
     d = np.maximum(d, per_sample(ham0.val - direct.val))
     return np.maximum(d, per_sample(ham1.val - direct.val))
@@ -205,7 +208,7 @@ def _r_cotangent(ws):
 
 
 def _r_lenard(ws):
-    return lenard_defect(ws.P0, ws.N, ws.ladder())
+    return lenard_defect(ws.hier, ws.ladder())
 
 
 def _r_involution(ws):
@@ -224,47 +227,46 @@ def _need_oevel(ws):
 
 def _oevel_data(ws):
     ov = ws.system.extras["oevel"]
-    Z0 = ov["z0"](ws.jets)
-    return Z0, ov["lam"], ov["mu"], ov["nu"], ov["anchor"]
+    return ov["lam"], ov["mu"], ov["nu"], ov["anchor"]
 
 
 def _r_oevel_conformal(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     lad = ws.ladder()
-    d = conformal_defects(ws.P0, ws.P1, Z0, lam, mu, nu, lad[anchor])
+    d = conformal_defects(ws.P0, ws.P1, ws.hier.Z0, lam, mu, nu, lad[anchor])
     return np.maximum(np.maximum(d["pi0"], d["pi1"]), d["h"])
 
 
 def _r_oevel_h_family(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     lad = ws.ladder(6, 6)
     rng = range(-3, 4)
-    return hamiltonian_family_defect(ws.N, Z0, lad, lam, mu, nu, anchor, rng, rng)
+    return hamiltonian_family_defect(ws.hier, lad, lam, mu, nu, anchor, rng, rng)
 
 
 def _r_oevel_anomaly(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     lad = ws.ladder(6, 6)
     anomaly = ws.system.n * (mu - lam)
-    return anomaly_defect(ws.N, Z0, lad, lam, mu, anomaly, range(-2, 3))
+    return anomaly_defect(ws.hier, lad, lam, mu, anomaly, range(-2, 3))
 
 
 def _r_oevel_pi_family(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     rng = range(-3, 4)
-    return bivector_family_defect(ws.P0, ws.N, Z0, lam, mu, rng, rng)
+    return bivector_family_defect(ws.hier, lam, mu, rng, rng)
 
 
 def _r_oevel_z_family(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     rng = range(-3, 4)
-    return commutator_family_defect(ws.N, Z0, lam, mu, rng, rng)
+    return commutator_family_defect(ws.hier, lam, mu, rng, rng)
 
 
 def _r_oevel_modular(ws):
-    Z0, lam, mu, nu, anchor = _oevel_data(ws)
+    lam, mu, nu, anchor = _oevel_data(ws)
     rng = range(-2, 3)
-    d = modular_family_defect(ws.P0, ws.N, Z0, lam, mu, rng, rng)
+    d = modular_family_defect(ws.hier, lam, mu, rng, rng)
     return np.maximum(d["bracket"], d["exchange"])
 
 
@@ -311,17 +313,13 @@ def _r_closed_forms(ws):
     if "x1_mu" in extras:
         acc(modular_vf(ws.P1).val - extras["x1_mu"](jets).val)
     if "xm1_mu" in extras:
-        Pm1 = hierarchy_bivector(ws.P0, ws.N, -1)
-        acc(modular_vf(Pm1).val - extras["xm1_mu"](jets).val)
-    if "z_closed" in extras:
-        ov = extras.get("oevel")
-        if ov is not None:
-            Z0 = ov["z0"](jets)
-            for i in (-1, 1, 2):
-                acc(master_field(ws.N, Z0, i).val - extras["z_closed"](i)(jets).val)
+        acc(ws.hier.modular(-1).val - extras["xm1_mu"](jets).val)
+    if "z_closed" in extras and ws.hier.Z0 is not None:
+        for i in (-1, 1, 2):
+            acc(ws.hier.master(i).val - extras["z_closed"](i)(jets).val)
     if "h2_closed" in extras:
         h2 = extras["h2_closed"](jets)
-        acc(h2.val - hierarchy_hamiltonian(ws.N, 1).val)
+        acc(h2.val - ws.hier.hamiltonian(1).val)
         L = extras["lax_np"](ws.x)
         acc(np.einsum('bii->b', ws.N.val) - np.einsum('bij,bji->b', L, L))
         acc(lad[0].val - np.log(np.abs(np.linalg.det(L))))
@@ -445,8 +443,7 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
     """Run the identity suite on seeded samples and assemble the report dict."""
     if tol <= 0:
         raise RangeError("tol must be positive")
-    if depth < 1:
-        raise RangeError("depth must be >= 1")
+    check_depths(depth, 0)
     tokens = _tokens(checks)
     if tokens is not None:
         unknown = [t for t in tokens
@@ -464,22 +461,14 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
             rows.append({"name": name, "identity": identity,
                          "status": "not-applicable", "reason": reason})
             continue
-        d = np.asarray(run(ws), dtype=float).ravel()
-        mx = float(np.max(d))
         row_tol = float(tol) * TOL_SCALE.get(name, 1.0)
-        rows.append({"name": name, "identity": identity, "samples": ws.samples,
-                     "max_abs_defect": mx,
-                     "mean_abs_defect": float(np.mean(d)),
-                     "tol": row_tol, "pass": bool(mx < row_tol)})
+        rows.append(_judged_row(ws, name, identity, run, "tol", row_tol,
+                                operator.lt))
     for name, identity, run in CONTROLS:
         if not _selected(name, tokens):
             continue
-        d = np.asarray(run(ws), dtype=float).ravel()
-        mx = float(np.max(d))
-        rows.append({"name": name, "identity": identity, "samples": ws.samples,
-                     "max_abs_defect": mx,
-                     "mean_abs_defect": float(np.mean(d)),
-                     "floor": CONTROL_FLOOR, "pass": bool(mx > CONTROL_FLOOR)})
+        rows.append(_judged_row(ws, name, identity, run, "floor", CONTROL_FLOOR,
+                                operator.gt))
 
     pairing = spectral_pairing(ws.N, n=system.n)
     spectrum = {
@@ -499,6 +488,23 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
         "all_pass": bool(all(r["pass"] for r in judged)),
     }
     return report
+
+
+def _judged_row(ws, name, identity, run, bound_key, bound, passes):
+    """Run one check and reduce its defects; passes(max, bound) judges it.
+
+    An engine error inside the runner fails this row alone.
+    """
+    row = {"name": name, "identity": identity, "samples": ws.samples}
+    try:
+        d = np.asarray(run(ws), dtype=float).ravel()
+    except EngineError as exc:
+        row.update({"status": "error", "message": str(exc), "pass": False})
+        return row
+    mx = float(np.max(d))
+    row.update({"max_abs_defect": mx, "mean_abs_defect": float(np.mean(d)),
+                bound_key: bound, "pass": bool(passes(mx, bound))})
+    return row
 
 
 def _meta(command, system, version_extras=None):
@@ -522,6 +528,9 @@ def summary_lines(report):
     for row in report["checks"]:
         if row.get("status") == "not-applicable":
             lines.append(f"SKIP {row['name']}: {row['reason']}")
+            continue
+        if row.get("status") == "error":
+            lines.append(f"ERROR {row['name']}: {row['message']}")
             continue
         word = "PASS" if row["pass"] else "FAIL"
         bound = ("floor", row["floor"]) if "floor" in row else ("tol", row["tol"])

@@ -20,7 +20,8 @@ from pnhier.fields import (antisymmetry_defect, differential, evaluate,
                            lie_der_bivector, per_sample, pn_compat_defect,
                            scalar_mul, schouten_bf, sharp, torsion_defect,
                            wedge_vb, wedge_vv)
-from pnhier.hierarchy import (commuting_flows_defect, cotangent_ladder_defect,
+from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
+                              cotangent_ladder_defect,
                               hamiltonian_ladder, hierarchy_hamiltonian,
                               involution_defect, lenard_defect,
                               recursion_operator)
@@ -98,7 +99,7 @@ def test_ladder_identities_to_depth_four():
         ladder = hamiltonian_ladder(N, depth=4, neg_depth=neg)
         worst_ladder = max(worst_ladder,
                            float(np.max(cotangent_ladder_defect(N, ladder))),
-                           float(np.max(lenard_defect(P0, N, ladder))))
+                           float(np.max(lenard_defect(Hierarchy(P0, N), ladder))))
         worst_inv = max(worst_inv,
                         float(np.max(involution_defect(P0, P1, ladder))))
         worst_comm = max(worst_comm,
@@ -208,10 +209,10 @@ def test_conformal_symmetry_scheme():
     rng3 = range(-3, 4)
     worst_fam = max(
         float(np.max(hamiltonian_family_defect(
-            N, Z0, ladder, lam_c, mu_c, nu_c, anchor, rng3, rng3))),
-        float(np.max(bivector_family_defect(P0, N, Z0, lam_c, mu_c,
+            Hierarchy(P0, N, Z0), ladder, lam_c, mu_c, nu_c, anchor, rng3, rng3))),
+        float(np.max(bivector_family_defect(Hierarchy(P0, N, Z0), lam_c, mu_c,
                                             rng3, rng3))),
-        float(np.max(commutator_family_defect(N, Z0, lam_c, mu_c,
+        float(np.max(commutator_family_defect(Hierarchy(P0, N, Z0), lam_c, mu_c,
                                               rng3, rng3))))
     worst_def = 0.0
     for key, n in (("toda_moser", 2), ("toda_moser", 3), ("harmonic", 2)):

@@ -37,6 +37,44 @@ def test_underscore_names_are_accepted(capsys):
     assert json.loads(out)["meta"]["system"] == "toda-moser"
 
 
+def test_wide_spectrum_is_no_singularity_false_alarm(capsys):
+    # cond(N) reaches ~5.6e4 here while |det N| is tiny against the entries'
+    # scale: a determinant-based guard aborted this run with empty stdout
+    code, out, _ = run(capsys, "verify", "--system", "cn-toda", "--n", "6",
+                       "--samples", "50")
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
+def test_a_raising_row_fails_alone(capsys, monkeypatch):
+    from pnhier import report
+    from pnhier.errors import SingularTensorError
+
+    def singular(ws):
+        raise SingularTensorError("matrix is numerically singular at 1 of 12 "
+                                  "sample points")
+
+    monkeypatch.setattr(report, "REGISTRY", tuple(
+        (name, identity, need, singular if name == "lenard-ladder" else run_)
+        for name, identity, need, run_ in report.REGISTRY))
+    code, out, err = run(capsys, "verify", "--system", "toda-moser",
+                         "--samples", "12", "--seed", "5")
+    assert code == 1
+    rep = json.loads(out)
+    assert sorted(rep) == ["all_pass", "checks", "failed", "meta", "spectrum"]
+    assert rep["all_pass"] is False
+    assert rep["failed"] == ["lenard-ladder"]
+    row = next(r for r in rep["checks"] if r["name"] == "lenard-ladder")
+    assert row == {"name": "lenard-ladder", "identity": row["identity"],
+                   "samples": 12, "status": "error",
+                   "message": "matrix is numerically singular at 1 of 12 "
+                              "sample points",
+                   "pass": False}
+    assert sum(r.get("pass") is True for r in rep["checks"]) == 25
+    assert ("ERROR lenard-ladder: matrix is numerically singular at 1 of 12 "
+            "sample points") in err.splitlines()
+
+
 def test_impossible_tolerance_fails_with_code_1(capsys):
     code, out, _ = run(capsys, "verify", "--system", "harmonic",
                        "--samples", "10", "--tol", "1e-16")

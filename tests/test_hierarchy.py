@@ -11,12 +11,17 @@ import pytest
 import polyjets as pj
 from pnhier.errors import RangeError
 from pnhier.fields import per_sample
-from pnhier.hierarchy import (commuting_flows_defect, cotangent_ladder_defect,
-                              hamiltonian_ladder, hierarchy_bivector,
-                              hierarchy_hamiltonian, involution_defect,
+from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
+                              cotangent_ladder_defect, hamiltonian_ladder,
+                              hierarchy_bivector, hierarchy_hamiltonian,
+                              involution_defect,
                               lenard_defect, n_act, recursion_operator,
                               spectral_pairing, spectrum)
-from pnhier.jets import Jet2, jeye
+from pnhier import hierarchy, jets
+from pnhier.jets import Jet2, jeye, jmatpow
+from pnhier.master import master_field
+from pnhier.modular import div_mu, modular_vf
+from pnhier.report import verify_report
 from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260819)
@@ -96,7 +101,7 @@ def test_defect_chain_is_small_on_a_real_pair():
     _, P0, P1, N = tm_workspace(n=3, samples=30)
     ladder = hamiltonian_ladder(N, depth=4, neg_depth=1)
     for defect in (cotangent_ladder_defect(N, ladder),
-                   lenard_defect(P0, N, ladder),
+                   lenard_defect(Hierarchy(P0, N), ladder),
                    involution_defect(P0, P1, ladder),
                    commuting_flows_defect(P0, ladder)):
         assert defect.shape == (30,)
@@ -158,3 +163,61 @@ def test_recursion_operator_solves_pi1_factorization():
     # N pi0 = pi1 by construction; check the matrix identity directly
     assert np.max(np.abs(np.einsum('bij,bjk->bik', N.val, P0.val)
                          - P1.val)) < 1e-12
+
+
+def same_bits(kept, ref):
+    """Every array the hierarchy keeps equals the reference's, bit for bit."""
+    assert np.array_equal(kept.val, ref.val)
+    if kept.grad is not None:
+        assert np.array_equal(kept.grad, ref.grad)
+    if kept.hess is not None:
+        assert np.array_equal(kept.hess, ref.hess)
+
+
+def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
+    sys = make_system("toda_moser", 3)
+    jets_ = sys.jets(sys.sample(samples=16, seed=11))
+    P0, P1 = sys.pi0(jets_), sys.pi1(jets_)
+    N = recursion_operator(P0, P1)
+    Z0 = sys.extras["oevel"]["z0"](jets_)
+    hier = Hierarchy(P0, N, Z0)
+    # out of order on purpose: the walk must not depend on the request order
+    for k in (3, -6, 0, 6, -1, 1, -3, 2, -2, 5, -5, 4, -4):
+        same_bits(hier.power(k), jmatpow(N, k))
+        same_bits(hier.bivector(k), hierarchy_bivector(P0, N, k))
+        same_bits(hier.hamiltonian(k), hierarchy_hamiltonian(N, k))
+        same_bits(hier.master(k), master_field(N, Z0, k))
+        same_bits(hier.master_div(k), div_mu(master_field(N, Z0, k)))
+        same_bits(hier.modular(k), modular_vf(hierarchy_bivector(P0, N, k)))
+    assert hier.hamiltonian(2).order == 2
+    assert hier.bivector(2).order == hier.master(2).order == 1
+    assert hier.modular(2).order == hier.master_div(2).order == 1
+    assert hier.power(-2).order == 0
+    assert hier.ladder(6, 6).keys() == hamiltonian_ladder(N, 6, 6).keys()
+
+
+def test_hierarchy_without_z0_refuses_master_fields():
+    _, P0, P1, N = tm_workspace(n=2, samples=4)
+    hier = Hierarchy(P0, N)
+    with pytest.raises(RangeError):
+        hier.master(1)
+    with pytest.raises(RangeError):
+        hier.ladder(13)
+
+
+def test_one_verify_report_inverts_n_once(monkeypatch):
+    sys = make_system("toda_moser", 3)
+    jets_ = sys.jets(sys.sample(samples=20, seed=3))
+    N = recursion_operator(sys.pi0(jets_), sys.pi1(jets_))
+    seen = []
+    real = jets.jinv
+
+    def counting(A, what="matrix"):
+        seen.append(A.val.copy())
+        return real(A, what)
+
+    for mod in (jets, hierarchy):
+        monkeypatch.setattr(mod, "jinv", counting)
+    rep = verify_report(sys, samples=20, seed=3)
+    assert rep["all_pass"] is True
+    assert sum(np.array_equal(v, N.val) for v in seen) == 1

@@ -5,6 +5,8 @@ difference oracle on random points, so the rest of the test suite can trust
 jet gradients and Hessians blindly.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,37 @@ def test_singular_matrix_raises():
         jinv(A)
     with pytest.raises(SingularTensorError):
         jlogabsdet(A)
+
+
+def test_near_singular_matrix_raises():
+    val = np.tile(np.eye(3), (2, 1, 1))
+    val[1, 2, 2] = 1e-14                    # condition number 1e14
+    A = Jet2(val, np.zeros((2, 3, 3, 3)))
+    with pytest.raises(SingularTensorError, match="1 of 2 sample points"):
+        jinv(A)
+    val[1, 2, 2] = np.nan
+    with pytest.raises(SingularTensorError):
+        jlogabsdet(Jet2(val, np.zeros((2, 3, 3, 3))))
+
+
+def test_small_determinant_alone_is_not_singular():
+    # det = 1e-15 but the condition number is only 1e3
+    val = np.diag([1.0, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3])[None]
+    A = Jet2(val, np.zeros((1, 6, 6, 6)))
+    assert np.allclose(jinv(A).val[0], np.diag([1.0] + [1e3] * 5))
+    assert np.isclose(jlogabsdet(A).val[0], 15 * np.log(0.1))
+
+
+def test_jstack_leaves_no_reference_cycles():
+    x = sample_points()
+    x0, x1, x2 = Jet2.coords(x)
+    gc.collect()
+    gc.disable()
+    try:
+        jstack([[x0 * x1, 1.0], [x2, 0.5]])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ symmetry family has a closed form to compare against.
 
 import numpy as np
 
-from pnhier.hierarchy import hamiltonian_ladder, recursion_operator
+from pnhier.hierarchy import Hierarchy, hamiltonian_ladder, recursion_operator
 from pnhier.master import (anomaly_defect, bivector_family_defect, coeff_h,
                            coeff_pi, coeff_z, commutator_family_defect,
                            conformal_defects, deformation_defect,
@@ -68,14 +68,14 @@ def test_relation_families_close_on_the_chain():
     ladder = hamiltonian_ladder(N, depth=6, neg_depth=6)
     rng3 = range(-3, 4)
     rng2 = range(-2, 3)
-    d = hamiltonian_family_defect(N, Z0, ladder, LAM, MU, NU, ANCHOR,
+    d = hamiltonian_family_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, NU, ANCHOR,
                                   rng3, rng3)
     assert np.max(d) < 1e-11
-    d = bivector_family_defect(P0, N, Z0, LAM, MU, rng3, rng3)
+    d = bivector_family_defect(Hierarchy(P0, N, Z0), LAM, MU, rng3, rng3)
     assert np.max(d) < 1e-11
-    d = commutator_family_defect(N, Z0, LAM, MU, rng3, rng3)
+    d = commutator_family_defect(Hierarchy(P0, N, Z0), LAM, MU, rng3, rng3)
     assert np.max(d) < 1e-11
-    md = modular_family_defect(P0, N, Z0, LAM, MU, rng2, rng2)
+    md = modular_family_defect(Hierarchy(P0, N, Z0), LAM, MU, rng2, rng2)
     assert np.max(md["bracket"]) < 1e-11
     assert np.max(md["exchange"]) < 1e-11
 
@@ -86,10 +86,10 @@ def test_anomaly_is_the_site_count():
         sys, jets, P0, P1, N = tm_workspace(n=n)
         Z0 = sys.extras["oevel"]["z0"](jets)
         ladder = hamiltonian_ladder(N, depth=3, neg_depth=3)
-        d = anomaly_defect(N, Z0, ladder, LAM, MU, float(n), range(-2, 3))
+        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, float(n), range(-2, 3))
         assert np.max(d) < 1e-12
         # and the wrong constant is detected
-        d = anomaly_defect(N, Z0, ladder, LAM, MU, float(n) + 0.5,
+        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, float(n) + 0.5,
                            range(-2, 3))
         assert np.min(d) > 0.4
 
@@ -110,6 +110,6 @@ def test_modular_family_respects_a_weighted_volume():
     sys, jets, P0, P1, N = tm_workspace(n=2)
     Z0 = sys.extras["oevel"]["z0"](jets)
     lg = jets[0] * 0.3
-    md = modular_family_defect(P0, N, Z0, LAM, MU, range(0, 2), range(0, 2),
-                               logg=lg)
+    md = modular_family_defect(Hierarchy(P0, N, Z0, logg=lg), LAM, MU,
+                               range(0, 2), range(0, 2))
     assert np.max(md["exchange"]) < 1e-11
