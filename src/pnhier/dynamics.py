@@ -190,12 +190,14 @@ def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
 
     def rhs(t, x):
         jets = _stage_jets(system, x, order=1)
-        P = system.pi0(jets) if bivector == "pi0" else system.pi1(jets)
         if h is not None:
+            P = system.pi0(jets) if bivector == "pi0" else system.pi1(jets)
             ham = h(jets)
         else:
-            N = recursion_operator(system.pi0(jets), system.pi1(jets))
-            ham = hierarchy_hamiltonian(N, index)
+            # each bivector once per stage: the driving leg is one of the pair
+            P0, P1 = system.pi0(jets), system.pi1(jets)
+            P = P0 if bivector == "pi0" else P1
+            ham = hierarchy_hamiltonian(recursion_operator(P0, P1), index)
         return hamiltonian_vf(P, ham).val[0]
 
     return rhs

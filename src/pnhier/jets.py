@@ -72,11 +72,15 @@ class Jet2:
         if x.ndim != 2:
             raise DimensionError(f"points must have shape (B, m), got {x.shape}")
         B, m = x.shape
-        eye = np.eye(m)
-        return [cls(x[:, i],
-                    np.tile(eye[i], (B, 1)) if order >= 1 else None,
-                    np.zeros((B, m, m)) if order >= 2 else None, m=m)
-                for i in range(m)]
+        out = []
+        for i in range(m):
+            grad = None
+            if order >= 1:
+                grad = np.zeros((B, m))
+                grad[:, i] = 1.0
+            out.append(cls(x[:, i], grad,
+                           np.zeros((B, m, m)) if order >= 2 else None, m=m))
+        return out
 
     @classmethod
     def const(cls, value, m, batch=None, order=2):

@@ -12,6 +12,13 @@ a term "a * d/du ^ d/dv" in a classical table means {u, v} = +a, and the
 canonical symplectic bracket on (q_1..q_n, p_1..p_n) has {q_i, p_i} = -1,
 i.e. Pi_0 = [[0, -I], [I, 0]].
 
+A bivector table lists only the entries above the diagonal, as scalar jets.
+``_table_to_matrix`` scatters them into zero-filled (B, m, m) value,
+gradient and Hessian arrays, each entry above the diagonal and its negation
+below, so every pi0/pi1 evaluation is a handful of slice writes, not an
+m x m nested list of scalar jets stacked row by row.  The constant
+canonical Pi_0 is built once per system, when the chart is made.
+
 Five models are registered:
 
   harmonic     uncoupled oscillators in action-style chart (q, p)
@@ -104,28 +111,53 @@ def _const_like(c, j):
 
 
 def _table_to_matrix(upper, m, ref):
-    """Antisymmetric matrix jet from a dict {(i, j): {x^i, x^j}} with i < j."""
-    rows = [[None] * m for _ in range(m)]
-    zero = _const_like(0.0, ref)
-    for i in range(m):
-        rows[i][i] = zero
+    """Antisymmetric matrix jet from a dict {(i, j): {x^i, x^j}} with i < j.
+
+    The tables are scattered into zero-filled (B, m, m) value, gradient and
+    Hessian arrays at ``ref``'s order: entry (i, j) is written at [:, i, j]
+    and its negation at [:, j, i].  Slots not in the table stay +0.0; a
+    negated entry keeps the sign of its zeros, as the jet negation does.
+    The negation goes through a temporary on purpose: numpy 2.4.6 computes
+    ``np.negative(a, out=b)`` wrongly when ``a`` has a 64-byte stride (a
+    coordinate column at m = 8) and ``b`` is not contiguous.
+    A key outside 0 <= i < j < m raises DimensionError, since a diagonal
+    or lower key would break antisymmetry or overwrite an entry; so does an
+    entry of lower jet order than ``ref``, whose missing derivatives would
+    otherwise be written as NaN.
+    """
+    order = ref.order
+    shape = ref.val.shape + (m, m)
+    val = np.zeros(shape)
+    grad = np.zeros(shape + (m,)) if order >= 1 else None
+    hess = np.zeros(shape + (m, m)) if order >= 2 else None
     for (i, j), v in upper.items():
-        rows[i][j] = v
-        rows[j][i] = -v
-    for i in range(m):
-        for j in range(m):
-            if rows[i][j] is None:
-                rows[i][j] = zero
-    return jstack(rows, m=m)
+        if not 0 <= i < j < m:
+            raise DimensionError(f"bivector table key ({i}, {j}) is not "
+                                 f"strictly upper triangular in {m} x {m}")
+        if v.order < order:
+            raise DimensionError(f"bivector table entry ({i}, {j}) has jet "
+                                 f"order {v.order}, below {order}")
+        val[:, i, j] = v.val
+        val[:, j, i] = -v.val
+        if grad is not None:
+            grad[:, i, j] = v.grad
+            grad[:, j, i] = -v.grad
+        if hess is not None:
+            hess[:, i, j] = v.hess
+            hess[:, j, i] = -v.hess
+    return Jet2(val, grad, hess, m=m)
 
 
-def _canonical_pi0(jets, n):
+def _canonical_block(n):
     """Pi_0 = [[0, -I], [I, 0]] on (q_1..q_n, p_1..p_n): {q_i, p_i} = -1."""
-    m = 2 * n
-    block = np.block([[np.zeros((n, n)), -np.eye(n)],
-                      [np.eye(n), np.zeros((n, n))]])
-    B = jets[0].val.shape[0]
-    return Jet2.const(block, m, batch=B, order=jets[0].order)
+    return np.block([[np.zeros((n, n)), -np.eye(n)],
+                     [np.eye(n), np.zeros((n, n))]])
+
+
+def _const_matrix(block, jets):
+    """The constant matrix ``block`` as a jet at the batch and order of jets."""
+    return Jet2.const(block, jets[0].m, batch=jets[0].val.shape[0],
+                      order=jets[0].order)
 
 
 # ---- harmonic oscillators ----------------------------------------------------
@@ -141,6 +173,7 @@ def harmonic(n):
         raise RangeError("harmonic needs n >= 1")
     m = 2 * n
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    canonical = _canonical_block(n)
 
     def actions(jets):
         return [(jets[i] * jets[i] + jets[n + i] * jets[n + i]) * 0.5
@@ -175,7 +208,7 @@ def harmonic(n):
     return System(
         "harmonic", "harmonic oscillators", n, labels,
         lo=[0.3] * m, hi=[1.5] * m,
-        pi0_fn=lambda jets: _canonical_pi0(jets, n),
+        pi0_fn=lambda jets: _const_matrix(canonical, jets),
         pi1_fn=pi1, domain_fn=domain,
         description="n uncoupled oscillators; recursion operator diag(I, I)",
         extras={
@@ -201,8 +234,9 @@ def calogero(n):
     labels = [f"F{i+1}" for i in range(n)] + [f"G{i+1}" for i in range(n)]
 
     def pi0(jets):
-        return _table_to_matrix({(i, n + i): _one_like(jets[0])
-                                 for i in range(n)}, m, jets[0])
+        one = _one_like(jets[0])
+        return _table_to_matrix({(i, n + i): one for i in range(n)},
+                                m, jets[0])
 
     def pi1(jets):
         return _table_to_matrix({(i, n + i): jets[i] for i in range(n)},
@@ -459,14 +493,16 @@ def an_toda(n):
         raise RangeError("an_toda needs n >= 2")
     m = 2 * n
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    canonical = _canonical_block(n)
 
     def pi1(jets):
         q = jets[:n]
         p = jets[n:]
+        one = _one_like(jets[0])
         up = {}
         for i in range(n):
             for j in range(i + 1, n):
-                up[(i, j)] = _one_like(jets[0])           # A block
+                up[(i, j)] = one                          # A block
             up[(i, n + i)] = -p[i]                        # -B block: {q_i, p_i} = -p_i
         for i in range(n - 1):
             up[(n + i, n + i + 1)] = (q[i] - q[i + 1]).exp()   # C block
@@ -517,7 +553,7 @@ def an_toda(n):
     return System(
         "an_toda", "open Toda chain", n, labels,
         lo=[-0.5] * n + [-1.0] * n, hi=[0.5] * n + [1.0] * n,
-        pi0_fn=lambda jets: _canonical_pi0(jets, n),
+        pi0_fn=lambda jets: _const_matrix(canonical, jets),
         pi1_fn=pi1,
         description="canonical chart; nearest-neighbour exponential couplings",
         extras={

@@ -14,6 +14,9 @@ from pnhier.dynamics import (Trajectory, _ql_implicit, conservation_report,
                              lax_monitors, rk4, rkf45)
 from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
                            ExclusionBreach, RangeError, StepUnderflow)
+from pnhier.fields import hamiltonian_vf
+from pnhier.hierarchy import hierarchy_hamiltonian, recursion_operator
+from pnhier.jets import Jet2
 from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260821)
@@ -114,6 +117,27 @@ def test_flow_rhs_from_index_and_closed_form_agree():
         hamiltonian_flow_rhs(sys, index=1, bivector="pi7")
     with pytest.raises(DimensionError):
         by_index(0.0, x[:3])
+
+
+@pytest.mark.parametrize("leg", ("pi0", "pi1"))
+def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
+    sys = make_system("an_toda", 3)
+    calls = {"pi0": 0, "pi1": 0}
+    for name in calls:
+        def counted(jets, _fn=getattr(sys, name), _name=name):
+            calls[_name] += 1
+            return _fn(jets)
+        setattr(sys, name, counted)
+    x = sys.sample(samples=1, seed=19)[0]
+    rhs = hamiltonian_flow_rhs(sys, index=2, bivector=leg)
+    got = rhs(0.0, x)
+    assert calls == {"pi0": 1, "pi1": 1}
+    # the shared bivectors give the same bits as evaluating them apart
+    jets = Jet2.coords(x[None, :], order=1)
+    N = recursion_operator(sys.pi0(jets), sys.pi1(jets))
+    P = getattr(sys, leg)(jets)
+    want = hamiltonian_vf(P, hierarchy_hamiltonian(N, 2)).val[0]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_spectral_chain_flow_is_exponential_in_r():

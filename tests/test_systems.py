@@ -8,10 +8,12 @@ bivector pairs must reproduce (checked in depth by the report suite).
 import numpy as np
 import pytest
 
+from pnhier import systems
 from pnhier.errors import DimensionError, DomainError, RangeError
 from pnhier.fields import antisymmetry_defect
 from pnhier.hierarchy import (hierarchy_hamiltonian, recursion_operator,
                               spectrum)
+from pnhier.jets import Jet2, jstack
 from pnhier.report import probe_point
 from pnhier.systems import SYSTEMS, make_system
 
@@ -42,6 +44,71 @@ def test_builder_shapes_and_antisymmetry(key):
     assert np.max(antisymmetry_defect(P1)) < 1e-14
     assert len(sys.pair_names) == 2
     assert sys.description
+
+
+def _nested_table_to_matrix(upper, m, ref):
+    """Reference assembly: an m x m nested list of scalar jets, one zero
+    constant on every empty slot and a jet negation on every lower entry,
+    stacked by jstack."""
+    zero = Jet2.const(np.zeros(ref.val.shape), m, order=ref.order)
+    rows = [[zero] * m for _ in range(m)]
+    for (i, j), v in upper.items():
+        rows[i][j] = v
+        rows[j][i] = -v
+    return jstack(rows, m=m)
+
+
+def _nested_canonical_pi0(jets, n):
+    """Reference Pi_0 = [[0, -I], [I, 0]], built afresh on every call."""
+    block = np.block([[np.zeros((n, n)), -np.eye(n)],
+                      [np.eye(n), np.zeros((n, n))]])
+    return Jet2.const(block, 2 * n, batch=jets[0].val.shape[0],
+                      order=jets[0].order)
+
+
+# toda_moser 4 (m = 8) adds coordinate columns with a 64-byte stride, where
+# numpy 2.4.6 negates wrongly into a non-contiguous ``out=``
+CHARTS = (("harmonic", 2), ("calogero", 2), ("toda_moser", 3),
+          ("toda_moser", 4), ("cn_toda", 3), ("an_toda", 3))
+CANONICAL_PI0 = ("harmonic", "an_toda")
+
+
+@pytest.mark.parametrize("batch", (1, 5))
+@pytest.mark.parametrize("order", (0, 1, 2))
+@pytest.mark.parametrize("key,n", CHARTS)
+def test_scatter_assembly_matches_nested_jstack_bit_for_bit(key, n, order,
+                                                            batch,
+                                                            monkeypatch):
+    sys = make_system(key, n)
+    jets = sys.jets(sys.sample(samples=batch, seed=11), order=order)
+    got = (sys.pi0(jets), sys.pi1(jets))
+    monkeypatch.setattr(systems, "_table_to_matrix", _nested_table_to_matrix)
+    want = (_nested_canonical_pi0(jets, n) if key in CANONICAL_PI0
+            else sys.pi0(jets), sys.pi1(jets))
+    for g, w in zip(got, want):
+        assert g.m == w.m == sys.m and g.order == w.order == order
+        for k, part in enumerate(("val", "grad", "hess")):
+            a, b = getattr(g, part), getattr(w, part)
+            assert (a is None) == (b is None) == (k > order)
+            if a is not None:
+                # bytes, not np.array_equal: signed zeros must match too
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("key", ((1, 1), (2, 1), (-1, 2), (0, 4)))
+def test_bivector_table_keys_must_be_strictly_upper(key):
+    ref = Jet2.coords(np.ones((2, 4)))[0]
+    with pytest.raises(DimensionError):
+        systems._table_to_matrix({key: ref}, 4, ref)
+
+
+def test_bivector_table_entries_carry_the_matrix_order():
+    ref = Jet2.coords(np.ones((2, 4)))[0]
+    flat = Jet2.coords(np.ones((2, 4)), order=1)[0]
+    with pytest.raises(DimensionError):
+        systems._table_to_matrix({(0, 3): flat}, 4, ref)
+    P = systems._table_to_matrix({(0, 3): ref}, 4, ref)
+    assert np.array_equal(P.val[:, 0, 3], -P.val[:, 3, 0])
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
