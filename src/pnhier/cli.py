@@ -18,6 +18,7 @@ from .dynamics import (
     lax_monitors,
 )
 from .errors import DimensionError, EngineError, RangeError
+from .hierarchy import check_depths
 from .report import (
     catalog_report,
     hierarchy_report,
@@ -97,7 +98,8 @@ def _build_parser():
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--method", choices=("rk4", "rkf45"), default="rk4")
-    p.add_argument("--depth", type=int, default=3, help="monitor columns h_0..h_depth")
+    p.add_argument("--depth", type=int, default=3,
+                   help="monitor columns h_0..h_depth, depth in 1..12")
 
     p = sub.add_parser("catalog", help="list the model catalog")
     p.add_argument("--n", type=int, default=2,
@@ -130,8 +132,7 @@ def _cmd_hierarchy(args, threads):
 
 def _cmd_integrate(args, threads):
     system = _resolve_system(args.system, args.n)
-    if args.depth < 0:
-        raise RangeError("monitor depth must be >= 0")
+    check_depths(args.depth, 0)      # before the flow, not after it
     rhs = hamiltonian_flow_rhs(system, index=args.flow)
     x0 = probe_point(system)
     traj = integrate(rhs, x0, args.t_end, method=args.method, dt=args.dt,

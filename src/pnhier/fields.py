@@ -5,11 +5,18 @@ vector field (B, m), a bivector (B, m, m) stored as the full antisymmetric
 matrix P with P[i][j] = {x^i, x^j}, a (1,1) tensor (B, m, m) with N[i][j] =
 N^i_j, and a trivector (B, m, m, m), fully antisymmetric.
 
-Every operation that consumes a derivative (brackets, Lie derivatives,
-divergence, torsion) returns a jet of one order less than its inputs; purely
-algebraic operations (sharp, wedge, n_act) preserve the order.  Identities are
-therefore checked by evaluating both sides on order-2 coordinate jets and
-comparing values, with one level of bracket nesting still differentiable.
+Every operation is one to three ``jets.jcontract`` calls: each term names
+its index contraction and its operands, and the product rule that yields the
+gradient and Hessian lives in jets alone.  A derivative enters as
+``differential(A)`` (D A, the derivative of A as a jet of one order less),
+so an operation that consumes a derivative (brackets, Lie derivatives,
+divergence, torsion) returns a jet of one order less than the operand it
+differentiates; purely algebraic operations (sharp, wedge, n_act) preserve
+the order.  Terms are summed in the order they are listed, which fixes the
+bits of every result.  Identities are therefore checked by evaluating both
+sides on order-2 coordinate jets and comparing values, with one level of
+bracket nesting still differentiable.  The structure defects read values
+only and pass ``order=0``.
 
 Sign conventions (fixed here once, tested in test_fields.py):
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .jets import Jet2
+from .jets import differential, jcontract, jtranspose
 
 SCHOUTEN_BB_SIGN = -1.0
 SCHOUTEN_TF_SIGN = +1.0
@@ -44,127 +51,47 @@ def _rank(A):
     return A.val.ndim - 1
 
 
-def _need(k, *jets):
-    for j in jets:
-        if j.order < k:
-            raise DimensionError(f"operation needs jets of order >= {k}, got {j.order}")
-    return min(j.order for j in jets)
-
-
 # ---- algebraic (order-preserving) operations --------------------------------
-
-def differential(f):
-    """The covector field df of a scalar jet (drops one order)."""
-    _need(1, f)
-    return Jet2(f.grad, f.hess, None, m=f.m)
-
 
 def sharp(P, alpha):
     """(P# alpha)^i = sum_j P[j][i] alpha_j -- the anchor map of a bivector."""
-    order = min(P.order, alpha.order)
-    val = np.einsum('...ji,...j->...i', P.val, alpha.val)
-    grad = hess = None
-    if order >= 1:
-        grad = (np.einsum('...jia,...j->...ia', P.grad, alpha.val)
-                + np.einsum('...ji,...ja->...ia', P.val, alpha.grad))
-        if order >= 2:
-            cross = np.einsum('...jia,...jb->...iab', P.grad, alpha.grad)
-            hess = (np.einsum('...jiab,...j->...iab', P.hess, alpha.val)
-                    + np.einsum('...ji,...jab->...iab', P.val, alpha.hess)
-                    + cross + cross.swapaxes(-1, -2))
-    return Jet2(val, grad, hess, m=P.m)
+    return jcontract(("ji,j->i", P, alpha))
 
 
 def cotangent_apply(N, alpha):
     """(N* alpha)_i = sum_j alpha_j N^j_i -- N acting on covectors."""
-    order = min(N.order, alpha.order)
-    val = np.einsum('...j,...ji->...i', alpha.val, N.val)
-    grad = hess = None
-    if order >= 1:
-        grad = (np.einsum('...ja,...ji->...ia', alpha.grad, N.val)
-                + np.einsum('...j,...jia->...ia', alpha.val, N.grad))
-        if order >= 2:
-            cross = np.einsum('...ja,...jib->...iab', alpha.grad, N.grad)
-            hess = (np.einsum('...jab,...ji->...iab', alpha.hess, N.val)
-                    + np.einsum('...j,...jiab->...iab', alpha.val, N.hess)
-                    + cross + cross.swapaxes(-1, -2))
-    return Jet2(val, grad, hess, m=N.m)
+    return jcontract(("j,ji->i", alpha, N))
 
 
 def wedge_vv(X, Y):
     """(X ^ Y)^{ij} = X^i Y^j - X^j Y^i."""
-    order = min(X.order, Y.order)
-    val = np.einsum('...i,...j->...ij', X.val, Y.val)
-    val = val - val.swapaxes(-1, -2)
-    grad = hess = None
-    if order >= 1:
-        g = (np.einsum('...ia,...j->...ija', X.grad, Y.val)
-             + np.einsum('...i,...ja->...ija', X.val, Y.grad))
-        grad = g - g.swapaxes(-3, -2)
-        if order >= 2:
-            cross = np.einsum('...ia,...jb->...ijab', X.grad, Y.grad)
-            h = (np.einsum('...iab,...j->...ijab', X.hess, Y.val)
-                 + np.einsum('...i,...jab->...ijab', X.val, Y.hess)
-                 + cross + cross.swapaxes(-1, -2))
-            hess = h - h.swapaxes(-4, -3)
-    return Jet2(val, grad, hess, m=X.m)
+    # one term minus its transpose sums each derivative as (a + b) - (c + d);
+    # two signed terms would sum ((a + b) - c) - d, other bits
+    J = jcontract(("i,j->ij", X, Y))
+    return J - jtranspose(J)
 
 
 def wedge_vb(Z, P):
     """(Z ^ P)^{ijk} = Z^i P^{jk} + Z^j P^{ki} + Z^k P^{ij}."""
-    order = min(Z.order, P.order)
-    val = (np.einsum('...i,...jk->...ijk', Z.val, P.val)
-           + np.einsum('...j,...ki->...ijk', Z.val, P.val)
-           + np.einsum('...k,...ij->...ijk', Z.val, P.val))
-    grad = None
-    if order >= 1:
-        grad = (np.einsum('...ia,...jk->...ijka', Z.grad, P.val)
-                + np.einsum('...i,...jka->...ijka', Z.val, P.grad)
-                + np.einsum('...ja,...ki->...ijka', Z.grad, P.val)
-                + np.einsum('...j,...kia->...ijka', Z.val, P.grad)
-                + np.einsum('...ka,...ij->...ijka', Z.grad, P.val)
-                + np.einsum('...k,...ija->...ijka', Z.val, P.grad))
-    return Jet2(val, grad, None, m=Z.m)
+    return jcontract(("i,jk->ijk", Z, P), ("j,ki->ijk", Z, P), ("k,ij->ijk", Z, P))
 
 
 def scalar_mul(f, A):
     """f * A for a scalar field f and a tensor field A of any rank."""
-    r = _rank(A)
-    order = min(f.order, A.order)
-    ex = (None,) * r
-    fv = f.val[(...,) + ex]
-    val = fv * A.val
-    grad = hess = None
-    if order >= 1:
-        fg = f.grad[(...,) + ex + (slice(None),)]
-        grad = fv[..., None] * A.grad + fg * A.val[..., None]
-        if order >= 2:
-            fh = f.hess[(...,) + ex + (slice(None), slice(None))]
-            cross = fg[..., :, None] * A.grad[..., None, :]
-            hess = (fv[..., None, None] * A.hess + fh * A.val[..., None, None]
-                    + cross + cross.swapaxes(-1, -2))
-    return Jet2(val, grad, hess, m=A.m)
+    idx = "ijkl"[:_rank(A)]
+    return jcontract((f",{idx}->{idx}", f, A))
 
 
 # ---- derivative-consuming operations ----------------------------------------
 
 def evaluate(X, f):
     """X(f) for a vector field and a function."""
-    order = _need(1, X, f)
-    val = np.einsum('...i,...i->...', X.val, f.grad)
-    grad = None
-    if order >= 2:
-        grad = (np.einsum('...ia,...i->...a', X.grad, f.grad)
-                + np.einsum('...i,...ia->...a', X.val, f.hess))
-    return Jet2(val, grad, None, m=X.m)
+    return jcontract(("i,i->", X, differential(f)))
 
 
 def divergence(X):
     """sum_i d_i X^i."""
-    order = _need(1, X)
-    val = np.einsum('...ii->...', X.grad)
-    grad = None if order < 2 else np.einsum('...iia->...a', X.hess)
-    return Jet2(val, grad, None, m=X.m)
+    return jcontract(("ii->", differential(X)))
 
 
 def hamiltonian_vf(P, h):
@@ -174,97 +101,51 @@ def hamiltonian_vf(P, h):
 
 def poisson_bracket(P, f, g):
     """{f, g} = sum_{ij} P^{ij} d_i f d_j g."""
-    order = _need(1, P, f, g)
-    val = np.einsum('...ij,...i,...j->...', P.val, f.grad, g.grad)
-    grad = None
-    if order >= 2:
-        grad = (np.einsum('...ija,...i,...j->...a', P.grad, f.grad, g.grad)
-                + np.einsum('...ij,...ia,...j->...a', P.val, f.hess, g.grad)
-                + np.einsum('...ij,...i,...ja->...a', P.val, f.grad, g.hess))
-    return Jet2(val, grad, None, m=P.m)
+    return jcontract(("ij,i,j->", P, differential(f), differential(g)))
 
 
 def lie_bracket(X, Y):
     """[X, Y]^i = X^l d_l Y^i - Y^l d_l X^i."""
-    order = _need(1, X, Y)
-    val = (np.einsum('...l,...il->...i', X.val, Y.grad)
-           - np.einsum('...l,...il->...i', Y.val, X.grad))
-    grad = None
-    if order >= 2:
-        grad = (np.einsum('...la,...il->...ia', X.grad, Y.grad)
-                + np.einsum('...l,...ila->...ia', X.val, Y.hess)
-                - np.einsum('...la,...il->...ia', Y.grad, X.grad)
-                - np.einsum('...l,...ila->...ia', Y.val, X.hess))
-    return Jet2(val, grad, None, m=X.m)
+    return jcontract(("l,il->i", X, differential(Y)),
+                     (-1, "l,il->i", Y, differential(X)))
 
 
 def lie_der_bivector(X, P):
     """(L_X P)^{ij} = X^l d_l P^{ij} - P^{lj} d_l X^i - P^{il} d_l X^j."""
-    order = _need(1, X, P)
-    val = (np.einsum('...l,...ijl->...ij', X.val, P.grad)
-           - np.einsum('...lj,...il->...ij', P.val, X.grad)
-           - np.einsum('...il,...jl->...ij', P.val, X.grad))
-    grad = None
-    if order >= 2:
-        grad = (np.einsum('...la,...ijl->...ija', X.grad, P.grad)
-                + np.einsum('...l,...ijla->...ija', X.val, P.hess)
-                - np.einsum('...lja,...il->...ija', P.grad, X.grad)
-                - np.einsum('...lj,...ila->...ija', P.val, X.hess)
-                - np.einsum('...ila,...jl->...ija', P.grad, X.grad)
-                - np.einsum('...il,...jla->...ija', P.val, X.hess))
-    return Jet2(val, grad, None, m=X.m)
+    dX = differential(X)
+    return jcontract(("l,ijl->ij", X, differential(P)),
+                     (-1, "lj,il->ij", P, dX), (-1, "il,jl->ij", P, dX))
 
 
 def lie_der_trivector(X, T):
     """(L_X T)^{ijk} = X^l d_l T^{ijk} - T^{ljk} d_l X^i - T^{ilk} d_l X^j - T^{ijl} d_l X^k."""
-    _need(1, X, T)
-    val = (np.einsum('...l,...ijkl->...ijk', X.val, T.grad)
-           - np.einsum('...ljk,...il->...ijk', T.val, X.grad)
-           - np.einsum('...ilk,...jl->...ijk', T.val, X.grad)
-           - np.einsum('...ijl,...kl->...ijk', T.val, X.grad))
-    return Jet2(val, None, None, m=X.m)
+    dX = differential(X)
+    return jcontract(("l,ijkl->ijk", X, differential(T)),
+                     (-1, "ljk,il->ijk", T, dX), (-1, "ilk,jl->ijk", T, dX),
+                     (-1, "ijl,kl->ijk", T, dX), order=0)
 
 
 def schouten_bf(P, f):
     """[P, f]^i = sum_j P^{ij} d_j f (the hamiltonian field is X_f = -[P, f])."""
-    order = _need(1, P, f)
-    val = np.einsum('...ij,...j->...i', P.val, f.grad)
-    grad = None
-    if order >= 2:
-        grad = (np.einsum('...ija,...j->...ia', P.grad, f.grad)
-                + np.einsum('...ij,...ja->...ia', P.val, f.hess))
-    return Jet2(val, grad, None, m=P.m)
+    return jcontract(("ij,j->i", P, differential(f)))
 
 
 def schouten_bb(P, Q):
     """Bivector-bivector Schouten bracket (a trivector); symmetric in P, Q."""
-    order = _need(1, P, Q)
     s = SCHOUTEN_BB_SIGN
 
-    def half(A, Bv):
-        return (np.einsum('...lk,...ijl->...ijk', A.val, Bv.grad)
-                + np.einsum('...li,...jkl->...ijk', A.val, Bv.grad)
-                + np.einsum('...lj,...kil->...ijk', A.val, Bv.grad))
+    # the two halves are summed apart, then added: one six-term sum would
+    # round differently and move the schouten-mixed row in its last digits
+    def half(A, dB):
+        return jcontract((s, "lk,ijl->ijk", A, dB), (s, "li,jkl->ijk", A, dB),
+                         (s, "lj,kil->ijk", A, dB))
 
-    val = s * (half(P, Q) + half(Q, P))
-    grad = None
-    if order >= 2:
-        def half_grad(A, Bv):
-            return (np.einsum('...lka,...ijl->...ijka', A.grad, Bv.grad)
-                    + np.einsum('...lk,...ijla->...ijka', A.val, Bv.hess)
-                    + np.einsum('...lia,...jkl->...ijka', A.grad, Bv.grad)
-                    + np.einsum('...li,...jkla->...ijka', A.val, Bv.hess)
-                    + np.einsum('...lja,...kil->...ijka', A.grad, Bv.grad)
-                    + np.einsum('...lj,...kila->...ijka', A.val, Bv.hess))
-        grad = s * (half_grad(P, Q) + half_grad(Q, P))
-    return Jet2(val, grad, None, m=P.m)
+    return half(P, differential(Q)) + half(Q, differential(P))
 
 
 def schouten_tf(T, f):
     """[T, f]^{ij} = sign * sum_l T^{ijl} d_l f."""
-    _need(1, T, f)
-    val = SCHOUTEN_TF_SIGN * np.einsum('...ijl,...l->...ij', T.val, f.grad)
-    return Jet2(val, None, None, m=T.m)
+    return jcontract((SCHOUTEN_TF_SIGN, "ijl,l->ij", T, differential(f)), order=0)
 
 
 def schouten(A, B):
@@ -314,11 +195,9 @@ def jacobi_trivector(P):
     Vanishes iff P satisfies the Jacobi identity; independent of the overall
     Schouten sign convention.
     """
-    _need(1, P)
-    val = (np.einsum('...ce,...abc->...abe', P.val, P.grad)
-           + np.einsum('...ca,...bec->...abe', P.val, P.grad)
-           + np.einsum('...cb,...eac->...abe', P.val, P.grad))
-    return Jet2(val, None, None, m=P.m)
+    dP = differential(P)
+    return jcontract(("ce,abc->abe", P, dP), ("ca,bec->abe", P, dP),
+                     ("cb,eac->abe", P, dP), order=0)
 
 
 def jacobi_defect(P):
@@ -328,12 +207,9 @@ def jacobi_defect(P):
 
 def nijenhuis_torsion(N):
     """T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j)."""
-    _need(1, N)
-    val = (np.einsum('...lj,...ikl->...ijk', N.val, N.grad)
-           - np.einsum('...lk,...ijl->...ijk', N.val, N.grad)
-           - np.einsum('...il,...lkj->...ijk', N.val, N.grad)
-           + np.einsum('...il,...ljk->...ijk', N.val, N.grad))
-    return Jet2(val, None, None, m=N.m)
+    dN = differential(N)
+    return jcontract(("lj,ikl->ijk", N, dN), (-1, "lk,ijl->ijk", N, dN),
+                     (-1, "il,lkj->ijk", N, dN), ("il,ljk->ijk", N, dN), order=0)
 
 
 def torsion_defect(N):
@@ -354,14 +230,11 @@ def pn_compat_defect(P0, N):
     and returns the pointwise max of the two.  Both vanish exactly when
     (P0, N) is a compatible pair.
     """
-    _need(1, P0)
-    _need(1, N)
+    dP0, dN = differential(P0), differential(N)
     alg = N.val @ P0.val - P0.val @ N.val.swapaxes(-1, -2)
-    coord = (np.einsum('...lj,...ikl->...ijk', P0.val, N.grad)
-             + np.einsum('...il,...jkl->...ijk', P0.val, N.grad)
-             - np.einsum('...lj,...ilk->...ijk', P0.val, N.grad)
-             - np.einsum('...lk,...ijl->...ijk', N.val, P0.grad)
-             + np.einsum('...jl,...ilk->...ijk', N.val, P0.grad))
+    coord = jcontract(("lj,ikl->ijk", P0, dN), ("il,jkl->ijk", P0, dN),
+                      (-1, "lj,ilk->ijk", P0, dN), (-1, "lk,ijl->ijk", N, dP0),
+                      ("jl,ilk->ijk", N, dP0), order=0).val
     return np.maximum(per_sample(alg), per_sample(coord))
 
 

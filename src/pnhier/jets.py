@@ -18,13 +18,35 @@ grad and hess may be None: an operation that consumes a derivative (a bracket,
 a divergence) returns a jet of one order less, which is exactly what identity
 checks need -- the deepest expressions are evaluated pointwise.  Arithmetic
 keeps the smallest order of its operands.
+
+One product rule.  Every multilinear operation on jets -- matrix products,
+traces, and every bracket, wedge and Koszul operator in fields and modular --
+is a call of ``jcontract``: a signed sum of terms, each an einsum spec over
+the non-batch axes and its operand jets.  The gradient and Hessian follow
+from the spec by the product rule (second-order forward-mode Taylor
+propagation, Griewank & Walther, Evaluating Derivatives, ch. 13).
+``differential`` (D f = the derivative of f as a jet of one order less) turns
+a derivative-consuming operation into a plain contraction against D of its
+operand.  Term-order rule: every value, gradient and Hessian component is
+added in the order the terms are given, and within a term operand by
+operand (Hessian terms first, then each pair's cross term and its
+transpose), so two spellings of one sum agree bit for bit only when they
+list the terms in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import string
+
 import numpy as np
 
 from .errors import DimensionError, SingularTensorError
+
+try:    # the C routine behind np.einsum(optimize=False), without the 1-2 us wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:     # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
 
 class Jet2:
@@ -257,53 +279,125 @@ def jeye(n, m, batch, order=2):
     return Jet2.const(np.eye(n), m, batch=batch, order=order)
 
 
+# ---- the product rule -------------------------------------------------------
+
+def differential(f):
+    """D f: the derivative of a jet as a jet of one order less.
+
+    Its value is f.grad and its gradient f.hess, so the new trailing axis is
+    the derivative index.  An operation that consumes a derivative is then a
+    plain contraction against D of its operand.
+    """
+    if f.grad is None:
+        raise DimensionError(f"operation needs jets of order >= 1, got {f.order}")
+    return Jet2(f.grad, f.hess, None, m=f.m)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_rule(spec, n):
+    """The einsum specs of one product term and of its derivatives.
+
+    Returns (value, gradients, Hessians, crosses): one gradient and one
+    Hessian spec per operand, which differentiates that operand alone, and
+    (k, l, spec) per operand pair k < l for the mixed term dJ_k dJ_l.
+    """
+    ins, arrow, out = spec.partition("->")
+    ops = ins.split(",")
+    if not arrow or len(ops) != n:
+        raise DimensionError(f"einsum spec {spec!r} does not take {n} operand(s)")
+    a, b = [c for c in string.ascii_letters if c not in spec][:2]
+
+    def make(extra, tail):
+        return (",".join("..." + s + extra.get(k, "") for k, s in enumerate(ops))
+                + "->..." + out + tail)
+
+    return (make({}, ""),
+            tuple(make({k: a}, a) for k in range(n)),
+            tuple(make({k: a + b}, a + b) for k in range(n)),
+            tuple((k, l, make({k: a, l: b}, a + b))
+                  for k in range(n) for l in range(k + 1, n)))
+
+
+def _accumulate(acc, coef, x):
+    """acc + coef * x, in place once acc is an array of its own."""
+    if acc is None:
+        return x if coef == 1 else -x if coef == -1 else coef * x
+    if acc.base is not None:     # an einsum view of an operand: never write into it
+        acc = acc.copy()
+    if coef == 1:
+        acc += x
+    elif coef == -1:
+        acc -= x
+    else:
+        acc += coef * x
+    return acc
+
+
+def jcontract(*terms, order=2):
+    """Signed sum of multilinear contractions of jets, with its derivatives.
+
+    Each term is ``(spec, J1, ..., Jn)`` or ``(coef, spec, J1, ..., Jn)``;
+    ``spec`` is an einsum spec over the non-batch axes, e.g. ``"ik,kj->ij"``
+    for a matrix product.  The value is the einsum of the values.  The
+    gradient adds, per term, the einsum with one operand differentiated, for
+    each operand in turn; the Hessian adds each operand's Hessian term, then
+    per operand pair the cross term dJ_k dJ_l and its transpose
+    (second-order forward-mode Taylor propagation).  Every component is
+    added in the order the terms and operands are given, so a rewrite that
+    keeps that order keeps the bits.  The result has the smallest operand
+    order, at most ``order``: pass ``order=0`` when only the value is read.
+    """
+    rules = []
+    for term in terms:
+        if isinstance(term[0], str):
+            coef, spec, ops = 1, term[0], term[1:]
+        else:
+            coef, spec, ops = term[0], term[1], term[2:]
+        rules.append((coef, _product_rule(spec, len(ops)), ops))
+        for J in ops:
+            if J.hess is None:
+                order = min(order, 0 if J.grad is None else 1)
+    val = grad = hess = None
+    for coef, (vspec, gspecs, hspecs, xspecs), ops in rules:
+        vals = [J.val for J in ops]
+        val = _accumulate(val, coef, _einsum(vspec, *vals))
+        if order < 1:
+            continue
+        for k, spec in enumerate(gspecs):
+            args = vals.copy()
+            args[k] = ops[k].grad
+            grad = _accumulate(grad, coef, _einsum(spec, *args))
+        if order < 2:
+            continue
+        for k, spec in enumerate(hspecs):
+            args = vals.copy()
+            args[k] = ops[k].hess
+            hess = _accumulate(hess, coef, _einsum(spec, *args))
+        for k, l, spec in xspecs:
+            args = vals.copy()
+            args[k] = ops[k].grad
+            args[l] = ops[l].grad
+            cross = _einsum(spec, *args)
+            hess = _accumulate(hess, coef, cross)
+            hess = _accumulate(hess, coef, cross.swapaxes(-1, -2))
+    return Jet2(val, grad, hess, m=ops[0].m)
+
+
 # ---- matrix calculus on jets ------------------------------------------------
-
-def _min_order(*jets):
-    return min(j.order for j in jets)
-
 
 def jmatmul(A, B):
     """Matrix product of two matrix jets (batched)."""
-    order = _min_order(A, B)
-    val = np.einsum('...ik,...kj->...ij', A.val, B.val)
-    grad = hess = None
-    if order >= 1:
-        grad = (np.einsum('...ika,...kj->...ija', A.grad, B.val)
-                + np.einsum('...ik,...kja->...ija', A.val, B.grad))
-        if order >= 2:
-            # ((d2A B + A d2B) + cross) + cross^T, summed in place so that
-            # at most one Hessian-sized temporary lives beside the result
-            hess = np.einsum('...ikab,...kj->...ijab', A.hess, B.val)
-            hess += np.einsum('...ik,...kjab->...ijab', A.val, B.hess)
-            cross = np.einsum('...ika,...kjb->...ijab', A.grad, B.grad)
-            hess += cross
-            hess += cross.swapaxes(-1, -2)
-    return Jet2(val, grad, hess, m=A.m)
+    return jcontract(("ik,kj->ij", A, B))
 
 
 def jmatvec(A, X):
     """Matrix jet applied to a vector jet: (A X)^i = A^i_k X^k."""
-    order = _min_order(A, X)
-    val = np.einsum('...ik,...k->...i', A.val, X.val)
-    grad = hess = None
-    if order >= 1:
-        grad = (np.einsum('...ika,...k->...ia', A.grad, X.val)
-                + np.einsum('...ik,...ka->...ia', A.val, X.grad))
-        if order >= 2:
-            cross = np.einsum('...ika,...kb->...iab', A.grad, X.grad)
-            hess = (np.einsum('...ikab,...k->...iab', A.hess, X.val)
-                    + np.einsum('...ik,...kab->...iab', A.val, X.hess)
-                    + cross + cross.swapaxes(-1, -2))
-    return Jet2(val, grad, hess, m=A.m)
+    return jcontract(("ik,k->i", A, X))
 
 
 def jtrace(A):
     """Trace of a matrix jet."""
-    val = np.einsum('...ii->...', A.val)
-    grad = None if A.grad is None else np.einsum('...iia->...a', A.grad)
-    hess = None if A.hess is None else np.einsum('...iiab->...ab', A.hess)
-    return Jet2(val, grad, hess, m=A.m)
+    return jcontract(("ii->", A))
 
 
 def jtranspose(A):

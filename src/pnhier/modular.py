@@ -7,16 +7,18 @@ field; on trivectors a bivector.  D o D = 0 holds identically, and D is what
 ties recursion hierarchies to their modular fields.
 
 All inputs are batched jets; like every derivative-consuming operation the
-Koszul operator drops the jet order by one.
+Koszul operator drops the jet order by one.  Each operator here is one
+``jets.jcontract`` call against ``jets.differential`` of its operand (its
+derivative as a jet one order lower, not the Koszul D): the Koszul operator
+contracts the derivative of A on its last slot, with one index pattern for
+every degree, and adds the density term A . d(log g) after it.  The product
+rule and the order in which its terms are summed live in jets.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DimensionError
-from .fields import hamiltonian_vf
-from .jets import Jet2, jmatvec
+from .jets import differential, jcontract, jmatvec
 
 
 def koszul_d(A, logg=None):
@@ -33,35 +35,11 @@ def koszul_d(A, logg=None):
     rank = A.val.ndim - 1
     if rank not in (1, 2, 3):
         raise DimensionError(f"Koszul operator defined for degrees 1..3, got rank {rank}")
-    if A.order < 1:
-        raise DimensionError("Koszul operator needs a jet of order >= 1")
-    order = A.order if logg is None else min(A.order, logg.order)
-
-    if rank == 1:
-        val = np.einsum('...jj->...', A.grad)
-        grad = None if order < 2 else np.einsum('...jja->...a', A.hess)
-        if logg is not None:
-            val = val + np.einsum('...j,...j->...', A.val, logg.grad)
-            if grad is not None:
-                grad = (grad + np.einsum('...ja,...j->...a', A.grad, logg.grad)
-                        + np.einsum('...j,...ja->...a', A.val, logg.hess))
-    elif rank == 2:
-        val = np.einsum('...ijj->...i', A.grad)
-        grad = None if order < 2 else np.einsum('...ijja->...ia', A.hess)
-        if logg is not None:
-            val = val + np.einsum('...ij,...j->...i', A.val, logg.grad)
-            if grad is not None:
-                grad = (grad + np.einsum('...ija,...j->...ia', A.grad, logg.grad)
-                        + np.einsum('...ij,...ja->...ia', A.val, logg.hess))
-    else:
-        val = np.einsum('...ijkk->...ij', A.grad)
-        grad = None if order < 2 else np.einsum('...ijkka->...ija', A.hess)
-        if logg is not None:
-            val = val + np.einsum('...ijk,...k->...ij', A.val, logg.grad)
-            if grad is not None:
-                grad = (grad + np.einsum('...ijka,...k->...ija', A.grad, logg.grad)
-                        + np.einsum('...ijk,...ka->...ija', A.val, logg.hess))
-    return Jet2(val, grad, None, m=A.m)
+    idx = "ijk"[:rank]
+    terms = [(f"{idx}{idx[-1]}->{idx[:-1]}", differential(A))]
+    if logg is not None:
+        terms.append((f"{idx},{idx[-1]}->{idx[:-1]}", A, differential(logg)))
+    return jcontract(*terms)
 
 
 def modular_vf(P, logg=None):
@@ -88,13 +66,7 @@ def pn_modular_field(P0, N):
     X_{-tr(N)/2} w.r.t. P0 and X_{-log|det N|/2} w.r.t. P1 = N P0; the
     equalities are checked in the test-suite/report, never assumed.
     """
-    order = min(P0.order, N.order) - 1
-    val = -np.einsum('...lk,...ikl->...i', P0.val, N.grad)
-    grad = None
-    if order >= 1:
-        grad = -(np.einsum('...lka,...ikl->...ia', P0.grad, N.grad)
-                 + np.einsum('...lk,...ikla->...ia', P0.val, N.hess))
-    return Jet2(val, grad, None, m=P0.m)
+    return jcontract((-1, "lk,ikl->i", P0, differential(N)))
 
 
 def modular_pair_defect_field(P0, P1, N, logg=None):

@@ -446,6 +446,8 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
     check_depths(depth, 0)
     tokens = _tokens(checks)
     if tokens is not None:
+        if not tokens:
+            raise RangeError(f"check selection {checks!r} names no check")
         unknown = [t for t in tokens
                    if not any(_selected(name, [t]) for name in CHECK_NAMES)]
         if unknown:

@@ -98,6 +98,30 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+def test_empty_check_selection_exits_2(capsys):
+    for selection in (",", ""):
+        code, out, err = run(capsys, "verify", "--system", "harmonic",
+                             "--n", "2", "--checks", selection)
+        assert code == 2
+        assert out == ""
+        assert "names no check" in err
+
+
+def test_integrate_checks_depth_before_integrating(capsys, monkeypatch):
+    from pnhier import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrate ran although --depth is out of range")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    for depth in ("0", "13"):
+        code, out, err = run(capsys, "integrate", "--system", "an-toda",
+                             "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert "depth must be in 1..12" in err
+
+
 def test_threads_env_is_validated_and_recorded(capsys, monkeypatch):
     monkeypatch.setenv("PNHIER_THREADS", "abc")
     assert run(capsys, "catalog")[0] == 2

@@ -159,6 +159,21 @@ def test_wedges_and_scalar_mul_against_fd():
                        atol=1e-4)
 
 
+def test_wedge_vb_keeps_the_hessian():
+    # an algebraic operation preserves the jet order, second derivatives too
+    x = points()
+    X = pj.random_vector(rng, 4)
+    P = pj.random_bivector(rng, 4)
+    vb = wedge_vb(X.jet(x), P.jet(x))
+    vb_np = lambda y: (np.einsum('bi,bjk->bijk', X.value(y), P.value(y))
+                       + np.einsum('bj,bki->bijk', X.value(y), P.value(y))
+                       + np.einsum('bk,bij->bijk', X.value(y), P.value(y)))
+    assert vb.order == 2
+    assert np.allclose(vb.hess, pj.fd_grad(lambda y: pj.fd_grad(vb_np, y), x, h=1e-4),
+                       atol=1e-4)
+    assert wedge_vb(X.jet(x, order=1), P.jet(x)).order == 1
+
+
 def test_leibniz_rules():
     x = points()
     f = pj.random_scalar(rng, 4).jet(x)

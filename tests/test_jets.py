@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnhier.errors import DimensionError, SingularTensorError
-from pnhier.jets import (Jet2, jeye, jinv, jlogabsdet, jmatmul, jmatpow,
-                         jmatvec, jstack, jtrace, jtranspose)
+from pnhier.jets import (Jet2, jcontract, jeye, jinv, jlogabsdet, jmatmul,
+                         jmatpow, jmatvec, jstack, jtrace, jtranspose)
 
 rng = np.random.default_rng(20260816)
 
@@ -192,6 +192,85 @@ def test_jmatpow_positive_and_negative():
     I = jmatpow(A, 0)
     assert np.allclose(I.val, np.eye(3))
     assert not I.grad.any()
+
+
+def vector_field(x):
+    return np.stack([x[:, 0] * x[:, 1], np.exp(x[:, 2]), 1.0 + x[:, 0] ** 2],
+                    axis=-1)
+
+
+def vector_field_jet(x):
+    x0, x1, x2 = Jet2.coords(x)
+    return jstack([x0 * x1, x2.exp(), 1.0 + x0 * x0])
+
+
+def test_jcontract_three_operand_term_against_fd():
+    # every operand pair contributes a cross term to the Hessian
+    x = sample_points()
+    A, v = matrix_field_jet(x), vector_field_jet(x)
+    w = jstack(Jet2.coords(x))
+    q = jcontract(("ij,j,i->", A, v, w))
+
+    def f_np(x):
+        return np.einsum('bij,bj,bi->b', matrix_field(x), vector_field(x), x)
+
+    assert q.order == 2
+    assert np.allclose(q.val, f_np(x), atol=1e-12)
+    assert np.allclose(q.grad, central_grad(f_np, x), atol=1e-6)
+    assert np.allclose(q.hess, central_hess(f_np, x), atol=1e-3)
+
+
+def test_jcontract_signed_sum_of_terms_against_fd():
+    x = sample_points()
+    A, v = matrix_field_jet(x), vector_field_jet(x)
+    s = jcontract(("ik,kj->ij", A, A), (-1, "ki,kj->ij", A, A),
+                  (2.5, "i,j->ij", v, v))
+
+    def f_np(x):
+        M, u = matrix_field(x), vector_field(x)
+        return (M @ M - M.swapaxes(-1, -2) @ M
+                + 2.5 * u[:, :, None] * u[:, None, :])
+
+    assert np.allclose(s.val, f_np(x), atol=1e-11)
+    assert np.allclose(s.grad, central_grad(f_np, x), atol=1e-6)
+    assert np.allclose(s.hess, central_hess(f_np, x), atol=1e-2)
+
+
+def test_jcontract_order_cap():
+    x = sample_points()
+    A, v = matrix_field_jet(x), vector_field_jet(x)
+    full = jcontract(("ik,k->i", A, v))
+    one = jcontract(("ik,k->i", A, v), order=1)
+    zero = jcontract(("ik,k->i", A, v), order=0)
+    assert (full.order, one.order, zero.order) == (2, 1, 0)
+    assert np.array_equal(one.val, full.val) and np.array_equal(one.grad, full.grad)
+    assert np.array_equal(zero.val, full.val)
+    # an operand of lower order caps the result the same way
+    v1 = Jet2(v.val, v.grad, None)
+    assert jcontract(("ik,k->i", A, v1)).order == 1
+
+
+def test_jcontract_spec_must_match_the_operands():
+    x = sample_points()
+    A = matrix_field_jet(x)
+    with pytest.raises(DimensionError):
+        jcontract(("ik,kj->ij", A))
+    with pytest.raises(DimensionError):
+        jcontract((-1, "ii", A))
+
+
+def test_jcontract_never_writes_into_an_operand_view():
+    # 'ij->ji' is a view of A; the next term must not be added into it
+    x = sample_points()
+    A, B = matrix_field_jet(x), jmatmul(matrix_field_jet(x), matrix_field_jet(x))
+    before = [a.copy() for a in (A.val, A.grad, A.hess)]
+    out = jcontract(("ij->ji", A), ("ij,jk->ik", A, A))
+    for a, b in zip((A.val, A.grad, A.hess), before):
+        assert np.array_equal(a, b)
+    T = jtranspose(A)
+    assert np.allclose(out.val, T.val + B.val, atol=1e-12)
+    assert np.allclose(out.grad, T.grad + B.grad, atol=1e-12)
+    assert np.allclose(out.hess, T.hess + B.hess, atol=1e-11)
 
 
 def test_order_drops_through_missing_derivatives():
