@@ -60,8 +60,8 @@ class Trajectory:
 
 def _start_state(rhs, x0, t_end, guard):
     x0 = np.asarray(x0, dtype=float).ravel()
-    if t_end <= 0.0:
-        raise RangeError(f"t_end must be > 0, got {t_end}")
+    if not 0.0 < t_end < np.inf:     # also refuses nan
+        raise RangeError(f"t_end must be finite and > 0, got {t_end}")
     if guard is not None and not np.all(guard(x0[None, :])):
         raise ExclusionBreach("initial point is outside the chart domain")
     return x0
@@ -75,8 +75,8 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     step and flagged, not errored.
     """
     x = _start_state(rhs, x0, t_end, guard)
-    if dt <= 0.0:
-        raise RangeError(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise RangeError(f"dt must be finite and > 0, got {dt}")
     record_every = max(1, int(record_every))
     steps = int(np.ceil(t_end / dt - 1e-9))
     times, states = [0.0], [x]
@@ -114,8 +114,8 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     record_every = max(1, int(record_every))
     c, a, b4, b5 = RKF45["c"], RKF45["a"], RKF45["b4"], RKF45["b5"]
     dt = min(t_end, 1e-2) if dt_init is None else float(dt_init)
-    if dt <= 0.0:
-        raise RangeError(f"dt_init must be > 0, got {dt_init}")
+    if not 0.0 < dt < np.inf:
+        raise RangeError(f"dt_init must be finite and > 0, got {dt_init}")
     times, states = [0.0], [x]
     truncated = None
     t = 0.0

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import RangeError
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
-from .jets import (Jet2, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
-                   jtranspose)
+from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
+                   jtranspose, jtruncate)
 from .modular import div_mu, modular_vf
 
 
@@ -159,22 +159,15 @@ class Hierarchy:
 
     def _derive(self, k, Nk):
         Pk = jmatmul(Nk, self.P0)
-        self._power[k] = _truncate(Nk, 0)
-        self._bivector[k] = _truncate(Pk, 1)
+        self._power[k] = jtruncate(Nk, 0)
+        self._bivector[k] = jtruncate(Pk, 1)
         self._modular[k] = modular_vf(Pk, self.logg)
         if k != 0:
             self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
         if self.Z0 is not None:
             Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
-            self._master[k] = _truncate(Zk, 1)
+            self._master[k] = jtruncate(Zk, 1)
             self._master_div[k] = div_mu(Zk, self.logg)
-
-
-def _truncate(J, order):
-    """J without the derivatives above ``order``, which no consumer reads."""
-    if J.order <= order:
-        return J
-    return Jet2(J.val, J.grad if order >= 1 else None, None, m=J.m)
 
 
 def cotangent_ladder_defect(N, ladder):

@@ -57,7 +57,7 @@ from .hierarchy import (
     recursion_operator,
     spectral_pairing,
 )
-from .jets import Jet2
+from .jets import Jet2, jtruncate
 from .master import (
     anomaly_defect,
     bivector_family_defect,
@@ -133,7 +133,8 @@ def _r_jacobi_pi1(ws):
 
 
 def _r_mixed(ws):
-    return per_sample(schouten_bb(ws.P0, ws.P1).val)
+    # the value alone: order-1 inputs spare the bracket its gradient terms
+    return per_sample(schouten_bb(jtruncate(ws.P0, 1), jtruncate(ws.P1, 1)).val)
 
 
 def _r_torsion(ws):
@@ -145,7 +146,7 @@ def _r_compat(ws):
 
 
 def _r_nact(ws):
-    two = n_act(ws.N, ws.P0)
+    two = n_act(jtruncate(ws.N, 0), jtruncate(ws.P0, 0))
     one = ws.hier.bivector(2)
     return per_sample(two.val - one.val)
 
@@ -441,8 +442,8 @@ def _selected(name, tokens):
 def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
                   threads=None):
     """Run the identity suite on seeded samples and assemble the report dict."""
-    if tol <= 0:
-        raise RangeError("tol must be positive")
+    if not 0.0 < tol < np.inf:       # also refuses nan
+        raise RangeError(f"tol must be finite and positive, got {tol}")
     check_depths(depth, 0)
     tokens = _tokens(checks)
     if tokens is not None:

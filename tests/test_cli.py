@@ -122,6 +122,33 @@ def test_integrate_checks_depth_before_integrating(capsys, monkeypatch):
         assert "depth must be in 1..12" in err
 
 
+def test_non_finite_tolerance_exits_2(capsys):
+    # inf passed every row and nan failed every row: neither is a tolerance
+    for tol in ("inf", "nan"):
+        code, out, err = run(capsys, "verify", "--system", "harmonic",
+                             "--n", "2", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and positive" in err
+
+
+def test_non_finite_flow_times_exit_2_before_integrating(capsys, monkeypatch):
+    from pnhier import cli
+
+    def never_called(system, index):
+        def rhs(t, x):
+            raise AssertionError("the flow ran on a non-finite time setting")
+        return rhs
+
+    monkeypatch.setattr(cli, "hamiltonian_flow_rhs", never_called)
+    for argv in (["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"],
+                 ["--dt", "inf"], ["--t-end", "inf", "--method", "rkf45"]):
+        code, out, err = run(capsys, "integrate", "--system", "an-toda", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "must be finite" in err
+
+
 def test_threads_env_is_validated_and_recorded(capsys, monkeypatch):
     monkeypatch.setenv("PNHIER_THREADS", "abc")
     assert run(capsys, "catalog")[0] == 2

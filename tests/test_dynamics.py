@@ -73,6 +73,27 @@ def test_parameter_validation():
         integrate(rotation, x0, t_end=1.0, method="euler")
 
 
+def never(t, x):
+    raise AssertionError("an integration started on a non-finite time setting")
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan, -np.inf])
+def test_non_finite_t_end_is_refused_before_any_step(t_end):
+    x0 = [1.0, 0.0]
+    for method in ("rk4", "rkf45"):
+        with pytest.raises(RangeError, match="t_end must be finite"):
+            integrate(never, x0, t_end=t_end, method=method)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_non_finite_step_is_refused_before_any_step(dt):
+    x0 = [1.0, 0.0]
+    with pytest.raises(RangeError, match="dt must be finite"):
+        rk4(never, x0, t_end=1.0, dt=dt)
+    with pytest.raises(RangeError, match="dt_init must be finite"):
+        rkf45(never, x0, t_end=1.0, dt_init=dt)
+
+
 def test_guard_truncates_and_rejects_bad_start():
     guard = lambda x: x[:, 0] < 2.0
     traj = rk4(growth, np.array([1.0, 1.0]), t_end=2.0, dt=1e-2, guard=guard)

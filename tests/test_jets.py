@@ -13,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnhier.errors import DimensionError, SingularTensorError
+from pnhier.fields import schouten_bb
+from pnhier.hierarchy import n_act, recursion_operator
 from pnhier.jets import (Jet2, jcontract, jeye, jinv, jlogabsdet, jmatmul,
-                         jmatpow, jmatvec, jstack, jtrace, jtranspose)
+                         jmatpow, jmatvec, jstack, jtrace, jtranspose,
+                         jtruncate)
+from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260816)
 
@@ -192,6 +196,97 @@ def test_jmatpow_positive_and_negative():
     I = jmatpow(A, 0)
     assert np.allclose(I.val, np.eye(3))
     assert not I.grad.any()
+
+
+# The einsum forms of jinv and jlogabsdet before their Hessians moved to
+# batched matmuls, kept verbatim as the reference.
+
+def ref_jinv(A):
+    V = np.linalg.inv(A.val)
+    grad = hess = None
+    if A.grad is not None:
+        VA = np.einsum('...ik,...kla->...ila', V, A.grad)
+        grad = -np.einsum('...ika,...kj->...ija', VA, V)
+        if A.hess is not None:
+            t = np.einsum('...ika,...klb,...lj->...ijab', VA, VA, V)
+            hess = t + t.swapaxes(-1, -2)
+            hess -= np.einsum('...ik,...klab,...lj->...ijab', V, A.hess, V)
+    return Jet2(V, grad, hess, m=A.m)
+
+
+def ref_jlogabsdet(A):
+    V = np.linalg.inv(A.val)
+    logabs = np.linalg.slogdet(A.val)[1]
+    grad = hess = None
+    if A.grad is not None:
+        grad = np.einsum('...ij,...jia->...a', V, A.grad)
+        if A.hess is not None:
+            hess = (np.einsum('...ij,...jiab->...ab', V, A.hess)
+                    - np.einsum('...ij,...jka,...kl,...lib->...ab',
+                                V, A.grad, V, A.grad))
+    return Jet2(logabs, grad, hess, m=A.m)
+
+
+def random_matrix_jet(B, n, m, order=2, seed=0):
+    """A well-conditioned n x n matrix jet on a chart of dimension m.
+
+    Its derivative arrays are unrelated random numbers, and the Hessian is
+    not symmetric in (a, b): the formulas are algebraic in them, and this
+    way a swapped (i, j) or (a, b) axis cannot agree with the reference.
+    """
+    r = np.random.default_rng(seed)
+    val = np.eye(n) * 3.0 + r.uniform(-1.0, 1.0, (B, n, n))
+    grad = r.uniform(-1.0, 1.0, (B, n, n, m)) if order >= 1 else None
+    hess = r.uniform(-1.0, 1.0, (B, n, n, m, m)) if order >= 2 else None
+    return Jet2(val, grad, hess, m=m)
+
+
+@pytest.mark.parametrize("B, n, m", [(7, 3, 3), (1, 3, 3), (5, 4, 3), (1, 4, 3),
+                                     (3, 2, 5), (2, 8, 8)])
+def test_inverse_and_logdet_hessians_match_the_einsum_forms(B, n, m):
+    A = random_matrix_jet(B, n, m, seed=B * 100 + n * 10 + m)
+    for new, ref in ((jinv(A), ref_jinv(A)), (jlogabsdet(A), ref_jlogabsdet(A))):
+        assert new.val.tobytes() == ref.val.tobytes()
+        assert new.grad.tobytes() == ref.grad.tobytes()
+        assert new.hess.shape == ref.hess.shape
+        scale = np.abs(ref.hess).max()
+        np.testing.assert_allclose(new.hess, ref.hess, rtol=1e-12,
+                                   atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_low_order_inverse_and_logdet_are_the_einsum_forms_bit_for_bit(order):
+    # the flow right-hand side builds order-1 jets: its bits must not move
+    for B, n, m in ((6, 3, 3), (1, 4, 3), (1, 6, 6)):
+        A = random_matrix_jet(B, n, m, order=order, seed=B + n + m)
+        for new, ref in ((jinv(A), ref_jinv(A)),
+                         (jlogabsdet(A), ref_jlogabsdet(A))):
+            assert new.order == ref.order == order
+            assert new.val.tobytes() == ref.val.tobytes()
+            if order:
+                assert new.grad.tobytes() == ref.grad.tobytes()
+
+
+def test_value_only_brackets_read_the_same_bits_from_cut_jets():
+    s = make_system("toda_moser", 3)
+    jets = s.jets(s.sample(20, 3))
+    P0, P1 = s.pi0(jets), s.pi1(jets)
+    N = recursion_operator(P0, P1)
+    full = schouten_bb(P0, P1)
+    cut = schouten_bb(jtruncate(P0, 1), jtruncate(P1, 1))
+    assert full.order == 1 and cut.order == 0
+    assert cut.val.tobytes() == full.val.tobytes()
+    full, cut = n_act(N, P0), n_act(jtruncate(N, 0), jtruncate(P0, 0))
+    assert full.order == 2 and cut.order == 0
+    assert cut.val.tobytes() == full.val.tobytes()
+
+
+def test_jtruncate_drops_only_the_higher_derivatives():
+    A = random_matrix_jet(2, 3, 3)
+    one = jtruncate(A, 1)
+    assert one.order == 1 and one.grad is A.grad and one.val is A.val
+    assert jtruncate(A, 0).order == 0
+    assert jtruncate(one, 2) is one
 
 
 def vector_field(x):
