@@ -12,10 +12,9 @@ lets the conformal symmetry generate the whole family of scaling relations.
 import numpy as np
 
 from pnhier.fields import hamiltonian_vf
-from pnhier.hierarchy import (hamiltonian_ladder, hierarchy_hamiltonian,
-                              involution_defect, recursion_operator,
-                              spectral_pairing)
-from pnhier.master import (coeff_h, conformal_defects, evaluate, master_field)
+from pnhier.hierarchy import (Hierarchy, involution_defect,
+                              recursion_operator, spectral_pairing)
+from pnhier.master import coeff_h, conformal_defects, evaluate
 from pnhier.modular import modular_pair_defect_field, modular_vf, \
     pn_modular_field
 from pnhier.report import probe_point
@@ -30,12 +29,14 @@ jets = system.jets(x)
 P0 = system.pi0(jets)
 P1 = system.pi1(jets)
 N = recursion_operator(P0, P1)
+Z0 = system.extras["oevel"]["z0"](jets)
+hier = Hierarchy(P0, N, Z0)   # every ladder object below, each built once
 
 print("\nthe recursion operator at the probe point is diagonal:")
 print(np.round(N.val[0], 12))
 
 print("\nhamiltonian ladder h_i (trace ladder of N, log-route at i=0):")
-ladder = hamiltonian_ladder(N, depth=4, neg_depth=2)
+ladder = hier.ladder(depth=4, neg_depth=2)
 for i in sorted(ladder):
     print(f"  h_{i:+d} = {ladder[i].val[0]:+.15g}")
 
@@ -51,7 +52,7 @@ print(f"  max |{{h_i, h_j}}| over the ladder = "
 print("\nthe modular vector field, three ways (they must agree):")
 direct = pn_modular_field(P0, N)
 pair = modular_pair_defect_field(P0, P1, N)
-ham = hamiltonian_vf(P0, hierarchy_hamiltonian(N, 1) * (-1.0))
+ham = hamiltonian_vf(P0, hier.hamiltonian(1) * (-1.0))
 print(f"  contraction route      {np.round(direct.val[0], 12)}")
 print(f"  pair route X^1 - N X^0 {np.round(pair.val[0], 12)}")
 print(f"  hamiltonian route      {np.round(ham.val[0], 12)}")
@@ -64,14 +65,13 @@ print(f"  pair route, weighted volume  "
       f"{np.round(modular_pair_defect_field(P0, P1, N, lg).val[0], 12)}")
 
 print("\nthe conformal symmetry rescales the pair and climbs the ladder:")
-Z0 = system.extras["oevel"]["z0"](jets)
 conf = conformal_defects(P0, P1, Z0, -1.0, 0.0, 1.0, ladder[1])
 print(f"  conformal defects: pi0 {float(np.max(conf['pi0'])):.2e}, "
       f"pi1 {float(np.max(conf['pi1'])):.2e}, "
       f"h {float(np.max(conf['h'])):.2e}")
 print("  Z_i(h_j) against the coefficient law:")
 for i in (-1, 0, 1):
-    Zi = master_field(N, Z0, i)
+    Zi = hier.master(i)
     for j in (1, 2):
         got = evaluate(Zi, ladder[j]).val[0]
         if i + j == 0:

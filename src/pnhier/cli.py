@@ -8,7 +8,6 @@ goes to stderr so captured stdout stays byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .dynamics import (
@@ -29,19 +28,6 @@ from .report import (
     verify_report,
 )
 from .systems import SYSTEMS, make_system
-
-
-def _threads_from_env():
-    raw = os.environ.get("PNHIER_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise RangeError(f"PNHIER_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise RangeError(f"PNHIER_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _resolve_system(name, n):
@@ -108,18 +94,17 @@ def _build_parser():
     return parser
 
 
-def _cmd_verify(args, threads):
+def _cmd_verify(args):
     system = _resolve_system(args.system, args.n)
     report = verify_report(system, samples=args.samples, seed=args.seed,
-                           tol=args.tol, depth=args.depth, checks=args.checks,
-                           threads=threads)
+                           tol=args.tol, depth=args.depth, checks=args.checks)
     _emit(render_report(report), args.out)
     for line in summary_lines(report):
         _note(line)
     return 0 if report["all_pass"] else 1
 
 
-def _cmd_hierarchy(args, threads):
+def _cmd_hierarchy(args):
     system = _resolve_system(args.system, args.n)
     report = hierarchy_report(system, depth=args.depth)
     _emit(render_report(report), args.out)
@@ -130,18 +115,14 @@ def _cmd_hierarchy(args, threads):
     return 0
 
 
-def _cmd_integrate(args, threads):
+def _cmd_integrate(args):
     system = _resolve_system(args.system, args.n)
     check_depths(args.depth, 0)      # before the flow, not after it
     rhs = hamiltonian_flow_rhs(system, index=args.flow)
     x0 = probe_point(system)
     traj = integrate(rhs, x0, args.t_end, method=args.method, dt=args.dt,
                      guard=system.domain_ok)
-    monitors = {}
-    ladder_cols = hierarchy_monitors(system, traj.states, args.depth)
-    for k in range(args.depth + 1):
-        name = f"h_{k}"
-        monitors[name] = ladder_cols[name]
+    monitors = hierarchy_monitors(system, traj.states, args.depth)
     monitors.update(lax_monitors(system, traj.states))
     _emit(trajectory_csv(traj, system.labels, monitors), args.out)
     if traj.truncated:
@@ -150,7 +131,7 @@ def _cmd_integrate(args, threads):
     return 0
 
 
-def _cmd_catalog(args, threads):
+def _cmd_catalog(args):
     _emit(render_report(catalog_report(n=args.n)), args.out)
     return 0
 
@@ -167,8 +148,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
-        return _DISPATCH[args.command](args, threads)
+        return _DISPATCH[args.command](args)
     except (RangeError, DimensionError) as exc:
         _note(f"error: {exc}")
         return 2

@@ -3,7 +3,7 @@
 Hierarchy flows are ordinary ODEs in the chart; this module integrates them
 with fixed-step RK4 or adaptive RKF45, guards the chart domain along the way,
 and evaluates the quantities the flows are supposed to conserve (ladder
-hamiltonians, det N, Lax spectra).  The symmetric eigensolver is written out
+hamiltonians, Lax spectra).  The symmetric eigensolver is written out
 in full -- Householder tridiagonalization followed by QL with implicit
 shifts -- so spectral drift checks do not depend on LAPACK's eigensolver.
 """
@@ -15,10 +15,12 @@ import numpy as np
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      ExclusionBreach, RangeError, StepUnderflow)
 from .fields import hamiltonian_vf
-from .hierarchy import hamiltonian_ladder, hierarchy_hamiltonian, recursion_operator
+from .hierarchy import Hierarchy, hierarchy_hamiltonian, recursion_operator
 from .jets import Jet2
 
 DT_MIN = 1e-12
+# rk4 refuses a run of more fixed steps than this (t_end / dt above it).
+MAX_STEPS = 10**7
 
 # Fehlberg 4(5) pair: six stages, 4th-order propagation, embedded 5th-order
 # solution for the local error estimate.
@@ -37,16 +39,15 @@ RKF45 = {
 
 
 class Trajectory:
-    """Recorded flow: times, states, named monitor channels, truncation flag.
+    """Recorded flow: times, states, truncation flag.
 
     ``truncated`` is None for a complete run, otherwise a short reason string
     (the run stopped at the last recorded time).
     """
 
-    def __init__(self, times, states, monitors=None, truncated=None):
+    def __init__(self, times, states, truncated=None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.monitors = dict(monitors or {})
         self.truncated = truncated
 
     def __len__(self):
@@ -72,13 +73,18 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
 
     Records every ``record_every``-th step (plus the final one).  If the
     trajectory leaves the guarded domain it is truncated at the last good
-    step and flagged, not errored.
+    step and flagged, not errored.  More than MAX_STEPS steps is a
+    RangeError, raised before the first step.
     """
     x = _start_state(rhs, x0, t_end, guard)
     if not 0.0 < dt < np.inf:
         raise RangeError(f"dt must be finite and > 0, got {dt}")
     record_every = max(1, int(record_every))
-    steps = int(np.ceil(t_end / dt - 1e-9))
+    ratio = t_end / dt               # inf when it overflows
+    if not ratio <= MAX_STEPS:
+        raise RangeError(f"t_end / dt = {ratio:.3g} exceeds the cap of "
+                         f"{MAX_STEPS:g} rk4 steps")
+    steps = int(np.ceil(ratio - 1e-9))
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
@@ -203,29 +209,17 @@ def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
     return rhs
 
 
-def field_rhs(system, field_fn):
-    """rhs(t, x) for a closed-form vector field callable jets -> Jet2."""
-
-    def rhs(t, x):
-        return field_fn(_stage_jets(system, x, order=1)).val[0]
-
-    return rhs
-
-
 # ---- conservation monitoring ---------------------------------------------------
 
 def hierarchy_monitors(system, states, depth):
-    """h_0..h_depth and det N evaluated along recorded states.
+    """h_0..h_depth evaluated along recorded states.
 
     Uses order-0 jets: one batched evaluation over the whole trajectory.
     """
     jets = system.jets(states, order=0)
     N = recursion_operator(system.pi0(jets), system.pi1(jets))
-    ladder = hamiltonian_ladder(N, depth)
-    out = {f"h_{i}": ladder[i].val.copy() for i in range(0, depth + 1)}
-    sign, logabs = np.linalg.slogdet(N.val)
-    out["det_N"] = sign * np.exp(logabs)
-    return out
+    ladder = Hierarchy(None, N).ladder(depth)
+    return {f"h_{i}": h.val.copy() for i, h in ladder.items()}
 
 
 def lax_monitors(system, states):

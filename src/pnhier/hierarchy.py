@@ -12,15 +12,19 @@ pi_i# dh_j = pi_{i+1}# dh_{j-1}, involution in every bracket of the ladder,
 and commuting flows; the functions here compute the objects and the defects
 of each identity, leaving pass/fail policy to the caller.
 
-Every ladder object is a power of the one operator N.  ``Hierarchy`` builds
-them all once for a fixed (Pi0, N[, Z0]): it inverts N at most once and
-walks N^k outward from k = 0, one factor per step, deriving at each k the
-bivector Pi_k, its modular field X^k, the hamiltonian h_k and, when a
-master field Z0 is given, Z_k = N^k Z0 and div Z_k.  It multiplies in the
-order ``jmatpow`` does, so each object is bit-identical to the single-shot
-functions ``jmatpow``, ``hierarchy_bivector``, ``hierarchy_hamiltonian``
-and ``master.master_field``, which stay as the reference and serve callers
-with one N per object (a flow builds a new N at every stage).
+Every ladder object is a power of the one operator N, and ``Hierarchy`` is
+the one place that builds more than one of them.  For a fixed (Pi0, N[, Z0])
+it inverts N at most once and walks N^k outward from k = 0, one factor per
+step, deriving at each k the bivector Pi_k, its modular field X^k, the
+hamiltonian h_k and, when a master field Z0 is given, Z_k = N^k Z0 and
+div Z_k.  Built without Pi0 it holds the powers and hamiltonians alone: all
+that a table of h_k or a monitor along a flow reads.  It multiplies in the
+order ``jmatpow`` does, so each object is bit-identical to its single-shot
+formula (the tests keep those formulas as the reference).
+
+``hierarchy_hamiltonian`` is the one-object path.  A flow right-hand side
+builds a new N at every stage and reads a single h_k from it; a walk would
+also derive every object below k.
 """
 
 from __future__ import annotations
@@ -43,11 +47,6 @@ def recursion_operator(P0, P1):
 def n_act(N, P):
     """Two-factor action N P N^T of a (1,1) tensor on a bivector."""
     return jmatmul(jmatmul(N, P), jtranspose(N))
-
-
-def hierarchy_bivector(P0, N, i):
-    """Pi_i = N^i Pi0 (one factor of N per ladder step; i may be negative)."""
-    return jmatmul(jmatpow(N, i), P0)
 
 
 def hierarchy_hamiltonian(N, i):
@@ -73,13 +72,6 @@ def check_depths(depth, neg_depth):
     return depth, neg_depth
 
 
-def hamiltonian_ladder(N, depth, neg_depth=0):
-    """dict {i: h_i} for i = -neg_depth..depth (0 included); see check_depths."""
-    depth, neg_depth = check_depths(depth, neg_depth)
-    return {i: hierarchy_hamiltonian(N, i)
-            for i in range(-neg_depth, depth + 1)}
-
-
 class Hierarchy:
     """Every ladder object of one recursion operator, each built once.
 
@@ -90,16 +82,17 @@ class Hierarchy:
     order its consumers read:
 
         power(k)       N^k                  values only
-        bivector(k)    Pi_k = N^k Pi0       order 1
-        modular(k)     X^k = D_mu Pi_k      order 1 (taken at order 2)
         hamiltonian(k) h_k                  order 2
-        master(k)      Z_k = N^k Z0         order 1   (needs Z0)
-        master_div(k)  div_mu Z_k           order 1   (taken at order 2)
+        bivector(k)    Pi_k = N^k Pi0       order 1                  needs P0
+        modular(k)     X^k = D_mu Pi_k      order 1 (taken at 2)     needs P0
+        master(k)      Z_k = N^k Z0         order 1                  needs Z0
+        master_div(k)  div_mu Z_k           order 1 (taken at 2)     needs Z0
 
     Order-2 matrices are held only where the walk continues: N^-1 and the
     current power at each end.  h_0 = log|det N|/2 is computed on first
     request.  Modular fields and divergences are taken in the density
-    exp(logg) dx (logg = None is the coordinate Lebesgue density).
+    exp(logg) dx (logg = None is the coordinate Lebesgue density).  An
+    object that needs P0 or Z0 raises RangeError when it was passed as None.
     """
 
     def __init__(self, P0, N, Z0=None, logg=None):
@@ -113,32 +106,32 @@ class Hierarchy:
         return self._get(self._power, k)
 
     def bivector(self, k):
-        return self._get(self._bivector, k)
+        return self._get(self._bivector, k, needs="P0")
 
     def modular(self, k):
-        return self._get(self._modular, k)
+        return self._get(self._modular, k, needs="P0")
 
     def hamiltonian(self, k):
         if k != 0:
             return self._get(self._hamiltonian, k)
         if 0 not in self._hamiltonian:
-            self._hamiltonian[0] = jlogabsdet(self.N, "recursion operator") * 0.5
+            self._hamiltonian[0] = hierarchy_hamiltonian(self.N, 0)
         return self._hamiltonian[0]
 
     def master(self, k):
-        return self._get(self._master, k, needs_z0=True)
+        return self._get(self._master, k, needs="Z0")
 
     def master_div(self, k):
-        return self._get(self._master_div, k, needs_z0=True)
+        return self._get(self._master_div, k, needs="Z0")
 
     def ladder(self, depth, neg_depth=0):
-        """dict {i: h_i} for i = -neg_depth..depth, as hamiltonian_ladder."""
+        """dict {i: h_i} for i = -neg_depth..depth; see check_depths."""
         depth, neg_depth = check_depths(depth, neg_depth)
         return {i: self.hamiltonian(i) for i in range(-neg_depth, depth + 1)}
 
-    def _get(self, table, k, needs_z0=False):
-        if needs_z0 and self.Z0 is None:
-            raise RangeError("this hierarchy was built without a master field Z0")
+    def _get(self, table, k, needs=None):
+        if needs is not None and getattr(self, needs) is None:
+            raise RangeError(f"this hierarchy was built without {needs}")
         if k not in self._power:
             self._walk_to(k)
         return table[k]
@@ -158,12 +151,13 @@ class Hierarchy:
             self._derive(j, Nj)
 
     def _derive(self, k, Nk):
-        Pk = jmatmul(Nk, self.P0)
         self._power[k] = jtruncate(Nk, 0)
-        self._bivector[k] = jtruncate(Pk, 1)
-        self._modular[k] = modular_vf(Pk, self.logg)
         if k != 0:
             self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
+        if self.P0 is not None:
+            Pk = jmatmul(Nk, self.P0)
+            self._bivector[k] = jtruncate(Pk, 1)
+            self._modular[k] = modular_vf(Pk, self.logg)
         if self.Z0 is not None:
             Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
             self._master[k] = jtruncate(Zk, 1)

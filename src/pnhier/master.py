@@ -7,24 +7,16 @@ and the whole hierarchy closes on three coefficient laws plus a pair of
 relations tying the Z_i to the modular fields of the hierarchy bivectors.
 
 The family defects read Z_i, pi_j and the modular fields X^j from one
-``hierarchy.Hierarchy`` built with Z0; ``master_field`` is the single-shot
-reference for Z_i.  Every defect function returns per-sample arrays of shape
-(B,); callers reduce with np.max / np.mean and decide what "small" means.
+``hierarchy.Hierarchy`` built with Z0, the only code that forms Z_i.  Every
+defect function returns per-sample arrays of shape (B,); callers reduce with
+np.max / np.mean and decide what "small" means.
 """
 
 import numpy as np
 
 from .fields import (evaluate, hamiltonian_vf, lie_bracket,
                      lie_der_bivector, per_sample)
-from .jets import jmatpow, jmatvec
 from .modular import div_mu, modular_vf
-
-
-def master_field(N, Z0, i):
-    """Z_i = N^i Z0 (negative i through the inverse recursion operator)."""
-    if i == 0:
-        return Z0
-    return jmatvec(jmatpow(N, i), Z0)
 
 
 def coeff_h(lam, mu, nu, anchor, i, j):

@@ -50,7 +50,6 @@ from .hierarchy import (
     check_depths,
     cotangent_ladder_defect,
     commuting_flows_defect,
-    hamiltonian_ladder,
     involution_defect,
     lenard_defect,
     n_act,
@@ -439,8 +438,7 @@ def _selected(name, tokens):
 
 # ---- verify ------------------------------------------------------------------
 
-def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
-                  threads=None):
+def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
     """Run the identity suite on seeded samples and assemble the report dict."""
     if not 0.0 < tol < np.inf:       # also refuses nan
         raise RangeError(f"tol must be finite and positive, got {tol}")
@@ -484,7 +482,7 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None,
     report = {
         "meta": _meta("verify", system, version_extras={
             "samples": ws.samples, "seed": ws.seed, "tol": float(tol),
-            "depth": ws.depth, "checks": tokens, "threads": threads}),
+            "depth": ws.depth, "checks": tokens}),
         "spectrum": spectrum,
         "checks": rows,
         "failed": [r["name"] for r in judged if not r["pass"]],
@@ -555,15 +553,13 @@ def probe_point(system):
 
 def hierarchy_report(system, depth=4):
     """Ladder table and pairwise defect matrices at the probe point."""
-    if depth < 1:
-        raise RangeError("depth must be >= 1")
     x = probe_point(system)[None, :]
     jets = system.jets(x)
     P0 = system.pi0(jets)
     P1 = system.pi1(jets)
     N = recursion_operator(P0, P1)
     neg_depth = int(system.extras.get("neg_depth", 0))
-    ladder = hamiltonian_ladder(N, depth, neg_depth=neg_depth)
+    ladder = Hierarchy(None, N).ladder(depth, neg_depth)
     indices = sorted(ladder)
 
     table = [{"index": k, "value": float(ladder[k].val[0])} for k in indices]

@@ -160,6 +160,24 @@ def _const_matrix(block, jets):
                       order=jets[0].order)
 
 
+def _power_sum(n, k):
+    """Closed-form h_k = sum_i x_i^k / k (h_0 = sum_i log x_i) over x_1..x_n.
+
+    The ladder of a chart whose recursion operator is diag(x_1..x_n, x_1..x_n).
+    """
+    def h(jets):
+        if k == 0:
+            out = jets[0].log()
+            for i in range(1, n):
+                out = out + jets[i].log()
+            return out
+        out = jets[0] ** k * (1.0 / k)
+        for i in range(1, n):
+            out = out + jets[i] ** k * (1.0 / k)
+        return out
+    return h
+
+
 # ---- harmonic oscillators ----------------------------------------------------
 
 def harmonic(n):
@@ -246,19 +264,6 @@ def calogero(n):
         return jstack([_const_like(0.0, jets[0])] * n
                       + [jets[i] for i in range(n)], m=m)
 
-    def h_closed(k):
-        def h(jets):
-            if k == 0:
-                out = jets[0].log()
-                for i in range(1, n):
-                    out = out + jets[i].log()
-                return out
-            out = jets[0] ** k * (1.0 / k)
-            for i in range(1, n):
-                out = out + jets[i] ** k * (1.0 / k)
-            return out
-        return h
-
     return System(
         "calogero", "rational Calogero-Moser", n, labels,
         lo=[0.5] * n + [-1.0] * n, hi=[2.0] * n + [1.0] * n,
@@ -267,7 +272,7 @@ def calogero(n):
         description="first-integral chart; recursion operator diag(F, F)",
         extras={
             "x1_closed": x1_closed,
-            "h_closed": {k: h_closed(k) for k in (0, 1, 2, 3)},
+            "h_closed": {k: _power_sum(n, k) for k in (0, 1, 2, 3)},
         })
 
 
@@ -319,19 +324,6 @@ def toda_moser(n):
         return jstack([jets[k] * jets[k] * (-0.5) for k in range(n)]
                       + [zero(jets)] * n, m=m)
 
-    def h_closed(k):
-        def h(jets):
-            if k == 0:
-                out = jets[0].log()
-                for i in range(1, n):
-                    out = out + jets[i].log()
-                return out
-            out = jets[0] ** k * (1.0 / k)
-            for i in range(1, n):
-                out = out + jets[i] ** k * (1.0 / k)
-            return out
-        return h
-
     def sum_lam(jets):
         out = jets[0]
         for i in range(1, n):
@@ -351,7 +343,7 @@ def toda_moser(n):
             "z_closed": z_closed,
             "deformation_z": deformation_z,
             "deformation_div_closed": lambda jets: -sum_lam(jets),
-            "h_closed": {k: h_closed(k) for k in (-2, -1, 0, 1, 2, 3)},
+            "h_closed": {k: _power_sum(n, k) for k in (-2, -1, 0, 1, 2, 3)},
             "neg_depth": 2,
             "oevel": {"z0": z_closed(0), "lam": -1.0, "mu": 0.0,
                       "nu": 1.0, "anchor": 1},

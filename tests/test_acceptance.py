@@ -21,15 +21,13 @@ from pnhier.fields import (antisymmetry_defect, differential, evaluate,
                            scalar_mul, schouten_bf, sharp, torsion_defect,
                            wedge_vb, wedge_vv)
 from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
-                              cotangent_ladder_defect,
-                              hamiltonian_ladder, hierarchy_hamiltonian,
+                              cotangent_ladder_defect, hierarchy_hamiltonian,
                               involution_defect, lenard_defect,
                               recursion_operator)
 from pnhier.jets import jmatvec, jtrace, jmatpow
 from pnhier.master import (bivector_family_defect, commutator_family_defect,
                            conformal_defects, deformation_defect,
-                           hamiltonian_family_defect, master_field,
-                           modular_family_defect)
+                           hamiltonian_family_defect, modular_family_defect)
 from pnhier.modular import (div_mu, koszul_d, modular_pair_defect_field,
                             modular_vf, pn_modular_field)
 from pnhier.report import probe_point, render_report, verify_report
@@ -96,7 +94,7 @@ def test_ladder_identities_to_depth_four():
     for key, n in GRID:
         sys, _, _, P0, P1, N = workspace(key, n)
         neg = int(sys.extras.get("neg_depth", 0))
-        ladder = hamiltonian_ladder(N, depth=4, neg_depth=neg)
+        ladder = Hierarchy(None, N).ladder(depth=4, neg_depth=neg)
         worst_ladder = max(worst_ladder,
                            float(np.max(cotangent_ladder_defect(N, ladder))),
                            float(np.max(lenard_defect(Hierarchy(P0, N), ladder))))
@@ -171,7 +169,7 @@ def test_spectral_chain_closed_forms():
         sys, x, jets, P0, P1, N = workspace("toda_moser", n)
         lam, r = x[:, :n], x[:, n:]
         z0 = sys.extras["oevel"]["z0"](jets)
-        ladder = hamiltonian_ladder(N, depth=1, neg_depth=0)
+        hier = Hierarchy(P0, N, z0)
 
         x0 = modular_vf(P0)
         want = np.concatenate([np.ones_like(lam), np.zeros_like(r)], axis=1)
@@ -181,7 +179,7 @@ def test_spectral_chain_closed_forms():
         want = np.concatenate([lam, -r], axis=1)
         worst = max(worst, float(np.max(np.abs(x1.val - want))))
 
-        z1 = master_field(N, z0, 1)
+        z1 = hier.master(1)
         zdef = sys.extras["deformation_z"](jets)
         worst = max(worst, float(np.max(np.abs(z1.val + 2.0 * zdef.val))))
 
@@ -189,7 +187,7 @@ def test_spectral_chain_closed_forms():
         worst = max(worst, float(np.max(np.abs(
             divz.val + np.sum(lam, axis=1)))))
 
-        lhs = x1 - jmatvec(N, master_field(N, z0, -1))
+        lhs = x1 - jmatvec(N, hier.master(-1))
         rhs = hamiltonian_vf(P1, hierarchy_hamiltonian(N, 0) * (-1.0))
         worst = max(worst, float(np.max(np.abs(lhs.val - rhs.val))))
         want = np.concatenate([np.zeros_like(lam), -r], axis=1)
@@ -203,7 +201,7 @@ def test_conformal_symmetry_scheme():
     lam_c, mu_c, nu_c, anchor = -1.0, 0.0, 1.0, 1
     sys, x, jets, P0, P1, N = workspace("toda_moser", 2)
     Z0 = sys.extras["oevel"]["z0"](jets)
-    ladder = hamiltonian_ladder(N, depth=6, neg_depth=6)
+    ladder = Hierarchy(None, N).ladder(depth=6, neg_depth=6)
     conf = conformal_defects(P0, P1, Z0, lam_c, mu_c, nu_c, ladder[1])
     worst_conf = max(float(np.max(v)) for v in conf.values())
     rng3 = range(-3, 4)

@@ -149,16 +149,22 @@ def test_non_finite_flow_times_exit_2_before_integrating(capsys, monkeypatch):
         assert "must be finite" in err
 
 
-def test_threads_env_is_validated_and_recorded(capsys, monkeypatch):
-    monkeypatch.setenv("PNHIER_THREADS", "abc")
-    assert run(capsys, "catalog")[0] == 2
-    monkeypatch.setenv("PNHIER_THREADS", "0")
-    assert run(capsys, "catalog")[0] == 2
-    monkeypatch.setenv("PNHIER_THREADS", "4")
-    code, out, _ = run(capsys, "verify", "--system", "harmonic",
-                       "--samples", "10", "--checks", "antisymmetry")
-    assert code == 0
-    assert json.loads(out)["meta"]["threads"] == 4
+def test_step_counts_above_the_rk4_cap_exit_2_before_integrating(capsys,
+                                                                  monkeypatch):
+    from pnhier import cli
+
+    def never_called(system, index):
+        def rhs(t, x):
+            raise AssertionError("the flow ran past the rk4 step cap")
+        return rhs
+
+    monkeypatch.setattr(cli, "hamiltonian_flow_rhs", never_called)
+    for argv in (["--dt", "1e-300"], ["--dt", "5e-324"],
+                 ["--t-end", "1e300"]):
+        code, out, err = run(capsys, "integrate", "--system", "an-toda", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "exceeds the cap" in err
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

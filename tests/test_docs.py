@@ -1,0 +1,77 @@
+"""The demos and the README example stay in step with the package.
+
+Every name that a demo script or a README python block imports from pnhier
+must exist (checked by parsing, nothing is executed), and the two quick
+demos must run to a clean exit.
+"""
+
+import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# lattice_flow.py integrates for several seconds; its imports are still checked
+QUICK_DEMOS = ("ladder_tour.py", "catalog_checkup.py")
+
+
+def readme_blocks():
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
+def pnhier_imports(source):
+    """(module, name) for every ``from pnhier... import name`` in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "pnhier"):
+            found.extend((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def resolves(module, name):
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+SOURCES = ([(p.name, p.read_text()) for p in DEMOS]
+           + [(f"README block {i}", block)
+              for i, block in enumerate(readme_blocks())])
+
+
+def test_there_is_something_to_check():
+    # an empty glob or a changed fence would pass the checks below vacuously
+    assert len(DEMOS) >= 3 and readme_blocks()
+
+
+@pytest.mark.parametrize("where, source", SOURCES, ids=[s[0] for s in SOURCES])
+def test_documented_imports_resolve(where, source):
+    names = pnhier_imports(source)
+    assert names, f"{where} imports nothing from pnhier"
+    missing = [f"{m}.{n}" for m, n in names if not resolves(m, n)]
+    assert missing == [], f"{where} imports names pnhier does not have"
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_quick_demos_run_clean(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

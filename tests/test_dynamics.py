@@ -8,8 +8,8 @@ matrices and real Lax matrices.
 import numpy as np
 import pytest
 
-from pnhier.dynamics import (Trajectory, _ql_implicit, conservation_report,
-                             field_rhs, hamiltonian_flow_rhs,
+from pnhier.dynamics import (MAX_STEPS, Trajectory, _ql_implicit,
+                             conservation_report, hamiltonian_flow_rhs,
                              hierarchy_monitors, integrate, lax_eigenvalues,
                              lax_monitors, rk4, rkf45)
 from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
@@ -92,6 +92,34 @@ def test_non_finite_step_is_refused_before_any_step(dt):
         rk4(never, x0, t_end=1.0, dt=dt)
     with pytest.raises(RangeError, match="dt_init must be finite"):
         rkf45(never, x0, t_end=1.0, dt_init=dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (1.0, 5e-324),            # t_end / dt overflows to inf
+    (1.0, 1e-300),            # a finite ratio of 1e300 steps
+    (1e300, 1e-3),            # the same from a huge t_end
+    (1.0, 1.0 / (MAX_STEPS * 1.5)),
+])
+def test_rk4_refuses_more_steps_than_the_cap_before_any_step(t_end, dt):
+    with pytest.raises(RangeError, match="exceeds the cap"):
+        rk4(never, [1.0, 0.0], t_end=t_end, dt=dt)
+    with pytest.raises(RangeError, match="exceeds the cap"):
+        integrate(never, [1.0, 0.0], t_end=t_end, method="rk4", dt=dt)
+
+
+def test_rk4_runs_a_step_count_at_the_cap():
+    # t_end / dt == MAX_STEPS exactly is allowed; the guard stops the run
+    # after its first step, so the cap itself is never iterated through
+    calls = []
+
+    def count(t, x):
+        calls.append(t)
+        return np.ones_like(x)
+
+    traj = rk4(count, [0.0], t_end=1.0, dt=1.0 / MAX_STEPS,
+               guard=lambda x: x[:, 0] <= 0.0)
+    assert traj.truncated is not None
+    assert len(calls) == 4 and len(traj) == 1
 
 
 def test_guard_truncates_and_rejects_bad_start():
@@ -194,7 +222,7 @@ def test_monitors_and_conservation_report():
     traj = integrate(rhs, x0, t_end=2.0, method="rk4", dt=1e-3,
                      guard=sys.domain_ok, record_every=50)
     mon = hierarchy_monitors(sys, traj.states, depth=3)
-    assert sorted(mon) == ["det_N", "h_0", "h_1", "h_2", "h_3"]
+    assert sorted(mon) == ["h_0", "h_1", "h_2", "h_3"]
     rep = conservation_report(traj, mon)
     for name in ("h_1", "h_2", "h_3"):
         assert rep[name] < 1e-10, (name, rep[name])
@@ -207,14 +235,6 @@ def test_monitors_and_conservation_report():
     assert rep["x0"] > 0.0
     # no Lax map on the spectral chain: empty dict, never an error
     assert lax_monitors(make_system("toda_moser", 2), traj.states) == {}
-
-
-def test_field_rhs_wraps_closed_form_fields():
-    sys = make_system("toda_moser", 2)
-    rhs = field_rhs(sys, sys.extras["z_closed"](0))
-    out = rhs(0.0, np.array([1.0, 2.0, 1.0, 2.0]))
-    assert out.shape == (4,)
-    assert np.allclose(out, [1.0, 2.0, 0.0, 0.0])  # sum lam_i d/dlam_i
 
 
 def test_eigensolver_matches_lapack():

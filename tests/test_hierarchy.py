@@ -8,18 +8,17 @@ linalg oracles (slogdet, eigvals) cross-check the jet arithmetic.
 import numpy as np
 import pytest
 
+import ladder_reference as ref
 import polyjets as pj
 from pnhier.errors import RangeError
 from pnhier.fields import per_sample
 from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
-                              cotangent_ladder_defect, hamiltonian_ladder,
-                              hierarchy_bivector, hierarchy_hamiltonian,
+                              cotangent_ladder_defect, hierarchy_hamiltonian,
                               involution_defect,
                               lenard_defect, n_act, recursion_operator,
                               spectral_pairing, spectrum)
 from pnhier import hierarchy, jets
 from pnhier.jets import Jet2, jeye, jmatpow
-from pnhier.master import master_field
 from pnhier.modular import div_mu, modular_vf
 from pnhier.report import verify_report
 from pnhier.systems import make_system
@@ -39,7 +38,7 @@ def tm_workspace(n=2, samples=16, seed=11):
 def test_identity_recursion_operator_ladder():
     m, B = 4, 5
     N = jeye(m, m, batch=B)
-    ladder = hamiltonian_ladder(N, depth=3, neg_depth=2)
+    ladder = Hierarchy(None, N).ladder(depth=3, neg_depth=2)
     for i in range(-2, 4):
         expected = 0.0 if i == 0 else m / (2.0 * i)
         assert np.allclose(ladder[i].val, expected, atol=1e-15)
@@ -66,7 +65,7 @@ def test_probe_ladder_values_of_small_chain():
     x = np.array([[1.0, 2.0, 1.0, 2.0]])
     jets = sys.jets(x)
     N = recursion_operator(sys.pi0(jets), sys.pi1(jets))
-    ladder = hamiltonian_ladder(N, depth=4, neg_depth=2)
+    ladder = Hierarchy(None, N).ladder(depth=4, neg_depth=2)
     expected = {-2: -0.625, -1: -1.5, 0: np.log(2.0), 1: 3.0,
                 2: 2.5, 3: 3.0, 4: 4.25}
     for i, v in expected.items():
@@ -74,32 +73,33 @@ def test_probe_ladder_values_of_small_chain():
 
 
 def test_ladder_depth_bounds():
-    N = jeye(3, 3, batch=2)
+    hier = Hierarchy(None, jeye(3, 3, batch=2))
     with pytest.raises(RangeError):
-        hamiltonian_ladder(N, depth=13)
+        hier.ladder(depth=13)
     with pytest.raises(RangeError):
-        hamiltonian_ladder(N, depth=0)
+        hier.ladder(depth=0)
     with pytest.raises(RangeError):
-        hamiltonian_ladder(N, depth=4, neg_depth=13)
+        hier.ladder(depth=4, neg_depth=13)
     with pytest.raises(RangeError):
-        hamiltonian_ladder(N, depth=4, neg_depth=-1)
+        hier.ladder(depth=4, neg_depth=-1)
 
 
 def test_hierarchy_bivector_matches_two_sided_n_act():
     # n_act is the two-sided action N P N^T, i.e. two ladder steps at once
     # (N P0 = P0 N^T for a compatible pair)
     _, P0, P1, N = tm_workspace(n=3)
+    hier = Hierarchy(P0, N)
     assert np.max(np.abs(n_act(N, P0).val
-                         - hierarchy_bivector(P0, N, 2).val)) < 1e-12
+                         - hier.bivector(2).val)) < 1e-12
     assert np.max(np.abs(n_act(N, n_act(N, P0)).val
-                         - hierarchy_bivector(P0, N, 4).val)) < 1e-11
-    assert np.max(np.abs(hierarchy_bivector(P0, N, 1).val - P1.val)) < 1e-12
-    assert np.max(np.abs(hierarchy_bivector(P0, N, 0).val - P0.val)) == 0.0
+                         - hier.bivector(4).val)) < 1e-11
+    assert np.max(np.abs(hier.bivector(1).val - P1.val)) < 1e-12
+    assert np.max(np.abs(hier.bivector(0).val - P0.val)) == 0.0
 
 
 def test_defect_chain_is_small_on_a_real_pair():
     _, P0, P1, N = tm_workspace(n=3, samples=30)
-    ladder = hamiltonian_ladder(N, depth=4, neg_depth=1)
+    ladder = Hierarchy(None, N).ladder(depth=4, neg_depth=1)
     for defect in (cotangent_ladder_defect(N, ladder),
                    lenard_defect(Hierarchy(P0, N), ladder),
                    involution_defect(P0, P1, ladder),
@@ -115,7 +115,7 @@ def test_defect_chain_detects_a_broken_operator():
     val[:, 0, 0] += 1e-3 * x[:, 0]
     grad[:, 0, 0, 0] += 1e-3
     bad = Jet2(val, grad, N.hess, m=N.m)
-    ladder = hamiltonian_ladder(bad, depth=3)
+    ladder = Hierarchy(None, bad).ladder(depth=3)
     assert np.max(cotangent_ladder_defect(bad, ladder)) > 1e-6
 
 
@@ -184,16 +184,31 @@ def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
     # out of order on purpose: the walk must not depend on the request order
     for k in (3, -6, 0, 6, -1, 1, -3, 2, -2, 5, -5, 4, -4):
         same_bits(hier.power(k), jmatpow(N, k))
-        same_bits(hier.bivector(k), hierarchy_bivector(P0, N, k))
+        same_bits(hier.bivector(k), ref.hierarchy_bivector(P0, N, k))
         same_bits(hier.hamiltonian(k), hierarchy_hamiltonian(N, k))
-        same_bits(hier.master(k), master_field(N, Z0, k))
-        same_bits(hier.master_div(k), div_mu(master_field(N, Z0, k)))
-        same_bits(hier.modular(k), modular_vf(hierarchy_bivector(P0, N, k)))
+        same_bits(hier.master(k), ref.master_field(N, Z0, k))
+        same_bits(hier.master_div(k), div_mu(ref.master_field(N, Z0, k)))
+        same_bits(hier.modular(k), modular_vf(ref.hierarchy_bivector(P0, N, k)))
     assert hier.hamiltonian(2).order == 2
     assert hier.bivector(2).order == hier.master(2).order == 1
     assert hier.modular(2).order == hier.master_div(2).order == 1
     assert hier.power(-2).order == 0
-    assert hier.ladder(6, 6).keys() == hamiltonian_ladder(N, 6, 6).keys()
+    assert hier.ladder(6, 6).keys() == ref.hamiltonian_ladder(N, 6, 6).keys()
+    # without P0: the ladders of `pnhier hierarchy` (order 2) and of the
+    # flow monitors (order 0), on every chart
+    for key in ("harmonic", "calogero", "toda_moser", "cn_toda", "an_toda"):
+        chart = make_system(key, 3)
+        x = chart.sample(samples=16, seed=11)
+        neg = int(chart.extras.get("neg_depth", 0))
+        for order in (0, 2):
+            jets_k = chart.jets(x, order=order)
+            M = recursion_operator(chart.pi0(jets_k), chart.pi1(jets_k))
+            got = Hierarchy(None, M).ladder(6, neg)
+            want = ref.hamiltonian_ladder(M, 6, neg)
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k].order == want[k].order == order
+                same_bits(got[k], want[k])
 
 
 def test_hierarchy_without_z0_refuses_master_fields():
@@ -203,6 +218,15 @@ def test_hierarchy_without_z0_refuses_master_fields():
         hier.master(1)
     with pytest.raises(RangeError):
         hier.ladder(13)
+    # without P0 the walk holds powers and hamiltonians alone
+    bare = Hierarchy(None, N)
+    for k in (1, -1):
+        with pytest.raises(RangeError, match="without P0"):
+            bare.bivector(k)
+        with pytest.raises(RangeError, match="without P0"):
+            bare.modular(k)
+        with pytest.raises(RangeError, match="without Z0"):
+            bare.master(k)
 
 
 def test_one_verify_report_inverts_n_once(monkeypatch):

@@ -7,12 +7,11 @@ symmetry family has a closed form to compare against.
 
 import numpy as np
 
-from pnhier.hierarchy import Hierarchy, hamiltonian_ladder, recursion_operator
+from pnhier.hierarchy import Hierarchy, recursion_operator
 from pnhier.master import (anomaly_defect, bivector_family_defect, coeff_h,
                            coeff_pi, coeff_z, commutator_family_defect,
                            conformal_defects, deformation_defect,
-                           hamiltonian_family_defect, master_field,
-                           modular_family_defect)
+                           hamiltonian_family_defect, modular_family_defect)
 from pnhier.systems import make_system
 
 LAM, MU, NU, ANCHOR = -1.0, 0.0, 1.0, 1
@@ -45,9 +44,11 @@ def test_master_field_matches_closed_forms():
     sys, jets, P0, P1, N = tm_workspace()
     z_closed = sys.extras["z_closed"]
     Z0 = sys.extras["oevel"]["z0"](jets)
-    assert master_field(N, Z0, 0) is Z0
+    hier = Hierarchy(P0, N, Z0)
+    assert np.array_equal(hier.master(0).val, Z0.val)
+    assert np.array_equal(hier.master(0).grad, Z0.grad)
     for i in (-2, -1, 1, 2):
-        Zi = master_field(N, Z0, i)
+        Zi = hier.master(i)
         want = z_closed(i)(jets)
         assert np.max(np.abs(Zi.val - want.val)) < 1e-13, i
 
@@ -55,7 +56,7 @@ def test_master_field_matches_closed_forms():
 def test_conformal_conditions_hold_on_the_chain():
     sys, jets, P0, P1, N = tm_workspace()
     Z0 = sys.extras["oevel"]["z0"](jets)
-    ladder = hamiltonian_ladder(N, depth=1)
+    ladder = Hierarchy(None, N).ladder(depth=1)
     d = conformal_defects(P0, P1, Z0, LAM, MU, NU, ladder[1])
     assert np.max(d["pi0"]) < 1e-14
     assert np.max(d["pi1"]) < 1e-14
@@ -65,7 +66,7 @@ def test_conformal_conditions_hold_on_the_chain():
 def test_relation_families_close_on_the_chain():
     sys, jets, P0, P1, N = tm_workspace()
     Z0 = sys.extras["oevel"]["z0"](jets)
-    ladder = hamiltonian_ladder(N, depth=6, neg_depth=6)
+    ladder = Hierarchy(None, N).ladder(depth=6, neg_depth=6)
     rng3 = range(-3, 4)
     rng2 = range(-2, 3)
     d = hamiltonian_family_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, NU, ANCHOR,
@@ -85,7 +86,7 @@ def test_anomaly_is_the_site_count():
     for n in (2, 3):
         sys, jets, P0, P1, N = tm_workspace(n=n)
         Z0 = sys.extras["oevel"]["z0"](jets)
-        ladder = hamiltonian_ladder(N, depth=3, neg_depth=3)
+        ladder = Hierarchy(None, N).ladder(depth=3, neg_depth=3)
         d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, float(n), range(-2, 3))
         assert np.max(d) < 1e-12
         # and the wrong constant is detected

@@ -40,13 +40,12 @@ def test_report_shape_and_row_schema():
 
 
 def test_meta_records_the_configuration():
-    rep = small_report(tol=1e-9, depth=3, threads=2)
+    rep = small_report(tol=1e-9, depth=3)
     meta = rep["meta"]
     assert meta["command"] == "verify"
     assert meta["system"] == "toda-moser"
     assert meta["tol"] == 1e-9
     assert meta["depth"] == 3
-    assert meta["threads"] == 2
     assert meta["samples"] == 12 and meta["seed"] == 5
     assert len(meta["box"]["lo"]) == meta["m"]
 
