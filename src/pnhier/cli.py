@@ -80,7 +80,8 @@ def _build_parser():
                        "probe point and emit a CSV trajectory")
     common(p)
     p.add_argument("--flow", type=int, default=2,
-                   help="ladder index of the hamiltonian driving the flow")
+                   help="ladder index k of the hamiltonian h_k driving the "
+                   "flow, -12..12")
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--method", choices=("rk4", "rkf45"), default="rk4")
@@ -128,6 +129,9 @@ def _cmd_integrate(args):
     if traj.truncated:
         _note(f"trajectory truncated: {traj.truncated}")
     _note(f"{len(traj)} records, t in [0, {float(traj.times[-1])!r}]")
+    _note(f"{traj.rhs_evals} rhs evaluations, {traj.accepted} steps accepted, "
+          f"{traj.rejected} rejected, dt in [{traj.dt_min:.6g}, "
+          f"{traj.dt_max:.6g}]")
     return 0
 
 

@@ -10,13 +10,15 @@ shifts -- so spectral drift checks do not depend on LAPACK's eigensolver.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      ExclusionBreach, RangeError, StepUnderflow)
 from .fields import hamiltonian_vf
-from .hierarchy import Hierarchy, hierarchy_hamiltonian, recursion_operator
-from .jets import Jet2
+from .hierarchy import LADDER_CAP, Hierarchy, recursion_operator
+from .jets import Jet2, _einsum, _guarded_inv
 
 DT_MIN = 1e-12
 # rk4 refuses a run of more fixed steps than this (t_end / dt above it).
@@ -39,16 +41,23 @@ RKF45 = {
 
 
 class Trajectory:
-    """Recorded flow: times, states, truncation flag.
+    """Recorded flow: times, states, truncation flag and step statistics.
 
     ``truncated`` is None for a complete run, otherwise a short reason string
-    (the run stopped at the last recorded time).
+    (the run stopped at the last recorded time).  ``rhs_evals`` counts
+    right-hand-side evaluations, ``accepted`` the steps the run advanced by
+    and ``rejected`` the steps error control refused; a step that left the
+    chart domain is neither, though its evaluations count.  ``dt_min`` and
+    ``dt_max`` bound the accepted steps (nan when there are none).
     """
 
-    def __init__(self, times, states, truncated=None):
+    def __init__(self, times, states, truncated=None, rhs_evals=0,
+                 accepted=0, rejected=0, dt_min=np.nan, dt_max=np.nan):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         self.truncated = truncated
+        self.rhs_evals, self.accepted, self.rejected = rhs_evals, accepted, rejected
+        self.dt_min, self.dt_max = dt_min, dt_max
 
     def __len__(self):
         return self.times.size
@@ -88,6 +97,7 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
+    accepted, lo, hi = 0, np.inf, 0.0
     for k in range(steps):
         h = min(dt, t_end - t)
         k1 = rhs(t, x)
@@ -99,10 +109,21 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
             truncated = f"left the chart domain at t = {t + h:.6g}"
             break
         t, x = t + h, x_new
+        accepted, lo, hi = accepted + 1, min(lo, h), max(hi, h)
         if (k + 1) % record_every == 0 or k == steps - 1:
             times.append(t)
             states.append(x)
-    return Trajectory(times, states, truncated=truncated)
+    attempts = accepted + (truncated is not None)
+    return Trajectory(times, states, truncated, 4 * attempts,
+                      *_step_stats(accepted, 0, lo, hi))
+
+
+def _step_stats(accepted, rejected, lo, hi):
+    """(accepted, rejected, dt_min, dt_max); the dt range is nan when no
+    step was accepted."""
+    if not accepted:
+        lo = hi = np.nan
+    return accepted, rejected, lo, hi
 
 
 def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
@@ -125,8 +146,9 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
-    accepted = 0
+    accepted, rejected, attempts, lo, hi = 0, 0, 0, np.inf, 0.0
     while t < t_end * (1.0 - 1e-14):
+        attempts += 1
         h = min(dt, t_end - t)
         ks = [rhs(t, x)]
         for s in range(1, 6):
@@ -143,10 +165,12 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
                 truncated = f"left the chart domain at t = {t + h:.6g}"
                 break
             t, x = t + h, x4
-            accepted += 1
+            accepted, lo, hi = accepted + 1, min(lo, h), max(hi, h)
             if accepted % record_every == 0 or t >= t_end * (1.0 - 1e-14):
                 times.append(t)
                 states.append(x)
+        else:
+            rejected += 1
         factor = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2
         dt = h * float(np.clip(factor, 0.2, 5.0))
         if dt < DT_MIN:
@@ -155,7 +179,8 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     if times[-1] != t:
         times.append(t)
         states.append(x)
-    return Trajectory(times, states, truncated=truncated)
+    return Trajectory(times, states, truncated, 6 * attempts,
+                      *_step_stats(accepted, rejected, lo, hi))
 
 
 def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
@@ -185,28 +210,71 @@ def _stage_jets(system, x, order):
 def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
     """rhs(t, x) for the hamiltonian flow of a ladder invariant.
 
-    Exactly one of ``index`` (ladder index, h_i built from the recursion
-    operator on the fly) and ``h`` (a closed-form callable jets -> Jet2) must
-    be given; ``bivector`` picks which leg of the pair drives the flow.
+    Exactly one of ``index`` (ladder index k, an integer with |k| <= 12, the
+    ladder cap of ``check_depths``) and ``h`` (a closed-form callable
+    jets -> Jet2) must be given; ``bivector`` picks which leg of the pair
+    drives the flow.  A bad index is a RangeError here, before any stage.
+
+    Each stage evaluates pi0 and pi1 once, on order-1 coordinate jets.  For
+    ``h`` the field is ``hamiltonian_vf(P, h(jets))``, on jets.  For
+    ``index`` the rest is an order-1 tail on plain arrays (see
+    ``_ladder_differential``) that builds no jet: it reads only the values
+    and gradients of the pair.  The jet route
+    ``hamiltonian_vf(P, hierarchy_hamiltonian(N, k))`` is its test oracle.
     """
     if (index is None) == (h is None):
         raise RangeError("pass exactly one of index=, h=")
     if bivector not in ("pi0", "pi1"):
         raise RangeError(f"bivector must be pi0 or pi1, got '{bivector}'")
+    if index is not None:
+        index = _flow_index(index)
 
     def rhs(t, x):
         jets = _stage_jets(system, x, order=1)
         if h is not None:
             P = system.pi0(jets) if bivector == "pi0" else system.pi1(jets)
-            ham = h(jets)
-        else:
-            # each bivector once per stage: the driving leg is one of the pair
-            P0, P1 = system.pi0(jets), system.pi1(jets)
-            P = P0 if bivector == "pi0" else P1
-            ham = hierarchy_hamiltonian(recursion_operator(P0, P1), index)
-        return hamiltonian_vf(P, ham).val[0]
+            return hamiltonian_vf(P, h(jets)).val[0]
+        # each bivector once per stage: the driving leg is one of the pair
+        P0, P1 = system.pi0(jets), system.pi1(jets)
+        P = P0 if bivector == "pi0" else P1
+        dh = _ladder_differential(P0, P1, index)
+        return _einsum("...ji,...j->...i", P.val, dh)[0]     # P# dh
 
     return rhs
+
+
+def _flow_index(index):
+    """The ladder index of a flow as an int; RangeError unless |k| <= cap."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise RangeError(f"flow index must be an integer, got {index!r}")
+    k = int(index)
+    if abs(k) > LADDER_CAP:
+        raise RangeError(f"flow index must be in -{LADDER_CAP}..{LADDER_CAP}, "
+                         f"got {k}")
+    return k
+
+
+def _ladder_differential(P0, P1, k):
+    """dh_k from the values and gradients of the pair, on plain arrays.
+
+    For every integer k, h_k = tr(N^k)/2k (h_0 = log|det N|/2) has
+    dh_k,a = 1/2 tr(N^(k-1) dN_a).  With Q = Pi0^-1, N = Pi1 Q and
+    dN_a = dPi1_a Q - N dPi0_a Q, the cyclic trace gives
+
+        dh_k,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(k-1),
+
+    so no dN tensor is formed.  For k <= 0, N^-1 comes from the guarded
+    inverse, so a singular N raises SingularTensorError as on the jet route.
+    Gradients are read in their stored (B, i, j, a) layout.
+    """
+    Q = _guarded_inv(P0.val, "pi0")
+    N = np.matmul(P1.val, Q)
+    base = N if k >= 1 else _guarded_inv(N, "recursion operator")
+    R = Q
+    for _ in range(abs(k - 1)):
+        R = np.matmul(R, base)
+    return 0.5 * (_einsum("...ij,...jia->...a", R, P1.grad)
+                  - _einsum("...ij,...jia->...a", np.matmul(R, N), P0.grad))
 
 
 # ---- conservation monitoring ---------------------------------------------------

@@ -22,9 +22,10 @@ that a table of h_k or a monitor along a flow reads.  It multiplies in the
 order ``jmatpow`` does, so each object is bit-identical to its single-shot
 formula (the tests keep those formulas as the reference).
 
-``hierarchy_hamiltonian`` is the one-object path.  A flow right-hand side
-builds a new N at every stage and reads a single h_k from it; a walk would
-also derive every object below k.
+``hierarchy_hamiltonian`` is the one-object formula: the walk takes h_0
+from it, and the tests take the flow right-hand side's oracle from it.  The
+flow itself builds no N jet: its order-1 tail (``dynamics``) forms dh_k from
+the values and gradients of the pair on plain arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .errors import RangeError
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
-from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
-                   jtranspose, jtruncate)
+from .jets import (jeye, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec,
+                   jtrace, jtranspose, jtruncate)
 from .modular import div_mu, modular_vf
 
 
@@ -57,18 +58,23 @@ def hierarchy_hamiltonian(N, i):
     return jtrace(jmatpow(N, i)) * (1.0 / (2 * i))
 
 
+# Deepest ladder index in either direction: beyond m independent invariants
+# the traces are functionally dependent anyway (see spectral_pairing), so
+# deeper ladders only amplify roundoff.
+LADDER_CAP = 12
+
+
 def check_depths(depth, neg_depth):
     """Validate a ladder range; returns (depth, neg_depth) as ints.
 
-    Depth is capped at 12 in each direction: beyond m independent invariants
-    the traces are functionally dependent anyway (see spectral_pairing), so
-    deeper ladders only amplify roundoff.
+    Depth is capped at LADDER_CAP = 12 in each direction.
     """
     depth, neg_depth = int(depth), int(neg_depth)
-    if not 1 <= depth <= 12:
-        raise RangeError(f"depth must be in 1..12, got {depth}")
-    if not 0 <= neg_depth <= 12:
-        raise RangeError(f"neg_depth must be in 0..12, got {neg_depth}")
+    if not 1 <= depth <= LADDER_CAP:
+        raise RangeError(f"depth must be in 1..{LADDER_CAP}, got {depth}")
+    if not 0 <= neg_depth <= LADDER_CAP:
+        raise RangeError(f"neg_depth must be in 0..{LADDER_CAP}, "
+                         f"got {neg_depth}")
     return depth, neg_depth
 
 
@@ -77,9 +83,10 @@ class Hierarchy:
 
     The walk goes outward from k = 0 in either direction as far as the
     largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
-    N^0, N and N^-1 taken from ``jmatpow``.  N is inverted on the first
-    negative index, never again.  Each object is kept at the lowest jet
-    order its consumers read:
+    N and N^-1 taken from ``jmatpow``.  N is inverted on the first
+    negative index, never again.  At k = 0 no product is formed: N^0 is the
+    identity's values, Pi_0 is Pi0 and Z_0 is Z0.  Each object is kept at
+    the lowest jet order its consumers read:
 
         power(k)       N^k                  values only
         hamiltonian(k) h_k                  order 2
@@ -138,7 +145,7 @@ class Hierarchy:
 
     def _walk_to(self, k):
         if 0 not in self._power:
-            self._derive(0, jmatpow(self.N, 0))
+            self._derive(0, None)
         step = 1 if k > 0 else -1
         while k not in self._power:
             if step in self._edge:
@@ -151,11 +158,16 @@ class Hierarchy:
             self._derive(j, Nj)
 
     def _derive(self, k, Nk):
-        self._power[k] = jtruncate(Nk, 0)
-        if k != 0:
+        """Every object at k from the order-2 N^k; at k = 0, Nk is None and
+        N^0 = I acts as the identity, so no product is formed."""
+        if k == 0:
+            B, n = self.N.val.shape[0], self.N.val.shape[-1]
+            self._power[0] = jeye(n, self.N.m, B, order=0)
+        else:
+            self._power[k] = jtruncate(Nk, 0)
             self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
         if self.P0 is not None:
-            Pk = jmatmul(Nk, self.P0)
+            Pk = self.P0 if k == 0 else jmatmul(Nk, self.P0)
             self._bivector[k] = jtruncate(Pk, 1)
             self._modular[k] = modular_vf(Pk, self.logg)
         if self.Z0 is not None:

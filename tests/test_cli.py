@@ -5,6 +5,7 @@ under re-runs; progress notes go to stderr so stdout stays comparable.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ def test_step_counts_above_the_rk4_cap_exit_2_before_integrating(capsys,
         assert "exceeds the cap" in err
 
 
+def test_flow_index_beyond_the_ladder_cap_exits_2_before_integrating(
+        capsys, monkeypatch):
+    from pnhier import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrate ran although --flow is out of range")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    for flow in ("13", "-13", "400"):
+        code, out, err = run(capsys, "integrate", "--system", "an-toda",
+                             "--flow", flow)
+        assert code == 2
+        assert out == ""
+        assert "flow index must be in -12..12" in err
+    with pytest.raises(SystemExit) as exc:      # not an integer: argparse
+        main(["integrate", "--system", "an-toda", "--flow", "2.5"])
+    assert exc.value.code == 2
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--system", "harmonic",
@@ -232,4 +252,8 @@ def test_integrate_rkf45_and_stderr_note(capsys):
                          "--method", "rkf45")
     assert code == 0
     assert out.startswith("t,lam1,lam2,r1,r2,h_0")
-    assert "records" in err  # progress note stays out of the CSV
+    assert "records" in err  # progress notes stay out of the CSV
+    stats = re.search(r"\n(\d+) rhs evaluations, (\d+) steps accepted, "
+                      r"(\d+) rejected, dt in \[\S+, \S+\]\n$", err)
+    evals, accepted, rejected = map(int, stats.groups())
+    assert evals == 6 * (accepted + rejected) and accepted > 0

@@ -13,7 +13,8 @@ from pnhier.dynamics import (MAX_STEPS, Trajectory, _ql_implicit,
                              hierarchy_monitors, integrate, lax_eigenvalues,
                              lax_monitors, rk4, rkf45)
 from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
-                           ExclusionBreach, RangeError, StepUnderflow)
+                           ExclusionBreach, RangeError, SingularTensorError,
+                           StepUnderflow)
 from pnhier.fields import hamiltonian_vf
 from pnhier.hierarchy import hierarchy_hamiltonian, recursion_operator
 from pnhier.jets import Jet2
@@ -152,6 +153,44 @@ def test_record_every_and_zero_field():
     assert repr(traj).startswith("Trajectory(11 records")
 
 
+def counting(fn):
+    """fn and the list of times it was called at."""
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return fn(t, x)
+    return counted, calls
+
+
+def test_trajectories_carry_their_step_statistics():
+    rhs, calls = counting(rotation)
+    traj = rk4(rhs, [1.0, 0.0], t_end=1.0, dt=0.3)
+    assert traj.rhs_evals == len(calls) == 16
+    assert (traj.accepted, traj.rejected) == (4, 0)
+    assert traj.dt_max == 0.3 and np.isclose(traj.dt_min, 0.1)
+    # a step that leaves the domain is evaluated but not accepted
+    rhs, calls = counting(growth)
+    traj = rk4(rhs, [1.0, 1.0], t_end=2.0, dt=1e-2,
+               guard=lambda x: x[:, 0] < 2.0)
+    assert traj.truncated is not None
+    assert traj.rhs_evals == len(calls) == 4 * (traj.accepted + 1)
+    assert traj.rejected == 0 and traj.dt_min == traj.dt_max == 1e-2
+    # rkf45 from a far too large first step: error control must reject
+    rhs, calls = counting(growth)
+    traj = rkf45(rhs, [1.0, 2.0], t_end=1.0, atol=1e-12, rtol=1e-12,
+                 dt_init=1.0)
+    assert traj.rejected > 0 and traj.accepted > 0
+    assert traj.rhs_evals == len(calls) == 6 * (traj.accepted + traj.rejected)
+    assert 0.0 < traj.dt_min < traj.dt_max < 1.0
+    assert repr(traj) == (f"Trajectory({len(traj)} records, t in [0, 1])")
+    # no accepted step: no step-size range
+    traj = rk4(growth, [1.9, 1.0], t_end=1.0, dt=0.5,
+               guard=lambda x: x[:, 0] < 2.0)
+    assert (traj.accepted, traj.rhs_evals) == (0, 4)
+    assert np.isnan(traj.dt_min) and np.isnan(traj.dt_max)
+
+
 def test_flow_rhs_from_index_and_closed_form_agree():
     sys = make_system("toda_moser", 2)
     x = sys.sample(samples=1, seed=17)[0]
@@ -168,6 +207,18 @@ def test_flow_rhs_from_index_and_closed_form_agree():
         by_index(0.0, x[:3])
 
 
+def jet_oracle(sys, x, index, leg):
+    """The index flow's field on the jet route: P# d(h_k), h_k from N."""
+    jets = Jet2.coords(x[None, :], order=1)
+    N = recursion_operator(sys.pi0(jets), sys.pi1(jets))
+    P = getattr(sys, leg)(jets)
+    return hamiltonian_vf(P, hierarchy_hamiltonian(N, index)).val[0]
+
+
+def assert_matches_oracle(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("leg", ("pi0", "pi1"))
 def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
     sys = make_system("an_toda", 3)
@@ -181,12 +232,62 @@ def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
     rhs = hamiltonian_flow_rhs(sys, index=2, bivector=leg)
     got = rhs(0.0, x)
     assert calls == {"pi0": 1, "pi1": 1}
-    # the shared bivectors give the same bits as evaluating them apart
-    jets = Jet2.coords(x[None, :], order=1)
-    N = recursion_operator(sys.pi0(jets), sys.pi1(jets))
-    P = getattr(sys, leg)(jets)
-    want = hamiltonian_vf(P, hierarchy_hamiltonian(N, 2)).val[0]
-    assert got.tobytes() == want.tobytes()
+    assert_matches_oracle(got, jet_oracle(sys, x, 2, leg))
+
+
+@pytest.mark.parametrize("key", ("harmonic", "calogero", "toda_moser",
+                                 "cn_toda", "an_toda"))
+def test_order_one_tail_matches_the_jet_oracle(key):
+    sys = make_system(key, 3)
+    for x in sys.sample(samples=3, seed=23):
+        for index in range(-2, 5):
+            for leg in ("pi0", "pi1"):
+                got = hamiltonian_flow_rhs(sys, index=index, bivector=leg)(0.0, x)
+                assert_matches_oracle(got, jet_oracle(sys, x, index, leg))
+
+
+def test_order_one_tail_keeps_the_singularity_guards():
+    sys = make_system("an_toda", 2)
+    x = sys.sample(samples=1, seed=5)[0]
+    pi0, pi1 = sys.pi0, sys.pi1
+
+    def rank_one(fn):
+        def degenerate(jets):
+            P = fn(jets)
+            val = P.val.copy()
+            val[:, 1:] = 0.0            # rows 2.. vanish: rank <= 1
+            return Jet2(val, P.grad, m=P.m)
+        return degenerate
+
+    sys.pi0 = rank_one(pi0)
+    for index in (-1, 0, 2):
+        with pytest.raises(SingularTensorError, match="pi0"):
+            hamiltonian_flow_rhs(sys, index=index)(0.0, x)
+    # a singular pi1 makes N singular: only the indices that invert N notice
+    sys.pi0, sys.pi1 = pi0, rank_one(pi1)
+    for index in (-1, 0):
+        with pytest.raises(SingularTensorError, match="recursion operator"):
+            hamiltonian_flow_rhs(sys, index=index)(0.0, x)
+    assert np.all(np.isfinite(hamiltonian_flow_rhs(sys, index=2)(0.0, x)))
+
+
+@pytest.mark.parametrize("index", [2.5, 2.0, "2", True, 13, -13, 400])
+def test_flow_index_must_be_an_integer_within_the_ladder_cap(index):
+    sys = make_system("an_toda", 2)
+
+    def never(jets):
+        raise AssertionError("a stage was evaluated for a bad flow index")
+
+    sys.pi0 = sys.pi1 = never
+    with pytest.raises(RangeError, match="flow index"):
+        hamiltonian_flow_rhs(sys, index=index)
+
+
+def test_flow_index_accepts_every_integer_within_the_cap():
+    sys = make_system("an_toda", 2)
+    x = sys.sample(samples=1, seed=3)[0]
+    for index in (-12, np.int64(-3), 0, np.int32(4), 12):
+        assert np.all(np.isfinite(hamiltonian_flow_rhs(sys, index=index)(0.0, x)))
 
 
 def test_spectral_chain_flow_is_exponential_in_r():

@@ -192,7 +192,10 @@ def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
     assert hier.hamiltonian(2).order == 2
     assert hier.bivector(2).order == hier.master(2).order == 1
     assert hier.modular(2).order == hier.master_div(2).order == 1
-    assert hier.power(-2).order == 0
+    assert hier.power(-2).order == hier.power(0).order == 0
+    # k = 0 forms no product: Pi_0 and Z_0 are the inputs' own arrays
+    assert hier.bivector(0).val is P0.val and hier.bivector(0).grad is P0.grad
+    assert hier.master(0).val is Z0.val
     assert hier.ladder(6, 6).keys() == ref.hamiltonian_ladder(N, 6, 6).keys()
     # without P0: the ladders of `pnhier hierarchy` (order 2) and of the
     # flow monitors (order 0), on every chart
