@@ -97,7 +97,7 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
-    accepted, lo, hi = 0, np.inf, 0.0
+    accepted, lo, hi = 0, np.nan, np.nan    # fmin/fmax skip the nan
     for k in range(steps):
         h = min(dt, t_end - t)
         k1 = rhs(t, x)
@@ -109,21 +109,13 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
             truncated = f"left the chart domain at t = {t + h:.6g}"
             break
         t, x = t + h, x_new
-        accepted, lo, hi = accepted + 1, min(lo, h), max(hi, h)
+        accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
         if (k + 1) % record_every == 0 or k == steps - 1:
             times.append(t)
             states.append(x)
     attempts = accepted + (truncated is not None)
-    return Trajectory(times, states, truncated, 4 * attempts,
-                      *_step_stats(accepted, 0, lo, hi))
-
-
-def _step_stats(accepted, rejected, lo, hi):
-    """(accepted, rejected, dt_min, dt_max); the dt range is nan when no
-    step was accepted."""
-    if not accepted:
-        lo = hi = np.nan
-    return accepted, rejected, lo, hi
+    return Trajectory(times, states, truncated, rhs_evals=4 * attempts,
+                      accepted=accepted, dt_min=lo, dt_max=hi)
 
 
 def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
@@ -146,7 +138,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
-    accepted, rejected, attempts, lo, hi = 0, 0, 0, np.inf, 0.0
+    accepted, rejected, attempts, lo, hi = 0, 0, 0, np.nan, np.nan
     while t < t_end * (1.0 - 1e-14):
         attempts += 1
         h = min(dt, t_end - t)
@@ -165,7 +157,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
                 truncated = f"left the chart domain at t = {t + h:.6g}"
                 break
             t, x = t + h, x4
-            accepted, lo, hi = accepted + 1, min(lo, h), max(hi, h)
+            accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
             if accepted % record_every == 0 or t >= t_end * (1.0 - 1e-14):
                 times.append(t)
                 states.append(x)
@@ -179,8 +171,8 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     if times[-1] != t:
         times.append(t)
         states.append(x)
-    return Trajectory(times, states, truncated, 6 * attempts,
-                      *_step_stats(accepted, rejected, lo, hi))
+    return Trajectory(times, states, truncated, rhs_evals=6 * attempts,
+                      accepted=accepted, rejected=rejected, dt_min=lo, dt_max=hi)
 
 
 def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
