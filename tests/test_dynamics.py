@@ -183,7 +183,7 @@ def test_trajectories_carry_their_step_statistics():
     assert traj.rejected > 0 and traj.accepted > 0
     assert traj.rhs_evals == len(calls) == 6 * (traj.accepted + traj.rejected)
     assert 0.0 < traj.dt_min < traj.dt_max < 1.0
-    assert repr(traj) == (f"Trajectory({len(traj)} records, t in [0, 1])")
+    assert repr(traj) == f"Trajectory({len(traj)} records, t in [0, 1])"
     # no accepted step: no step-size range
     traj = rk4(growth, [1.9, 1.0], t_end=1.0, dt=0.5,
                guard=lambda x: x[:, 0] < 2.0)
