@@ -305,98 +305,140 @@ def conservation_report(traj, quantities):
 
 
 # ---- symmetric eigensolver -----------------------------------------------------
+#
+# One batched solver: every step runs over the whole (B, k, k) stack at once,
+# with boolean masks where a per-matrix solver would branch.  Per matrix it
+# does the scalar arithmetic of the per-matrix reference in
+# tests/eigen_reference.py, so the two agree bit for bit.
 
-def _tridiagonalize(A):
-    """Householder reduction of a symmetric matrix to (diagonal, off-diagonal)."""
-    T = np.array(A, dtype=float, copy=True)
-    k = T.shape[0]
+def _tridiagonalize(T):
+    """Householder reduction of a stack of symmetric matrices, in place.
+
+    Returns the (B, k) diagonals and (B, k - 1) off-diagonals.  A matrix
+    whose column is already reduced (norm == 0 or vn == 0) skips the step.
+    """
+    k = T.shape[-1]
     for i in range(k - 2):
-        x = T[i + 1:, i]
-        norm = float(np.sqrt(np.sum(x * x)))
-        if norm == 0.0:
-            continue
-        alpha = -norm if x[0] >= 0.0 else norm
+        x = T[:, i + 1:, i]
+        norm = np.sqrt(np.sum(x * x, axis=-1))
         v = x.copy()
-        v[0] -= alpha
-        vn = float(np.sqrt(np.sum(v * v)))
-        if vn == 0.0:
-            continue
-        v /= vn
+        v[:, 0] -= np.where(x[:, 0] >= 0.0, -norm, norm)
+        vn = np.sqrt(np.sum(v * v, axis=-1))
+        live = (norm != 0.0) & (vn != 0.0)
+        if live.all():
+            S = T
+        else:
+            sel = np.flatnonzero(live)
+            S, v, vn = T[sel], v[sel], vn[sel]
+        v /= vn[:, None]
         # two-sided reflection H T H with H = I - 2 v v^T on the trailing block
-        T[i + 1:, i:] -= 2.0 * np.outer(v, v @ T[i + 1:, i:])
-        T[:, i + 1:] -= 2.0 * np.outer(T[:, i + 1:] @ v, v)
-    return np.diag(T).copy(), np.diag(T, 1).copy()
+        S[:, i + 1:, i:] -= 2.0 * (v[:, :, None]
+                                   * np.matmul(v[:, None, :], S[:, i + 1:, i:]))
+        S[:, :, i + 1:] -= 2.0 * (np.matmul(S[:, :, i + 1:], v[:, :, None])
+                                  * v[:, None, :])
+        if S is not T:
+            T[sel] = S
+    return (np.diagonal(T, 0, 1, 2).copy(), np.diagonal(T, 1, 1, 2).copy())
 
 
 def _ql_implicit(d, e, budget, tag):
-    """Eigenvalues of a symmetric tridiagonal matrix by QL with implicit shifts."""
-    n = d.size
+    """Eigenvalues of a stack of symmetric tridiagonal matrices (rows of d
+    and e) by QL with implicit shifts, sorted per row.
+
+    Each round splits off, per matrix, the eigenvalue at its current index l
+    when the off-diagonal below it is negligible, and otherwise runs one
+    implicit-shift sweep from its deflation point m down to l.  A sweep
+    that underflows (r == 0) stops early and the matrix retries the same l.
+    More than ``budget`` sweeps on any one matrix is a ConvergenceError.
+    """
+    B, n = d.shape
     d = d.copy()
-    ee = np.zeros(n)
-    ee[:n - 1] = e
+    ee = np.zeros((B, n))
+    ee[:, :n - 1] = e
     eps = np.finfo(float).eps
-    used = 0
-    for l in range(n):
-        while True:
-            for m_ in range(l, n - 1):
-                dd = abs(d[m_]) + abs(d[m_ + 1])
-                if abs(ee[m_]) <= eps * dd:
-                    break
-            else:
-                m_ = n - 1
-            if m_ == l:
-                break
-            used += 1
-            if used > budget:
-                raise ConvergenceError(
-                    f"{tag}: QL did not converge within {budget} iterations")
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m_] - d[l] + ee[l] / (g + (r if g >= 0.0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m_ - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = float(np.hypot(f, g))
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m_] = 0.0
-                    underflow = True
-                    break
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m_] = 0.0
-    return np.sort(d)
+    l = np.zeros(B, dtype=np.intp)
+    used = np.zeros(B, dtype=np.intp)
+    col = np.arange(n)
+    small = np.ones((B, n), dtype=bool)      # column n - 1: always a split
+    while True:
+        live = l < n
+        if not live.any():
+            return np.sort(d, axis=-1)
+        small[:, :n - 1] = (np.abs(ee[:, :n - 1])
+                            <= eps * (np.abs(d[:, :n - 1]) + np.abs(d[:, 1:])))
+        m_ = np.argmax(small & (col >= l[:, None]), axis=1)
+        l[live & (m_ == l)] += 1
+        idx = np.flatnonzero(live & (m_ > l))
+        if idx.size == 0:
+            continue
+        used[idx] += 1
+        if np.any(used > budget):
+            raise ConvergenceError(
+                f"{tag}: QL did not converge within {budget} iterations")
+        D, E, lo, hi = d[idx], ee[idx], l[idx], m_[idx]
+        rows = np.arange(idx.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # masked-out rows compute values that are never stored
+            g = (D[rows, lo + 1] - D[rows, lo]) / (2.0 * E[rows, lo])
+            r = np.hypot(g, 1.0)
+            g = D[rows, hi] - D[rows, lo] + E[rows, lo] / (g + np.where(g >= 0.0, r, -r))
+            s, c, p = np.ones(idx.size), np.ones(idx.size), np.zeros(idx.size)
+            going = np.ones(idx.size, dtype=bool)
+            for i in range(int(hi.max()) - 1, int(lo.min()) - 1, -1):
+                run = going & (lo <= i) & (i < hi)
+                f = s * E[:, i]
+                b = c * E[:, i]
+                r = np.hypot(f, g)
+                E[run, i + 1] = r[run]
+                stop = run & (r == 0.0)
+                D[stop, i + 1] -= p[stop]
+                E[stop, hi[stop]] = 0.0
+                going &= ~stop
+                run &= ~stop
+                s_new, c_new = f / r, g / r
+                g = np.where(run, D[:, i + 1] - p, g)
+                r = (D[:, i] - g) * s_new + 2.0 * c_new * b
+                p_new = s_new * r
+                D[run, i + 1] = (g + p_new)[run]
+                g = np.where(run, c_new * r - b, g)
+                s = np.where(run, s_new, s)
+                c = np.where(run, c_new, c)
+                p = np.where(run, p_new, p)
+        fin = rows[going]
+        D[fin, lo[fin]] -= p[fin]
+        E[fin, lo[fin]] = g[fin]
+        E[fin, hi[fin]] = 0.0
+        d[idx], ee[idx] = D, E
 
 
 def lax_eigenvalues(L, tag="lax"):
-    """Sorted eigenvalues of a real symmetric matrix (or a batch of them).
+    """Sorted eigenvalues of a real symmetric matrix or a (B, k, k) stack.
 
-    Householder tridiagonalization followed by implicit-shift QL, budgeted at
-    30*k iterations (ConvergenceError beyond).  Input must be square
-    (DimensionError) and symmetric to roundoff (DomainError).
+    One batched solver in the package: Householder tridiagonalization
+    followed by implicit-shift QL, run over the whole stack at once and
+    budgeted at 30*k iterations per matrix (ConvergenceError beyond).  A 2-D
+    input is a batch of one and gives a (k,) result; an empty stack gives a
+    (0, k) one.  Input must be square (DimensionError) and each matrix
+    symmetric to roundoff at its own scale max(|L|, 1) (DomainError).  The
+    per-matrix reference in tests/eigen_reference.py must agree bit for bit,
+    and LAPACK's eigvalsh is the independent cross-check.
     """
     L = np.asarray(L, dtype=float)
-    if L.ndim == 3:
-        return np.stack([lax_eigenvalues(Li, tag=tag) for Li in L])
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionError(f"{tag}: expected a square matrix, got {L.shape}")
-    k = L.shape[0]
-    scale = max(float(np.max(np.abs(L))), 1.0)
-    if float(np.max(np.abs(L - L.T))) > 1e-10 * scale:
-        raise DomainError(f"{tag}: matrix is not symmetric")
-    if k == 1:
-        return L[0, :1].astype(float)
-    d, e = _tridiagonalize(L)
-    return _ql_implicit(d, e, budget=30 * k, tag=tag)
+    if L.ndim not in (2, 3) or L.shape[-1] != L.shape[-2]:
+        raise DimensionError(f"{tag}: expected a square matrix or a stack "
+                             f"of them, got {L.shape}")
+    stack = L.reshape((-1,) + L.shape[-2:])     # a 2-D input is a batch of one
+    B, k = stack.shape[:2]
+    if B == 0 or k == 0:
+        ev = np.zeros((B, k))
+    else:
+        scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+        asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
+        if np.any(asym > 1e-10 * scale):
+            raise DomainError(f"{tag}: matrix is not symmetric")
+        if k == 1:
+            ev = stack[:, 0, :1].copy()
+        else:
+            d, e = _tridiagonalize(stack.copy())
+            ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
+    return ev[0] if L.ndim == 2 else ev

@@ -94,22 +94,22 @@ class Jet2:
         if x.ndim != 2:
             raise DimensionError(f"points must have shape (B, m), got {x.shape}")
         B, m = x.shape
-        out = []
-        for i in range(m):
-            grad = None
-            if order >= 1:
-                grad = np.zeros((B, m))
-                grad[:, i] = 1.0
-            out.append(cls(x[:, i], grad,
-                           np.zeros((B, m, m)) if order >= 2 else None, m=m))
-        return out
+        grad = None
+        if order >= 1:     # one (B, m, m) identity stack; x^i's gradient is row i
+            grad = np.zeros((B, m, m))
+            grad.reshape(B, m * m)[:, ::m + 1] = 1.0
+        return [cls(x[:, i], None if grad is None else grad[:, i],
+                    np.zeros((B, m, m)) if order >= 2 else None, m=m)
+                for i in range(m)]
 
     @classmethod
     def const(cls, value, m, batch=None, order=2):
         """A constant jet (zero gradient / Hessian) of chart dimension m."""
         val = np.asarray(value, dtype=float)
         if batch is not None:
-            val = np.broadcast_to(val, (batch,) + val.shape).copy()
+            out = np.empty((batch,) + val.shape)
+            out[...] = val
+            val = out
         grad = np.zeros(val.shape + (m,)) if order >= 1 else None
         hess = np.zeros(val.shape + (m, m)) if order >= 2 else None
         return cls(val, grad, hess, m=m)
@@ -154,10 +154,19 @@ class Jet2:
                     None if self.hess is None else -self.hess, m=self.m)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        # one jet, not a negation and a sum: bit for bit self + (-other),
+        # signed zeros included
+        o = self._coerce(other)
+        val = self.val - o.val
+        grad = hess = None
+        if self.grad is not None and o.grad is not None:
+            grad = self.grad - o.grad
+        if self.hess is not None and o.hess is not None:
+            hess = self.hess - o.hess
+        return Jet2(val, grad, hess, m=self.m)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -429,9 +438,12 @@ def check_invertible(val, inv, what="tensor"):
     the infinity norm, falls below RCOND_MIN = 1e-12 or is not a number.
     The estimate reuses the inverse, so the guard adds no factorization.
     """
-    cond = abs(val).sum(-1).max(-1) * abs(inv).sum(-1).max(-1)
+    # ufunc reductions, not the .sum()/.max()/.all() method wrappers: at B=1
+    # the wrappers cost as much as the inversion this guards
+    cond = (np.maximum.reduce(np.add.reduce(np.absolute(val), -1), -1)
+            * np.maximum.reduce(np.add.reduce(np.absolute(inv), -1), -1))
     ok = cond * RCOND_MIN <= 1.0          # False for inf and nan too
-    if not ok.all():
+    if not np.logical_and.reduce(ok, None):
         raise SingularTensorError(
             f"{what} is numerically singular at {int(ok.size - ok.sum())} of "
             f"{ok.size} sample points (reciprocal condition number "

@@ -12,11 +12,12 @@ a term "a * d/du ^ d/dv" in a classical table means {u, v} = +a, and the
 canonical symplectic bracket on (q_1..q_n, p_1..p_n) has {q_i, p_i} = -1,
 i.e. Pi_0 = [[0, -I], [I, 0]].
 
-A bivector table lists only the entries above the diagonal, as scalar jets.
-``_table_to_matrix`` scatters them into zero-filled (B, m, m) value,
-gradient and Hessian arrays, each entry above the diagonal and its negation
-below, so every pi0/pi1 evaluation is a handful of slice writes, not an
-m x m nested list of scalar jets stacked row by row.  The constant
+A bivector table lists only the entries above the diagonal, as scalar jets
+or plain numbers (constants).  ``_table_to_matrix`` scatters them into
+zero-filled (B, m, m) value, gradient and Hessian arrays, each entry above
+the diagonal and its negation below, so every pi0/pi1 evaluation is a
+handful of slice writes, not an m x m nested list of scalar jets stacked
+row by row.  The constant
 canonical Pi_0 is built once per system, when the chart is made.
 
 Five models are registered:
@@ -102,10 +103,6 @@ class System:
 
 # ---- small builders ----------------------------------------------------------
 
-def _one_like(j):
-    return Jet2.const(np.ones(j.val.shape), j.m, order=j.order)
-
-
 def _const_like(c, j):
     return Jet2.const(np.full(j.val.shape, float(c)), j.m, order=j.order)
 
@@ -113,16 +110,16 @@ def _const_like(c, j):
 def _table_to_matrix(upper, m, ref):
     """Antisymmetric matrix jet from a dict {(i, j): {x^i, x^j}} with i < j.
 
-    The tables are scattered into zero-filled (B, m, m) value, gradient and
-    Hessian arrays at ``ref``'s order: entry (i, j) is written at [:, i, j]
-    and its negation at [:, j, i].  Slots not in the table stay +0.0; a
-    negated entry keeps the sign of its zeros, as the jet negation does.
-    The negation goes through a temporary on purpose: numpy 2.4.6 computes
-    ``np.negative(a, out=b)`` wrongly when ``a`` has a 64-byte stride (a
-    coordinate column at m = 8) and ``b`` is not contiguous.
+    An entry is a scalar jet or a plain number, a constant whose derivatives
+    are zero.  The tables are scattered into zero-filled (B, m, m) value,
+    gradient and Hessian arrays at ``ref``'s order: each entry is written
+    once at [:, i, j], then one negated fancy-index copy per array fills
+    [:, j, i].  Slots not in the table stay +0.0; a negated jet entry keeps
+    the sign of its zeros, as the jet negation does, and a constant entry's
+    derivatives stay +0.0 in both triangles, as a lifted constant's do.
     A key outside 0 <= i < j < m raises DimensionError, since a diagonal
-    or lower key would break antisymmetry or overwrite an entry; so does an
-    entry of lower jet order than ``ref``, whose missing derivatives would
+    or lower key would break antisymmetry or overwrite an entry; so does a
+    jet entry of lower order than ``ref``, whose missing derivatives would
     otherwise be written as NaN.
     """
     order = ref.order
@@ -130,21 +127,28 @@ def _table_to_matrix(upper, m, ref):
     val = np.zeros(shape)
     grad = np.zeros(shape + (m,)) if order >= 1 else None
     hess = np.zeros(shape + (m, m)) if order >= 2 else None
+    keys, jet_keys = [], []
     for (i, j), v in upper.items():
         if not 0 <= i < j < m:
             raise DimensionError(f"bivector table key ({i}, {j}) is not "
                                  f"strictly upper triangular in {m} x {m}")
+        keys.append((i, j))
+        if not isinstance(v, Jet2):
+            val[:, i, j] = float(v)
+            continue
         if v.order < order:
             raise DimensionError(f"bivector table entry ({i}, {j}) has jet "
                                  f"order {v.order}, below {order}")
+        jet_keys.append((i, j))
         val[:, i, j] = v.val
-        val[:, j, i] = -v.val
         if grad is not None:
             grad[:, i, j] = v.grad
-            grad[:, j, i] = -v.grad
         if hess is not None:
             hess[:, i, j] = v.hess
-            hess[:, j, i] = -v.hess
+    for arr, ks in ((val, keys), (grad, jet_keys), (hess, jet_keys)):
+        if arr is not None and ks:
+            i, j = zip(*ks)
+            arr[:, j, i] = -arr[:, i, j]
     return Jet2(val, grad, hess, m=m)
 
 
@@ -252,8 +256,7 @@ def calogero(n):
     labels = [f"F{i+1}" for i in range(n)] + [f"G{i+1}" for i in range(n)]
 
     def pi0(jets):
-        one = _one_like(jets[0])
-        return _table_to_matrix({(i, n + i): one for i in range(n)},
+        return _table_to_matrix({(i, n + i): 1.0 for i in range(n)},
                                 m, jets[0])
 
     def pi1(jets):
@@ -303,8 +306,7 @@ def toda_moser(n):
         return _const_like(0.0, jets[0])
 
     def x0_mu(jets):
-        one = _one_like(jets[0])
-        return jstack([one] * n + [zero(jets)] * n, m=m)
+        return jstack([1.0] * n + [zero(jets)] * n, m=m)
 
     def x1_mu(jets):
         return jstack([jets[i] for i in range(n)]
@@ -490,11 +492,10 @@ def an_toda(n):
     def pi1(jets):
         q = jets[:n]
         p = jets[n:]
-        one = _one_like(jets[0])
         up = {}
         for i in range(n):
             for j in range(i + 1, n):
-                up[(i, j)] = one                          # A block
+                up[(i, j)] = 1.0                          # A block
             up[(i, n + i)] = -p[i]                        # -B block: {q_i, p_i} = -p_i
         for i in range(n - 1):
             up[(n + i, n + i + 1)] = (q[i] - q[i + 1]).exp()   # C block

@@ -8,10 +8,13 @@ matrices and real Lax matrices.
 import numpy as np
 import pytest
 
+from eigen_reference import _ql_implicit as reference_ql
+from eigen_reference import reference_eigenvalues
 from pnhier.dynamics import (MAX_STEPS, Trajectory, _ql_implicit,
-                             conservation_report, hamiltonian_flow_rhs,
-                             hierarchy_monitors, integrate, lax_eigenvalues,
-                             lax_monitors, rk4, rkf45)
+                             _tridiagonalize, conservation_report,
+                             hamiltonian_flow_rhs, hierarchy_monitors,
+                             integrate, lax_eigenvalues, lax_monitors, rk4,
+                             rkf45)
 from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
                            ExclusionBreach, RangeError, SingularTensorError,
                            StepUnderflow)
@@ -235,6 +238,30 @@ def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
     assert_matches_oracle(got, jet_oracle(sys, x, 2, leg))
 
 
+# Jet2 constructions in one index-2 stage at n=3: six coordinates, the
+# pair's tables and their entries.  A change that makes a stage build more
+# jets must say so here.
+STAGE_JETS = {"harmonic": 26, "calogero": 8, "toda_moser": 11, "cn_toda": 63,
+              "an_toda": 15}
+
+
+@pytest.mark.parametrize("key", sorted(STAGE_JETS))
+def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
+    sys = make_system(key, 3)
+    rhs = hamiltonian_flow_rhs(sys, index=2)
+    x = sys.sample(samples=1, seed=19)[0]
+    built = []
+    init = Jet2.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet2, "__init__", counted)
+    rhs(0.0, x)
+    assert len(built) == STAGE_JETS[key]
+
+
 @pytest.mark.parametrize("key", ("harmonic", "calogero", "toda_moser",
                                  "cn_toda", "an_toda"))
 def test_order_one_tail_matches_the_jet_oracle(key):
@@ -367,6 +394,74 @@ def test_eigensolver_guards():
     with pytest.raises(ConvergenceError):
         A = rng.normal(size=(6, 6))
         A = 0.5 * (A + A.T)
-        from pnhier.dynamics import _tridiagonalize
-        d, e = _tridiagonalize(A)
+        d, e = _tridiagonalize(A[None].copy())
         _ql_implicit(d, e, budget=0, tag="test")
+
+
+def random_symmetric(B, k):
+    A = rng.normal(size=(B, k, k))
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5, 9, 16))
+def test_batched_eigensolver_matches_the_reference_bit_for_bit(k):
+    A = random_symmetric(40, k)
+    A[::4, 0, 1:] = A[::4, 1:, 0] = 0.0     # a reduced column: norm == 0
+    got = lax_eigenvalues(A)
+    assert got.shape == (40, k)
+    assert np.array_equal(got, reference_eigenvalues(A))
+    # a 2-D input is a batch of one
+    assert np.array_equal(lax_eigenvalues(A[3]), got[3])
+
+
+@pytest.mark.parametrize("key", ("an_toda", "cn_toda"))
+def test_batched_eigensolver_on_lax_stacks_along_a_flow(key):
+    sys = make_system(key, 3)
+    traj = integrate(hamiltonian_flow_rhs(sys, index=2), sys.sample(1, 5)[0],
+                     t_end=0.2, dt=1e-3, guard=sys.domain_ok)
+    L = sys.extras["lax_np"](traj.states)
+    got = lax_eigenvalues(L)
+    assert np.array_equal(got, reference_eigenvalues(L))
+    assert np.allclose(got, np.linalg.eigvalsh(L), atol=1e-12)
+
+
+def test_batched_ql_takes_the_underflow_branch_like_the_reference():
+    # tridiagonal rows found by search to reach r == 0 mid-sweep in the
+    # reference QL, beside one ordinary row
+    d = np.array([[-2e-310, -1e-310, -1e-310, -2e-310, 0.0],
+                  [0.0, 1e-320, 0.0, -2e-320, 0.0],
+                  [0.0, -1e-310, 2e-310, 1e-310, -1e-310],
+                  [-1e-310, -2e-310, -1e-310, 0.0, -2e-310],
+                  [1.0, 2.0, 3.0, 4.0, 5.0]])
+    e = np.array([[-2e-310, -1e-160, 1e-320, 1.0],
+                  [2e-160, -1e-160, -1e-320, 1.0],
+                  [2e-320, 1e-160, -2e-160, 0.0],
+                  [-1e-320, -2e-320, 2e-160, 2e-320],
+                  [0.5, 0.25, 0.125, 1.0]])
+    want = np.array([reference_ql(di, ei, 150, "ref") for di, ei in zip(d, e)])
+    assert np.array_equal(_ql_implicit(d, e, 150, "test"), want)
+
+
+def test_empty_lax_batch_has_no_eigenvalues():
+    ev = lax_eigenvalues(np.zeros((0, 3, 3)))
+    assert ev.shape == (0, 3)
+    with pytest.raises(DimensionError):
+        lax_eigenvalues(np.zeros((0, 3, 2)))
+
+
+def test_eigensolver_guards_apply_per_matrix():
+    # each matrix is held to its own scale, not the batch's largest entry
+    big = 1e6 * np.eye(2)
+    for skew in (1e-3, 1e-6):
+        with pytest.raises(DomainError):
+            lax_eigenvalues(np.stack([big, [[0.0, skew], [0.0, 0.0]]]))
+    # one matrix over the QL budget fails the whole batch
+    A = random_symmetric(5, 6)
+    A[:4] = np.diag(np.arange(6.0))         # diagonal: no sweep needed
+    d, e = _tridiagonalize(A.copy())
+    with pytest.raises(ConvergenceError):
+        reference_ql(d[4], e[4], 1, "ref")
+    with pytest.raises(ConvergenceError):
+        _ql_implicit(d, e, budget=1, tag="test")
+    assert np.array_equal(_ql_implicit(d[:4], e[:4], budget=0, tag="test"),
+                          np.tile(np.arange(6.0), (4, 1)))

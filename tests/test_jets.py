@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from pnhier.errors import DimensionError, SingularTensorError
 from pnhier.fields import schouten_bb
 from pnhier.hierarchy import n_act, recursion_operator
-from pnhier.jets import (Jet2, jcontract, jeye, jinv, jlogabsdet, jmatmul,
-                         jmatpow, jmatvec, jstack, jtrace, jtranspose,
-                         jtruncate)
+from pnhier.jets import (Jet2, check_invertible, jcontract, jeye, jinv,
+                         jlogabsdet, jmatmul, jmatpow, jmatvec, jstack, jtrace,
+                         jtranspose, jtruncate)
 from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260816)
@@ -81,6 +81,71 @@ def test_power_and_reciprocal_against_fd():
     assert np.allclose(j.val, f_np(x), atol=1e-14)
     assert np.allclose(j.grad, central_grad(f_np, x), atol=1e-7)
     assert np.allclose(j.hess, central_hess(f_np, x), atol=1e-4)
+
+
+def test_coordinate_gradients_are_rows_of_one_identity_stack():
+    for order in (1, 2):
+        jets = Jet2.coords(sample_points(B=4, m=5), order=order)
+        base = jets[0].grad.base
+        assert base is not None and base.shape == (4, 5, 5)
+        assert all(j.grad.base is base for j in jets)
+        assert np.array_equal(base, np.broadcast_to(np.eye(5), (4, 5, 5)))
+    assert all(j.grad is None for j in Jet2.coords(sample_points(), order=0))
+
+
+def test_constants_in_a_batch_are_fresh_writable_copies():
+    for value in (2.5, np.arange(6.0).reshape(2, 3), -np.eye(3)):
+        a = Jet2.const(value, 4, batch=5, order=1)
+        b = Jet2.const(value, 4, batch=5, order=1)
+        old = np.broadcast_to(np.asarray(value, float),
+                              (5,) + np.shape(value)).copy()
+        assert a.val.tobytes() == old.tobytes() and a.val.shape == old.shape
+        assert a.val.flags.writeable and a.val.flags.c_contiguous
+        assert not np.shares_memory(a.val, b.val)
+        if isinstance(value, np.ndarray):
+            assert not np.shares_memory(a.val, value)
+        a.val[...] = 7.0
+        assert np.array_equal(b.val, old)
+
+
+def signed_zero_jet(B=3, m=2):
+    """A jet whose value, gradient and Hessian hold +0.0, -0.0 and numbers."""
+    pick = np.array([0.0, -0.0, 1.5, -2.0])
+
+    def draw(*shape):
+        return pick[rng.integers(0, 4, size=shape)]
+
+    return Jet2(draw(B), draw(B, m), draw(B, m, m))
+
+
+def test_difference_is_the_sum_with_a_negation_bit_for_bit():
+    def const(c):
+        return Jet2.const(c, 2, order=2)
+
+    for _ in range(20):
+        a, b = signed_zero_jet(), signed_zero_jet()
+        for got, want in ((a - b, a + (-b)), (a - 0.0, a + (-const(0.0))),
+                          (a - (-0.0), a + (-const(-0.0))),
+                          (1.5 - a, (-a) + 1.5), (0.0 - a, (-a) + 0.0),
+                          (-0.0 - a, (-a) + (-0.0))):
+            for part in ("val", "grad", "hess"):
+                assert (getattr(got, part).tobytes()
+                        == getattr(want, part).tobytes())
+    flat = Jet2(np.ones(3), np.ones((3, 2)))
+    assert (signed_zero_jet() - flat).order == (flat - signed_zero_jet()).order == 1
+
+
+def test_singularity_guard_counts_every_failing_matrix():
+    A = np.tile(np.diag([2.0, 3.0, 0.5]), (7, 1, 1))
+    A[:, 0, 1] = A[:, 1, 0] = 0.25
+    inv = np.linalg.inv(A)
+    check_invertible(A, inv, "benign")          # well conditioned: passes
+    A[1, 2, 2] = np.nan
+    A[3, 0, 0] = np.inf
+    A[5, 2] = A[5, 1] + 1e-14 * A[5, 2]         # rank-deficient to roundoff
+    inv[5] = np.linalg.inv(A[5])
+    with pytest.raises(SingularTensorError, match="at 3 of 7 sample points"):
+        check_invertible(A, inv, "mixed")
 
 
 def test_constant_lifting():
