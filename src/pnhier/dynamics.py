@@ -6,6 +6,10 @@ and evaluates the quantities the flows are supposed to conserve (ladder
 hamiltonians, Lax spectra).  The symmetric eigensolver is written out
 in full -- Householder tridiagonalization followed by QL with implicit
 shifts -- so spectral drift checks do not depend on LAPACK's eigensolver.
+It is the package's one eigensolver and runs batched, over a whole
+trajectory's stack of Lax matrices at once.  A per-matrix version of the
+same arithmetic stays in the tests (tests/eigen_reference.py) as its
+bit-for-bit reference; LAPACK's eigvalsh is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -379,9 +383,10 @@ def _ql_implicit(d, e, budget, tag):
         rows = np.arange(idx.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             # masked-out rows compute values that are never stored
-            g = (D[rows, lo + 1] - D[rows, lo]) / (2.0 * E[rows, lo])
+            dl, el = D[rows, lo], E[rows, lo]
+            g = (D[rows, lo + 1] - dl) / (2.0 * el)
             r = np.hypot(g, 1.0)
-            g = D[rows, hi] - D[rows, lo] + E[rows, lo] / (g + np.where(g >= 0.0, r, -r))
+            g = D[rows, hi] - dl + el / (g + np.where(g >= 0.0, r, -r))
             s, c, p = np.ones(idx.size), np.ones(idx.size), np.zeros(idx.size)
             going = np.ones(idx.size, dtype=bool)
             for i in range(int(hi.max()) - 1, int(lo.min()) - 1, -1):

@@ -147,7 +147,7 @@ def _table_to_matrix(upper, m, ref):
             hess[:, i, j] = v.hess
     for arr, ks in ((val, keys), (grad, jet_keys), (hess, jet_keys)):
         if arr is not None and ks:
-            i, j = zip(*ks)
+            i, j = np.array(ks).T       # index arrays: tuples index slower
             arr[:, j, i] = -arr[:, i, j]
     return Jet2(val, grad, hess, m=m)
 
