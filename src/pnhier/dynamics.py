@@ -342,7 +342,7 @@ def _tridiagonalize(T):
                                   * v[:, None, :])
         if S is not T:
             T[sel] = S
-    return (np.diagonal(T, 0, 1, 2).copy(), np.diagonal(T, 1, 1, 2).copy())
+    return np.diagonal(T, 0, 1, 2).copy(), np.diagonal(T, 1, 1, 2).copy()
 
 
 def _ql_implicit(d, e, budget, tag):
@@ -432,10 +432,10 @@ def lax_eigenvalues(L, tag="lax"):
     if L.ndim not in (2, 3) or L.shape[-1] != L.shape[-2]:
         raise DimensionError(f"{tag}: expected a square matrix or a stack "
                              f"of them, got {L.shape}")
-    stack = L.reshape((-1,) + L.shape[-2:])     # a 2-D input is a batch of one
-    B, k = stack.shape[:2]
-    if B == 0 or k == 0:
-        ev = np.zeros((B, k))
+    stack = L[None] if L.ndim == 2 else L       # a 2-D input is a batch of one
+    k = stack.shape[-1]
+    if stack.size == 0:
+        ev = np.zeros(stack.shape[:2])
     else:
         scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
         asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))

@@ -442,12 +442,15 @@ def check_invertible(val, inv, what="tensor"):
     # the wrappers cost as much as the inversion this guards
     cond = (np.maximum.reduce(np.add.reduce(np.absolute(val), -1), -1)
             * np.maximum.reduce(np.add.reduce(np.absolute(inv), -1), -1))
+    # one reduction on the passing path: multiplying by RCOND_MIN > 0 keeps
+    # the order, and a nan propagates through the maximum
+    if np.maximum.reduce(cond, None, initial=0.0) * RCOND_MIN <= 1.0:
+        return
     ok = cond * RCOND_MIN <= 1.0          # False for inf and nan too
-    if not np.logical_and.reduce(ok, None):
-        raise SingularTensorError(
-            f"{what} is numerically singular at {int(ok.size - ok.sum())} of "
-            f"{ok.size} sample points (reciprocal condition number "
-            f"< {RCOND_MIN:g})")
+    raise SingularTensorError(
+        f"{what} is numerically singular at {int(ok.size - ok.sum())} of "
+        f"{ok.size} sample points (reciprocal condition number "
+        f"< {RCOND_MIN:g})")
 
 
 def _guarded_inv(val, what):

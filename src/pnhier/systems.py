@@ -17,8 +17,8 @@ or plain numbers (constants).  ``_table_to_matrix`` scatters them into
 zero-filled (B, m, m) value, gradient and Hessian arrays, each entry above
 the diagonal and its negation below, so every pi0/pi1 evaluation is a
 handful of slice writes, not an m x m nested list of scalar jets stacked
-row by row.  The constant
-canonical Pi_0 is built once per system, when the chart is made.
+row by row.  The constant canonical Pi_0 is built once per system, when the
+chart is made.
 
 Five models are registered:
 
@@ -127,27 +127,34 @@ def _table_to_matrix(upper, m, ref):
     val = np.zeros(shape)
     grad = np.zeros(shape + (m,)) if order >= 1 else None
     hess = np.zeros(shape + (m, m)) if order >= 2 else None
-    keys, jet_keys = [], []
+    jet_rows, jet_cols, const_rows, const_cols = [], [], [], []
     for (i, j), v in upper.items():
         if not 0 <= i < j < m:
             raise DimensionError(f"bivector table key ({i}, {j}) is not "
                                  f"strictly upper triangular in {m} x {m}")
-        keys.append((i, j))
         if not isinstance(v, Jet2):
             val[:, i, j] = float(v)
+            const_rows.append(i)
+            const_cols.append(j)
             continue
         if v.order < order:
             raise DimensionError(f"bivector table entry ({i}, {j}) has jet "
                                  f"order {v.order}, below {order}")
-        jet_keys.append((i, j))
+        jet_rows.append(i)
+        jet_cols.append(j)
         val[:, i, j] = v.val
         if grad is not None:
             grad[:, i, j] = v.grad
         if hess is not None:
             hess[:, i, j] = v.hess
-    for arr, ks in ((val, keys), (grad, jet_keys), (hess, jet_keys)):
-        if arr is not None and ks:
-            i, j = np.array(ks).T       # index arrays: tuples index slower
+    # jet entries first, so the derivative arrays index a prefix; index
+    # arrays, not tuples, which numpy converts more slowly
+    rows, cols = np.array([jet_rows + const_rows, jet_cols + const_cols],
+                          dtype=np.intp)
+    for arr, k in ((val, rows.size), (grad, len(jet_rows)),
+                   (hess, len(jet_rows))):
+        if arr is not None and k:
+            i, j = rows[:k], cols[:k]
             arr[:, j, i] = -arr[:, i, j]
     return Jet2(val, grad, hess, m=m)
 
