@@ -434,16 +434,15 @@ def lax_eigenvalues(L, tag="lax"):
                              f"of them, got {L.shape}")
     stack = L[None] if L.ndim == 2 else L       # a 2-D input is a batch of one
     k = stack.shape[-1]
-    if stack.size == 0:
-        ev = np.zeros(stack.shape[:2])
+    # initial=0.0: a 0 x 0 matrix has no entries to take the maximum of
+    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2), initial=0.0), 1.0)
+    asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2),
+                  initial=0.0)
+    if np.any(asym > 1e-10 * scale):
+        raise DomainError(f"{tag}: matrix is not symmetric")
+    if k == 1:
+        ev = stack[:, 0, :1].copy()
     else:
-        scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
-        asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
-        if np.any(asym > 1e-10 * scale):
-            raise DomainError(f"{tag}: matrix is not symmetric")
-        if k == 1:
-            ev = stack[:, 0, :1].copy()
-        else:
-            d, e = _tridiagonalize(stack.copy())
-            ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
+        d, e = _tridiagonalize(stack.copy())
+        ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
     return ev[0] if L.ndim == 2 else ev

@@ -427,17 +427,23 @@ def test_batched_eigensolver_on_lax_stacks_along_a_flow(key):
 
 def test_batched_ql_takes_the_underflow_branch_like_the_reference():
     # tridiagonal rows found by search to reach r == 0 mid-sweep in the
-    # reference QL, beside one ordinary row
+    # reference QL (the last three with p != 0 there), beside one ordinary row
     d = np.array([[-2e-310, -1e-310, -1e-310, -2e-310, 0.0],
                   [0.0, 1e-320, 0.0, -2e-320, 0.0],
                   [0.0, -1e-310, 2e-310, 1e-310, -1e-310],
                   [-1e-310, -2e-310, -1e-310, 0.0, -2e-310],
-                  [1.0, 2.0, 3.0, 4.0, 5.0]])
+                  [1.0, 2.0, 3.0, 4.0, 5.0],
+                  [0.0, 0.0, 2e-300, -2e-100, 2e-300],
+                  [1e-250, -1e-300, 0.0, -2e-300, 1e-100],
+                  [2.0, 0.0, -2e-300, 1e-200, 2e-100]])
     e = np.array([[-2e-310, -1e-160, 1e-320, 1.0],
                   [2e-160, -1e-160, -1e-320, 1.0],
                   [2e-320, 1e-160, -2e-160, 0.0],
                   [-1e-320, -2e-320, 2e-160, 2e-320],
-                  [0.5, 0.25, 0.125, 1.0]])
+                  [0.5, 0.25, 0.125, 1.0],
+                  [-2e-320, -1e-100, 1.0, -1e-200],
+                  [0.0, -1e-250, 2e-100, 2.0],
+                  [-2e-300, 2e-250, -1e-100, 1.0]])
     want = np.array([reference_ql(di, ei, 150, "ref") for di, ei in zip(d, e)])
     assert np.array_equal(_ql_implicit(d, e, 150, "test"), want)
 
@@ -445,6 +451,7 @@ def test_batched_ql_takes_the_underflow_branch_like_the_reference():
 def test_empty_lax_batch_has_no_eigenvalues():
     ev = lax_eigenvalues(np.zeros((0, 3, 3)))
     assert ev.shape == (0, 3)
+    assert lax_eigenvalues(np.zeros((2, 0, 0))).shape == (2, 0)
     with pytest.raises(DimensionError):
         lax_eigenvalues(np.zeros((0, 3, 2)))
 

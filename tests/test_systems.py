@@ -111,6 +111,18 @@ def test_bivector_table_entries_carry_the_matrix_order():
     assert np.array_equal(P.val[:, 0, 3], -P.val[:, 3, 0])
 
 
+def test_bivector_table_constants_are_entries_without_derivatives():
+    ref = Jet2.coords(np.ones((2, 4)))[0]
+    P = systems._table_to_matrix({(0, 3): ref, (1, 2): 2.5}, 4, ref)
+    assert np.array_equal(P.val[:, 1, 2], [2.5, 2.5])
+    assert np.array_equal(P.val[:, 2, 1], [-2.5, -2.5])
+    for part in (P.grad, P.hess):
+        # +0.0 in both triangles, as a lifted constant's derivatives are
+        assert not np.signbit(part[:, [1, 2], [2, 1]]).any()
+        assert not part[:, [1, 2], [2, 1]].any()
+        assert np.array_equal(part[:, 3, 0], -part[:, 0, 3])
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_probe_point_is_in_domain(key):
     sys = make_system(key, 2)
