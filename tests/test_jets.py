@@ -132,7 +132,8 @@ def test_difference_is_the_sum_with_a_negation_bit_for_bit():
                 assert (getattr(got, part).tobytes()
                         == getattr(want, part).tobytes())
     flat = Jet2(np.ones(3), np.ones((3, 2)))
-    assert (signed_zero_jet() - flat).order == (flat - signed_zero_jet()).order == 1
+    assert (signed_zero_jet() - flat).order == 1
+    assert (flat - signed_zero_jet()).order == 1
 
 
 def test_singularity_guard_counts_every_failing_matrix():
