@@ -1,11 +1,15 @@
 """Flow integration with conservation monitoring and an in-repo eigensolver.
 
 Hierarchy flows are ordinary ODEs in the chart; this module integrates them
-with fixed-step RK4 or adaptive RKF45, guards the chart domain along the way,
-and evaluates the quantities the flows are supposed to conserve (ladder
-hamiltonians, Lax spectra).  The symmetric eigensolver is written out
-in full -- Householder tridiagonalization followed by QL with implicit
-shifts -- so spectral drift checks do not depend on LAPACK's eigensolver.
+with fixed-step RK4 or adaptive RKF45, guards the chart domain along the way
+(a run that leaves it, or whose right-hand side turns singular, is truncated
+at its last good step), and evaluates the quantities the flows are supposed
+to conserve (ladder hamiltonians, Lax spectra).  A flow's right-hand side
+keeps what does not change between its stages: the coordinate jets, built
+once, and the inverse of Pi0 while Pi0 is unchanged.  The symmetric
+eigensolver is written out in full -- Householder tridiagonalization
+followed by QL with implicit shifts -- so spectral drift checks do not
+depend on LAPACK's eigensolver.
 It is the package's one eigensolver and runs batched, over a whole
 trajectory's stack of Lax matrices at once.  A per-matrix version of the
 same arithmetic stays in the tests (tests/eigen_reference.py) as its
@@ -19,7 +23,8 @@ import numbers
 import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
-                     ExclusionBreach, RangeError, StepUnderflow)
+                     ExclusionBreach, RangeError, SingularTensorError,
+                     StepUnderflow)
 from .fields import hamiltonian_vf
 from .hierarchy import LADDER_CAP, Hierarchy, recursion_operator
 from .jets import Jet2, _einsum, _guarded_inv
@@ -51,8 +56,9 @@ class Trajectory:
     (the run stopped at the last recorded time).  ``rhs_evals`` counts
     right-hand-side evaluations, ``accepted`` the steps the run advanced by
     and ``rejected`` the steps error control refused; a step that left the
-    chart domain is neither, though its evaluations count.  ``dt_min`` and
-    ``dt_max`` bound the accepted steps (nan when there are none).
+    chart domain or hit a singular stage is neither, though its evaluations
+    count (up to the raising one).  ``dt_min`` and ``dt_max`` bound the
+    accepted steps (nan when there are none).
     """
 
     def __init__(self, times, states, truncated=None, rhs_evals=0,
@@ -81,15 +87,36 @@ def _start_state(rhs, x0, t_end, guard):
     return x0
 
 
+def _counted(rhs):
+    """rhs and a one-element list that counts its calls, raising ones too."""
+    evals = [0]
+
+    def counted(t, x):
+        evals[0] += 1
+        return rhs(t, x)
+    return counted, evals
+
+
+def _singular_stage(exc, evals, t):
+    """The truncation reason for a SingularTensorError raised by an RK stage
+    of the step to t; re-raised when it came from the first evaluation, at
+    the start point itself."""
+    if evals[0] == 1:
+        raise exc
+    return f"singular right-hand side in the step to t = {t:.6g}: {exc}"
+
+
 def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     """Classical fixed-step RK4 from t=0 to t_end.
 
     Records every ``record_every``-th step (plus the final one).  If the
-    trajectory leaves the guarded domain it is truncated at the last good
-    step and flagged, not errored.  More than MAX_STEPS steps is a
-    RangeError, raised before the first step.
+    trajectory leaves the guarded domain, or a stage raises
+    SingularTensorError, it is truncated at the last good step and flagged,
+    not errored; only a singular start point raises.  More than MAX_STEPS
+    steps is a RangeError, raised before the first step.
     """
     x = _start_state(rhs, x0, t_end, guard)
+    rhs, evals = _counted(rhs)
     if not 0.0 < dt < np.inf:
         raise RangeError(f"dt must be finite and > 0, got {dt}")
     record_every = max(1, int(record_every))
@@ -104,10 +131,14 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     accepted, lo, hi = 0, np.nan, np.nan    # fmin/fmax skip the nan
     for k in range(steps):
         h = min(dt, t_end - t)
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(t + h, x + h * k3)
+        try:
+            k1 = rhs(t, x)
+            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = rhs(t + h, x + h * k3)
+        except SingularTensorError as exc:
+            truncated = _singular_stage(exc, evals, t + h)
+            break
         x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if guard is not None and not np.all(guard(x_new[None, :])):
             truncated = f"left the chart domain at t = {t + h:.6g}"
@@ -117,8 +148,10 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
         if (k + 1) % record_every == 0 or k == steps - 1:
             times.append(t)
             states.append(x)
-    attempts = accepted + (truncated is not None)
-    return Trajectory(times, states, truncated, rhs_evals=4 * attempts,
+    if times[-1] != t:      # a truncated run ends on its last good step
+        times.append(t)
+        states.append(x)
+    return Trajectory(times, states, truncated, rhs_evals=evals[0],
                       accepted=accepted, dt_min=lo, dt_max=hi)
 
 
@@ -128,9 +161,12 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
 
     Propagates the 4th-order solution; the embedded 5th-order solution gives
     the local error, compared against atol + rtol*|x| per component.  Raises
-    StepUnderflow when step control pushes dt below 1e-12.
+    StepUnderflow when step control pushes dt below 1e-12.  Leaving the
+    guarded domain or a SingularTensorError in a stage truncates the run as
+    in ``rk4``.
     """
     x = _start_state(rhs, x0, t_end, guard)
+    rhs, evals = _counted(rhs)
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 < tol <= 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")
@@ -142,14 +178,17 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
-    accepted, rejected, attempts, lo, hi = 0, 0, 0, np.nan, np.nan
+    accepted, rejected, lo, hi = 0, 0, np.nan, np.nan
     while t < t_end * (1.0 - 1e-14):
-        attempts += 1
         h = min(dt, t_end - t)
-        ks = [rhs(t, x)]
-        for s in range(1, 6):
-            xs = x + h * sum(aa * kk for aa, kk in zip(a[s], ks))
-            ks.append(rhs(t + c[s] * h, xs))
+        try:
+            ks = [rhs(t, x)]
+            for s in range(1, 6):
+                xs = x + h * sum(aa * kk for aa, kk in zip(a[s], ks))
+                ks.append(rhs(t + c[s] * h, xs))
+        except SingularTensorError as exc:
+            truncated = _singular_stage(exc, evals, t + h)
+            break
         x4 = x + h * sum(bb * kk for bb, kk in zip(b4, ks))
         x5 = x + h * sum(bb * kk for bb, kk in zip(b5, ks))
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x4))
@@ -175,7 +214,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     if times[-1] != t:
         times.append(t)
         states.append(x)
-    return Trajectory(times, states, truncated, rhs_evals=6 * attempts,
+    return Trajectory(times, states, truncated, rhs_evals=evals[0],
                       accepted=accepted, rejected=rejected, dt_min=lo, dt_max=hi)
 
 
@@ -192,15 +231,18 @@ def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
 
 # ---- right-hand sides --------------------------------------------------------
 
-def _stage_jets(system, x, order):
-    """Coordinate jets for one stage point, shape-checked but not domain-
-    checked: RK stages may probe slightly outside the open region, and the
-    integrators' guard is what enforces the domain along the flow."""
+def _stage_point(system, x):
+    """A stage point as a flat array of the chart's m coordinates.
+
+    Shape-checked but not domain-checked: RK stages may probe slightly
+    outside the open region, and the integrators' guard is what enforces the
+    domain along the flow.
+    """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != system.m:
         raise DimensionError(f"{system.key}(n={system.n}) expects {system.m} "
                              f"coordinates, got {x.size}")
-    return Jet2.coords(x[None, :], order=order)
+    return x
 
 
 def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
@@ -217,6 +259,21 @@ def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
     ``_ladder_differential``) that builds no jet: it reads only the values
     and gradients of the pair.  The jet route
     ``hamiltonian_vf(P, hierarchy_hamiltonian(N, k))`` is its test oracle.
+
+    The rhs keeps state between calls, so it is not reentrant:
+
+    * one (1, m) point buffer and its m order-1 coordinate jets, built once
+      here.  A stage shape-checks its point (DimensionError) and writes it
+      into the buffer; the coordinate values are views of the buffer and
+      their gradients rows of one identity stack, shared by every stage.
+      Nothing downstream writes into an operand (a closed-form ``h`` must
+      not either) and every result is a fresh array, so a returned field
+      never aliases the buffer.
+    * the last Pi0 value it inverted, as bytes, and its guarded inverse.  A
+      stage whose Pi0 has the same bytes reuses the inverse; any other
+      inverts and guards afresh, and a failed guard stores nothing.  A
+      constant Pi0 (harmonic, calogero, an_toda) is thus inverted once per
+      rhs; a varying one at every stage.
     """
     if (index is None) == (h is None):
         raise RangeError("pass exactly one of index=, h=")
@@ -224,16 +281,22 @@ def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
         raise RangeError(f"bivector must be pi0 or pi1, got '{bivector}'")
     if index is not None:
         index = _flow_index(index)
+    point = np.zeros((1, system.m))
+    jets = Jet2.coords(point, order=1)
+    inverted = [None, None]      # bytes of the last Pi0 inverted, its inverse
 
     def rhs(t, x):
-        jets = _stage_jets(system, x, order=1)
+        point[0] = _stage_point(system, x)
         if h is not None:
             P = system.pi0(jets) if bivector == "pi0" else system.pi1(jets)
             return hamiltonian_vf(P, h(jets)).val[0]
         # each bivector once per stage: the driving leg is one of the pair
         P0, P1 = system.pi0(jets), system.pi1(jets)
         P = P0 if bivector == "pi0" else P1
-        dh = _ladder_differential(P0, P1, index)
+        key = P0.val.tobytes()
+        if key != inverted[0]:
+            inverted[:] = key, _guarded_inv(P0.val, "pi0")
+        dh = _ladder_differential(inverted[1], P0, P1, index)
         return _einsum("...ji,...j->...i", P.val, dh)[0]     # P# dh
 
     return rhs
@@ -250,7 +313,7 @@ def _flow_index(index):
     return k
 
 
-def _ladder_differential(P0, P1, k):
+def _ladder_differential(Q, P0, P1, k):
     """dh_k from the values and gradients of the pair, on plain arrays.
 
     For every integer k, h_k = tr(N^k)/2k (h_0 = log|det N|/2) has
@@ -259,11 +322,11 @@ def _ladder_differential(P0, P1, k):
 
         dh_k,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(k-1),
 
-    so no dN tensor is formed.  For k <= 0, N^-1 comes from the guarded
-    inverse, so a singular N raises SingularTensorError as on the jet route.
-    Gradients are read in their stored (B, i, j, a) layout.
+    so no dN tensor is formed.  Q is the caller's guarded inverse of P0.val.
+    For k <= 0, N^-1 comes from the guarded inverse, so a singular N raises
+    SingularTensorError as on the jet route.  Gradients are read in their
+    stored (B, i, j, a) layout.
     """
-    Q = _guarded_inv(P0.val, "pi0")
     N = np.matmul(P1.val, Q)
     base = N if k >= 1 else _guarded_inv(N, "recursion operator")
     R = Q
@@ -423,8 +486,9 @@ def lax_eigenvalues(L, tag="lax"):
     followed by implicit-shift QL, run over the whole stack at once and
     budgeted at 30*k iterations per matrix (ConvergenceError beyond).  A 2-D
     input is a batch of one and gives a (k,) result; an empty stack gives a
-    (0, k) one.  Input must be square (DimensionError) and each matrix
-    symmetric to roundoff at its own scale max(|L|, 1) (DomainError).  The
+    (0, k) one.  Input must be square (DimensionError), finite, and each
+    matrix symmetric to roundoff at its own scale max(|L|, 1) (DomainError
+    otherwise).  The
     per-matrix reference in tests/eigen_reference.py must agree bit for bit,
     and LAPACK's eigvalsh is the independent cross-check.
     """
@@ -434,6 +498,9 @@ def lax_eigenvalues(L, tag="lax"):
                              f"of them, got {L.shape}")
     stack = L[None] if L.ndim == 2 else L       # a 2-D input is a batch of one
     k = stack.shape[-1]
+    # before the symmetry test, which a nan passes (nan > tol is false)
+    if not np.isfinite(stack).all():
+        raise DomainError(f"{tag}: matrix has non-finite entries")
     # initial=0.0: a 0 x 0 matrix has no entries to take the maximum of
     scale = np.maximum(np.max(np.abs(stack), axis=(1, 2), initial=0.0), 1.0)
     asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2),

@@ -257,3 +257,18 @@ def test_integrate_rkf45_and_stderr_note(capsys):
                       r"(\d+) rejected, dt in \[\S+, \S+\]\n$", err)
     evals, accepted, rejected = map(int, stats.groups())
     assert evals == 6 * (accepted + rejected) and accepted > 0
+
+
+def test_integrate_truncates_at_a_singular_stage(capsys):
+    # cn-toda n=2 with the defaults (flow 2, t-end 10) reaches the singular
+    # set of the linear bracket near t = 0.465: the run ends on its last
+    # good step instead of losing the whole trajectory
+    code, out, err = run(capsys, "integrate", "--system", "cn-toda", "--n", "2")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("t,a1,a2,b1,b2,h_0")
+    assert len(lines) == 1 + 465
+    assert float(lines[-1].split(",")[0]) == pytest.approx(0.464)
+    assert ("trajectory truncated: singular right-hand side in the step to "
+            "t = 0.465: pi0 is numerically singular") in err
+    assert "\n1860 rhs evaluations, 464 steps accepted, 0 rejected" in err

@@ -141,6 +141,61 @@ def test_guard_truncates_and_rejects_bad_start():
     assert traj.truncated is not None
 
 
+def singular_beyond(t_stop):
+    """A rotation whose right-hand side turns singular at times > t_stop,
+    and the list of times it was called at (the raising calls included)."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        if t > t_stop:
+            raise SingularTensorError("pi0 is numerically singular at 1 of 1 "
+                                      "sample points")
+        return rotation(t, x)
+    return rhs, calls
+
+
+def test_a_singular_stage_truncates_an_rk4_run():
+    rhs, calls = singular_beyond(0.0425)
+    traj = rk4(rhs, [1.0, 0.0], t_end=1.0, dt=1e-2)
+    # the step from 0.04 raises at its second stage, t = 0.045
+    assert traj.accepted == 4 and len(traj) == 5
+    assert traj.times[-1] == pytest.approx(0.04)
+    assert traj.rhs_evals == len(calls) == 4 * 4 + 2
+    assert traj.truncated == ("singular right-hand side in the step to "
+                              "t = 0.05: pi0 is numerically singular at 1 "
+                              "of 1 sample points")
+    want = integrate(rotation, [1.0, 0.0], t_end=0.04, dt=1e-2)
+    assert np.array_equal(traj.states, want.states)
+    # recorded every third step, the last good step is still the last record
+    rhs, calls = singular_beyond(0.0425)
+    assert rk4(rhs, [1.0, 0.0], t_end=1.0, dt=1e-2,
+               record_every=3).times[-1] == pytest.approx(0.04)
+
+
+def test_a_singular_stage_truncates_an_rkf45_run():
+    rhs, calls = singular_beyond(0.3)
+    traj = rkf45(rhs, [1.0, 0.0], t_end=1.0, dt_init=0.05, record_every=4)
+    assert traj.truncated.startswith("singular right-hand side in the step "
+                                     "to t = ")
+    assert traj.truncated.endswith(": pi0 is numerically singular at 1 of 1 "
+                                   "sample points")
+    assert traj.rhs_evals == len(calls)
+    # the failed step's evaluations count, up to the raising one
+    assert 6 * (traj.accepted + traj.rejected) < traj.rhs_evals
+    assert traj.times[-1] <= 0.3 and traj.times[-1] == traj.times.max()
+    assert np.allclose(traj.states[-1], [np.cos(traj.times[-1]),
+                                         -np.sin(traj.times[-1])], atol=1e-8)
+
+
+@pytest.mark.parametrize("method", ("rk4", "rkf45"))
+def test_a_singular_start_point_still_raises(method):
+    rhs, calls = singular_beyond(-1.0)
+    with pytest.raises(SingularTensorError, match="pi0"):
+        integrate(rhs, [1.0, 0.0], t_end=1.0, method=method)
+    assert calls == [0.0]
+
+
 def test_non_finite_rhs_underflows_the_step():
     def bad(t, x):
         return np.full_like(x, np.nan)
@@ -239,17 +294,17 @@ def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
     assert_matches_oracle(got, jet_oracle(sys, x, 2, leg))
 
 
-# Jet2 constructions in one index-2 stage at n=3: six coordinates, the
-# pair's tables and their entries.  A change that makes a stage build more
-# jets must say so here.
-STAGE_JETS = {"harmonic": 26, "calogero": 8, "toda_moser": 11, "cn_toda": 63,
-              "an_toda": 15}
+# Jet2 constructions of an index-2 flow at n=3: the six coordinate jets,
+# built once with the rhs, and per stage the pair's tables and their
+# entries.  A change that makes a flow build more jets must say so here.
+RHS_JETS = 6
+STAGE_JETS = {"harmonic": 20, "calogero": 2, "toda_moser": 5, "cn_toda": 57,
+              "an_toda": 9}
 
 
 @pytest.mark.parametrize("key", sorted(STAGE_JETS))
 def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
     sys = make_system(key, 3)
-    rhs = hamiltonian_flow_rhs(sys, index=2)
     x = sys.sample(samples=1, seed=19)[0]
     built = []
     init = Jet2.__init__
@@ -259,8 +314,88 @@ def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Jet2, "__init__", counted)
+    rhs = hamiltonian_flow_rhs(sys, index=2)
+    assert len(built) == RHS_JETS
     rhs(0.0, x)
+    built.clear()
+    rhs(0.0, x)             # the second stage: what every stage pays
     assert len(built) == STAGE_JETS[key]
+
+
+# np.linalg.inv calls over ten index-2 stages: a constant Pi0 is inverted
+# once per rhs, a varying one (and N, for k <= 0) at every stage.
+TEN_STAGE_INVS = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
+                  "cn_toda": 10, "an_toda": 1}
+
+
+@pytest.mark.parametrize("key", sorted(TEN_STAGE_INVS))
+def test_an_index_flow_inverts_a_pinned_number_of_times(key, monkeypatch):
+    sys = make_system(key, 3)
+    xs = sys.sample(samples=10, seed=19)
+    rhs = hamiltonian_flow_rhs(sys, index=2)
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for x in xs:
+        rhs(0.0, x)
+    assert len(calls) == TEN_STAGE_INVS[key]
+
+
+def integrate_both_ways(sys, x0, index, leg, steps=200, dt=1e-3):
+    """rk4 states from one rhs for the whole run, and from a fresh rhs for
+    every call."""
+    def fresh(t, x):
+        return hamiltonian_flow_rhs(sys, index=index, bivector=leg)(t, x)
+
+    one = hamiltonian_flow_rhs(sys, index=index, bivector=leg)
+    return [rk4(f, x0, t_end=steps * dt, dt=dt).states for f in (one, fresh)]
+
+
+@pytest.mark.parametrize("key", ("harmonic", "calogero", "toda_moser",
+                                 "cn_toda", "an_toda"))
+def test_reused_stage_state_is_bit_identical_to_a_fresh_rhs(key):
+    sys = make_system(key, 2)
+    x0 = sys.sample(samples=1, seed=29)[0]
+    for index in (2, -1):
+        for leg in ("pi0", "pi1"):
+            kept, fresh = integrate_both_ways(sys, x0, index, leg)
+            assert kept.shape == (201, sys.m)
+            assert np.array_equal(kept, fresh), (index, leg)
+
+
+def test_a_returned_field_does_not_alias_the_rhs_state():
+    sys = make_system("an_toda", 2)
+    x, y = sys.sample(samples=2, seed=31)
+    for kw in ({"index": 2}, {"h": sys.extras["h_closed"][1]}):
+        rhs = hamiltonian_flow_rhs(sys, **kw)
+        first = rhs(0.0, x)
+        want = first.copy()
+        first[:] = np.nan           # a caller may write into what it got
+        assert np.array_equal(rhs(0.0, x), want)
+        # a later stage does not write into an earlier result either
+        fresh = hamiltonian_flow_rhs(sys, **kw)(0.0, y)
+        assert np.array_equal(rhs(0.0, y), fresh)
+        assert np.all(np.isnan(first))
+        # the rhs does not keep the caller's point either
+        z = x.copy()
+        got = rhs(0.0, z)
+        z[:] = y
+        assert np.array_equal(got, want)
+
+
+def test_a_wrong_size_point_leaves_the_rhs_usable():
+    sys = make_system("an_toda", 2)
+    x = sys.sample(samples=1, seed=37)[0]
+    rhs = hamiltonian_flow_rhs(sys, index=2)
+    want = rhs(0.0, x)
+    with pytest.raises(DimensionError, match="expects 4 coordinates, got 3"):
+        rhs(0.0, x[:3])
+    assert np.array_equal(rhs(0.0, x), want)
 
 
 @pytest.mark.parametrize("key", ("harmonic", "calogero", "toda_moser",
@@ -289,8 +424,10 @@ def test_order_one_tail_keeps_the_singularity_guards():
 
     sys.pi0 = rank_one(pi0)
     for index in (-1, 0, 2):
-        with pytest.raises(SingularTensorError, match="pi0"):
-            hamiltonian_flow_rhs(sys, index=index)(0.0, x)
+        rhs = hamiltonian_flow_rhs(sys, index=index)
+        for _ in range(2):      # a failed guard stores no inverse to reuse
+            with pytest.raises(SingularTensorError, match="pi0"):
+                rhs(0.0, x)
     # a singular pi1 makes N singular: only the indices that invert N notice
     sys.pi0, sys.pi1 = pi0, rank_one(pi1)
     for index in (-1, 0):
@@ -455,6 +592,18 @@ def test_empty_lax_batch_has_no_eigenvalues():
     assert lax_eigenvalues(np.zeros((2, 0, 0))).shape == (2, 0)
     with pytest.raises(DimensionError):
         lax_eigenvalues(np.zeros((0, 3, 2)))
+
+
+def test_eigensolver_refuses_non_finite_matrices():
+    nan_stack = np.stack([np.eye(3)] * 4)
+    nan_stack[2, 0, 1] = np.nan
+    inf_stack = np.stack([np.eye(3)] * 4)
+    inf_stack[1, 2, 2] = np.inf
+    nan_matrix = np.eye(3)
+    nan_matrix[1, 1] = np.nan
+    for L in (nan_stack, inf_stack, nan_matrix):
+        with pytest.raises(DomainError, match="non-finite entries"):
+            lax_eigenvalues(L, tag="an_toda Lax")
 
 
 def test_eigensolver_guards_apply_per_matrix():
