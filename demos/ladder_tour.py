@@ -15,7 +15,7 @@ from pnhier.fields import hamiltonian_vf
 from pnhier.hierarchy import (Hierarchy, involution_defect,
                               recursion_operator, spectral_pairing)
 from pnhier.master import coeff_h, conformal_defects, evaluate
-from pnhier.modular import modular_pair_defect_field, modular_vf, \
+from pnhier.modular import koszul_d, modular_pair_defect_field, \
     pn_modular_field
 from pnhier.report import probe_point
 from pnhier.systems import make_system
@@ -59,7 +59,7 @@ print(f"  hamiltonian route      {np.round(ham.val[0], 12)}")
 
 print("\nweighted volumes shift each member but not the pair route:")
 lg = jets[0]  # log-density = first coordinate
-x0w = modular_vf(P0, lg)
+x0w = koszul_d(P0, lg)
 print(f"  X^0 in the weighted volume   {np.round(x0w.val[0], 12)}")
 print(f"  pair route, weighted volume  "
       f"{np.round(modular_pair_defect_field(P0, P1, N, lg).val[0], 12)}")

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      ExclusionBreach, RangeError, SingularTensorError,
                      StepUnderflow)
-from .fields import hamiltonian_vf
 from .hierarchy import LADDER_CAP, Hierarchy, recursion_operator
 from .jets import Jet2, _einsum, _guarded_inv
 
@@ -87,6 +86,11 @@ def _start_state(rhs, x0, t_end, guard):
     return x0
 
 
+def _check_dt(dt):
+    if not 0.0 < dt < np.inf:        # also refuses nan
+        raise RangeError(f"dt must be finite and > 0, got {dt}")
+
+
 def _counted(rhs):
     """rhs and a one-element list that counts its calls, raising ones too."""
     evals = [0]
@@ -117,8 +121,7 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
-    if not 0.0 < dt < np.inf:
-        raise RangeError(f"dt must be finite and > 0, got {dt}")
+    _check_dt(dt)
     record_every = max(1, int(record_every))
     ratio = t_end / dt               # inf when it overflows
     if not ratio <= MAX_STEPS:
@@ -220,10 +223,15 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
 
 def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
               record_every=1, guard=None):
-    """Dispatch to rk4 (fixed dt) or rkf45 (adaptive, atol/rtol)."""
+    """Dispatch to rk4 (fixed dt) or rkf45 (adaptive, atol/rtol).
+
+    dt must be finite and > 0 under either method, though rkf45 picks its
+    own steps.
+    """
     if method == "rk4":
         return rk4(rhs, x0, t_end, dt, record_every=record_every, guard=guard)
     if method == "rkf45":
+        _check_dt(dt)
         return rkf45(rhs, x0, t_end, atol=atol, rtol=rtol,
                      record_every=record_every, guard=guard)
     raise RangeError(f"unknown method '{method}' (rk4 or rkf45)")
@@ -245,20 +253,18 @@ def _stage_point(system, x):
     return x
 
 
-def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
-    """rhs(t, x) for the hamiltonian flow of a ladder invariant.
+def hamiltonian_flow_rhs(system, index):
+    """rhs(t, x) for the pi0-hamiltonian flow of the ladder invariant h_k.
 
-    Exactly one of ``index`` (ladder index k, an integer with |k| <= 12, the
-    ladder cap of ``check_depths``) and ``h`` (a closed-form callable
-    jets -> Jet2) must be given; ``bivector`` picks which leg of the pair
-    drives the flow.  A bad index is a RangeError here, before any stage.
+    ``index`` is the ladder index k, an integer with |k| <= 12 (the ladder
+    cap of ``check_depths``); a bad index is a RangeError here, before any
+    stage.  The pi1 flow of h_k is the pi0 flow of h_(k+1) (Lenard).
 
-    Each stage evaluates pi0 and pi1 once, on order-1 coordinate jets.  For
-    ``h`` the field is ``hamiltonian_vf(P, h(jets))``, on jets.  For
-    ``index`` the rest is an order-1 tail on plain arrays (see
-    ``_ladder_differential``) that builds no jet: it reads only the values
-    and gradients of the pair.  The jet route
-    ``hamiltonian_vf(P, hierarchy_hamiltonian(N, k))`` is its test oracle.
+    Each stage evaluates pi0 and pi1 once, on order-1 coordinate jets; the
+    rest is an order-1 tail on plain arrays (see ``_ladder_differential``)
+    that builds no jet: it reads only the values and gradients of the pair.
+    The jet route ``hamiltonian_vf(pi0, h_k)``, with h_k built from N, is its
+    test oracle.
 
     The rhs keeps state between calls, so it is not reentrant:
 
@@ -266,38 +272,27 @@ def hamiltonian_flow_rhs(system, index=None, h=None, bivector="pi0"):
       here.  A stage shape-checks its point (DimensionError) and writes it
       into the buffer; the coordinate values are views of the buffer and
       their gradients rows of one identity stack, shared by every stage.
-      Nothing downstream writes into an operand (a closed-form ``h`` must
-      not either) and every result is a fresh array, so a returned field
-      never aliases the buffer.
+      Nothing downstream writes into an operand and every result is a fresh
+      array, so a returned field never aliases the buffer.
     * the last Pi0 value it inverted, as bytes, and its guarded inverse.  A
       stage whose Pi0 has the same bytes reuses the inverse; any other
       inverts and guards afresh, and a failed guard stores nothing.  A
       constant Pi0 (harmonic, calogero, an_toda) is thus inverted once per
       rhs; a varying one at every stage.
     """
-    if (index is None) == (h is None):
-        raise RangeError("pass exactly one of index=, h=")
-    if bivector not in ("pi0", "pi1"):
-        raise RangeError(f"bivector must be pi0 or pi1, got '{bivector}'")
-    if index is not None:
-        index = _flow_index(index)
+    index = _flow_index(index)
     point = np.zeros((1, system.m))
     jets = Jet2.coords(point, order=1)
     inverted = [None, None]      # bytes of the last Pi0 inverted, its inverse
 
     def rhs(t, x):
         point[0] = _stage_point(system, x)
-        if h is not None:
-            P = system.pi0(jets) if bivector == "pi0" else system.pi1(jets)
-            return hamiltonian_vf(P, h(jets)).val[0]
-        # each bivector once per stage: the driving leg is one of the pair
         P0, P1 = system.pi0(jets), system.pi1(jets)
-        P = P0 if bivector == "pi0" else P1
         key = P0.val.tobytes()
         if key != inverted[0]:
             inverted[:] = key, _guarded_inv(P0.val, "pi0")
         dh = _ladder_differential(inverted[1], P0, P1, index)
-        return _einsum("...ji,...j->...i", P.val, dh)[0]     # P# dh
+        return _einsum("...ji,...j->...i", P0.val, dh)[0]     # P0# dh
 
     return rhs
 

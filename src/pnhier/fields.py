@@ -10,9 +10,8 @@ its index contraction and its operands, and the product rule that yields the
 gradient and Hessian lives in jets alone.  A derivative enters as
 ``differential(A)`` (D A, the derivative of A as a jet of one order less),
 so an operation that consumes a derivative (brackets, Lie derivatives,
-divergence, torsion) returns a jet of one order less than the operand it
-differentiates; purely algebraic operations (sharp, wedge, n_act) preserve
-the order.  Terms are summed in the order they are listed, which fixes the
+torsion) returns a jet of one order less than the operand it differentiates;
+purely algebraic operations (sharp, wedge, n_act) preserve the order.  Terms are summed in the order they are listed, which fixes the
 bits of every result.  Identities are therefore checked by evaluating both
 sides on order-2 coordinate jets and comparing values, with one level of
 bracket nesting still differentiable.  The structure defects read values
@@ -25,11 +24,10 @@ Sign conventions (fixed here once, tested in test_fields.py):
   [P, f]^i = sum_j P^{ij} d_j f,   [f, P] = [P, f]
   [X, P]  = L_X P,                 [P, X] = -[X, P]
   [P, Q]  bivector-bivector bracket, symmetric, overall sign SCHOUTEN_BB_SIGN
-  [X, T]  = L_X T (trivector),     [T, f]^{ij} = SCHOUTEN_TF_SIGN sum_l T^{ijl} d_l f
 
-The two literal signs are pinned by the graded Leibniz rule
-[P, X^Y] = [P,X]^Y - X^[P,Y] and by the graded Jacobi identity on (P, Q, f);
-the tests verify both on random polynomial fields.
+The literal sign is pinned by the graded Leibniz rule
+[P, X^Y] = [P,X]^Y - X^[P,Y]; the tests verify it on random polynomial
+fields, and the opposite sign fails it.
 
 The hamiltonian field of h is X_h = P# dh with (P# a)^i = sum_j P[j][i] a_j,
 i.e. X_h = {h, .}; canonical coordinates carry {q, p} = -1 in the matrix
@@ -40,15 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .jets import differential, jcontract, jtranspose
 
 SCHOUTEN_BB_SIGN = -1.0
-SCHOUTEN_TF_SIGN = +1.0
-
-
-def _rank(A):
-    return A.val.ndim - 1
 
 
 # ---- algebraic (order-preserving) operations --------------------------------
@@ -78,7 +70,7 @@ def wedge_vb(Z, P):
 
 def scalar_mul(f, A):
     """f * A for a scalar field f and a tensor field A of any rank."""
-    idx = "ijkl"[:_rank(A)]
+    idx = "ijkl"[:A.val.ndim - 1]
     return jcontract((f",{idx}->{idx}", f, A))
 
 
@@ -87,11 +79,6 @@ def scalar_mul(f, A):
 def evaluate(X, f):
     """X(f) for a vector field and a function."""
     return jcontract(("i,i->", X, differential(f)))
-
-
-def divergence(X):
-    """sum_i d_i X^i."""
-    return jcontract(("ii->", differential(X)))
 
 
 def hamiltonian_vf(P, h):
@@ -117,14 +104,6 @@ def lie_der_bivector(X, P):
                      (-1, "lj,il->ij", P, dX), (-1, "il,jl->ij", P, dX))
 
 
-def lie_der_trivector(X, T):
-    """(L_X T)^{ijk} = X^l d_l T^{ijk} - T^{ljk} d_l X^i - T^{ilk} d_l X^j - T^{ijl} d_l X^k."""
-    dX = differential(X)
-    return jcontract(("l,ijkl->ijk", X, differential(T)),
-                     (-1, "ljk,il->ijk", T, dX), (-1, "ilk,jl->ijk", T, dX),
-                     (-1, "ijl,kl->ijk", T, dX), order=0)
-
-
 def schouten_bf(P, f):
     """[P, f]^i = sum_j P^{ij} d_j f (the hamiltonian field is X_f = -[P, f])."""
     return jcontract(("ij,j->i", P, differential(f)))
@@ -141,41 +120,6 @@ def schouten_bb(P, Q):
                          (s, "lj,kil->ijk", A, dB))
 
     return half(P, differential(Q)) + half(Q, differential(P))
-
-
-def schouten_tf(T, f):
-    """[T, f]^{ij} = sign * sum_l T^{ijl} d_l f."""
-    return jcontract((SCHOUTEN_TF_SIGN, "ijl,l->ij", T, differential(f)), order=0)
-
-
-def schouten(A, B):
-    """Schouten bracket dispatched on ranks (function 0, vector 1, ...)."""
-    ra, rb = _rank(A), _rank(B)
-    if (ra, rb) == (1, 1):
-        return lie_bracket(A, B)
-    if (ra, rb) == (1, 0):
-        return evaluate(A, B)
-    if (ra, rb) == (0, 1):
-        return -evaluate(B, A)
-    if (ra, rb) == (2, 0):
-        return schouten_bf(A, B)
-    if (ra, rb) == (0, 2):
-        return schouten_bf(B, A)
-    if (ra, rb) == (1, 2):
-        return lie_der_bivector(A, B)
-    if (ra, rb) == (2, 1):
-        return -lie_der_bivector(B, A)
-    if (ra, rb) == (2, 2):
-        return schouten_bb(A, B)
-    if (ra, rb) == (1, 3):
-        return lie_der_trivector(A, B)
-    if (ra, rb) == (3, 1):
-        return -lie_der_trivector(B, A)
-    if (ra, rb) == (3, 0):
-        return schouten_tf(A, B)
-    if (ra, rb) == (0, 3):
-        return -schouten_tf(B, A)
-    raise DimensionError(f"no Schouten overload for ranks ({ra}, {rb})")
 
 
 # ---- structure defects -------------------------------------------------------

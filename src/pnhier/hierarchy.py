@@ -20,12 +20,10 @@ hamiltonian h_k and, when a master field Z0 is given, Z_k = N^k Z0 and
 div Z_k.  Built without Pi0 it holds the powers and hamiltonians alone: all
 that a table of h_k or a monitor along a flow reads.  It multiplies in the
 order ``jmatpow`` does, so each object is bit-identical to its single-shot
-formula (the tests keep those formulas as the reference).
-
-``hierarchy_hamiltonian`` is the one-object formula: the walk takes h_0
-from it, and the tests take the flow right-hand side's oracle from it.  The
-flow itself builds no N jet: its order-1 tail (``dynamics``) forms dh_k from
-the values and gradients of the pair on plain arrays.
+formula (tests/ladder_reference.py keeps those formulas as the reference).
+It is also the package's only builder of hamiltonians.  The flow builds no
+N jet: its order-1 tail (``dynamics``) forms dh_k from the values and
+gradients of the pair on plain arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
 from .jets import (jeye, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec,
                    jtrace, jtranspose, jtruncate)
-from .modular import div_mu, modular_vf
+from .modular import koszul_d
 
 
 def recursion_operator(P0, P1):
@@ -48,14 +46,6 @@ def recursion_operator(P0, P1):
 def n_act(N, P):
     """Two-factor action N P N^T of a (1,1) tensor on a bivector."""
     return jmatmul(jmatmul(N, P), jtranspose(N))
-
-
-def hierarchy_hamiltonian(N, i):
-    """h_i = tr(N^i)/(2i) for i != 0, h_0 = log|det N|/2."""
-    i = int(i)
-    if i == 0:
-        return jlogabsdet(N, "recursion operator") * 0.5
-    return jtrace(jmatpow(N, i)) * (1.0 / (2 * i))
 
 
 # Deepest ladder index in either direction: beyond m independent invariants
@@ -93,7 +83,7 @@ class Hierarchy:
         bivector(k)    Pi_k = N^k Pi0       order 1                  needs P0
         modular(k)     X^k = D_mu Pi_k      order 1 (taken at 2)     needs P0
         master(k)      Z_k = N^k Z0         order 1                  needs Z0
-        master_div(k)  div_mu Z_k           order 1 (taken at 2)     needs Z0
+        master_div(k)  D_mu Z_k             order 1 (taken at 2)     needs Z0
 
     Order-2 matrices are held only where the walk continues: N^-1 and the
     current power at each end.  h_0 = log|det N|/2 is computed on first
@@ -122,7 +112,7 @@ class Hierarchy:
         if k != 0:
             return self._get(self._hamiltonian, k)
         if 0 not in self._hamiltonian:
-            self._hamiltonian[0] = hierarchy_hamiltonian(self.N, 0)
+            self._hamiltonian[0] = jlogabsdet(self.N, "recursion operator") * 0.5
         return self._hamiltonian[0]
 
     def master(self, k):
@@ -169,11 +159,11 @@ class Hierarchy:
         if self.P0 is not None:
             Pk = self.P0 if k == 0 else jmatmul(Nk, self.P0)
             self._bivector[k] = jtruncate(Pk, 1)
-            self._modular[k] = modular_vf(Pk, self.logg)
+            self._modular[k] = koszul_d(Pk, self.logg)
         if self.Z0 is not None:
             Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
             self._master[k] = jtruncate(Zk, 1)
-            self._master_div[k] = div_mu(Zk, self.logg)
+            self._master_div[k] = koszul_d(Zk, self.logg)
 
 
 def cotangent_ladder_defect(N, ladder):

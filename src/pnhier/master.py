@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import (evaluate, hamiltonian_vf, lie_bracket,
                      lie_der_bivector, per_sample)
-from .modular import div_mu, modular_vf
+from .modular import koszul_d
 
 
 def coeff_h(lam, mu, nu, anchor, i, j):
@@ -138,8 +138,8 @@ def deformation_defect(P0, P1, Z, logg=None):
     X^0, X^1 are the modular fields of pi0, pi1 and X^0_f the pi0-hamiltonian
     field of f = div(Z), all taken in the same volume.
     """
-    x0 = modular_vf(P0, logg)
-    x1 = modular_vf(P1, logg)
-    f = div_mu(Z, logg)
+    x0 = koszul_d(P0, logg)
+    x1 = koszul_d(P1, logg)
+    f = koszul_d(Z, logg)
     rhs = lie_bracket(Z, x0).val + hamiltonian_vf(P0, f).val
     return per_sample(x1.val - rhs)

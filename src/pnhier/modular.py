@@ -4,7 +4,11 @@ The Koszul operator D of a volume density g*dx (g > 0, carried here as
 log g) lowers multivector degree by one: on vector fields it is the
 divergence div X + X(log g); on bivectors it produces the modular vector
 field; on trivectors a bivector.  D o D = 0 holds identically, and D is what
-ties recursion hierarchies to their modular fields.
+ties recursion hierarchies to their modular fields.  ``koszul_d`` is the one
+name for all three: the modular field of P is koszul_d(P, logg) and the
+divergence of X is koszul_d(X, logg).  For a Poisson bivector the modular
+field X generates the measure defect of hamiltonian flows:
+X(f) = koszul_d(X_f, logg) for every f.
 
 All inputs are batched jets; like every derivative-consuming operation the
 Koszul operator drops the jet order by one.  Each operator here is one
@@ -42,21 +46,6 @@ def koszul_d(A, logg=None):
     return jcontract(*terms)
 
 
-def modular_vf(P, logg=None):
-    """Modular vector field of a bivector w.r.t. the density exp(logg)*dx.
-
-    X^i = sum_j d_j P^{ij} + sum_j P^{ij} d_j(log g).  For a Poisson bivector
-    this is the generator of the measure defect of hamiltonian flows:
-    X(f) = div_mu(X_f) for every f.
-    """
-    return koszul_d(P, logg)
-
-
-def div_mu(X, logg=None):
-    """Divergence of a vector field w.r.t. the density exp(logg)*dx."""
-    return koszul_d(X, logg)
-
-
 def pn_modular_field(P0, N):
     """The distinguished field of a compatible pair, by direct contraction:
 
@@ -76,6 +65,6 @@ def modular_pair_defect_field(P0, P1, N, logg=None):
     P1 = N P0); equality with pn_modular_field(P0, N) is the central
     modular-hierarchy identity checked by the verify suite.
     """
-    x0 = modular_vf(P0, logg)
-    x1 = modular_vf(P1, logg)
+    x0 = koszul_d(P0, logg)
+    x1 = koszul_d(P1, logg)
     return x1 - jmatvec(N, x0)

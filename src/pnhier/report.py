@@ -66,13 +66,7 @@ from .master import (
     hamiltonian_family_defect,
     modular_family_defect,
 )
-from .modular import (
-    div_mu,
-    koszul_d,
-    modular_pair_defect_field,
-    modular_vf,
-    pn_modular_field,
-)
+from .modular import koszul_d, modular_pair_defect_field, pn_modular_field
 from .systems import SYSTEMS, make_system
 
 CONTROL_FLOOR = 1e-5
@@ -171,9 +165,9 @@ def _r_mu_independence(ws):
 def _r_density_change(ws):
     d = None
     for P in (ws.P0, ws.P1):
-        base = modular_vf(P)
+        base = koszul_d(P)
         for lg in (ws.lg_b, ws.lg_c):
-            diff = modular_vf(P, lg).val - base.val + hamiltonian_vf(P, lg).val
+            diff = koszul_d(P, lg).val - base.val + hamiltonian_vf(P, lg).val
             d = per_sample(diff) if d is None else np.maximum(d, per_sample(diff))
     return d
 
@@ -192,14 +186,14 @@ def _r_koszul_generator(ws):
     # vector-bivector: L_X P = D(X^P) - (DX) P - X ^ (DP)
     lhs = lie_der_bivector(X, ws.P1).val
     rhs = (koszul_d(wedge_vb(X, ws.P1), lg).val
-           - scalar_mul(div_mu(X, lg), ws.P1).val
+           - scalar_mul(koszul_d(X, lg), ws.P1).val
            - wedge_vv(X, koszul_d(ws.P1, lg)).val)
     d = per_sample(lhs - rhs)
     # vector-vector: [X, Y] = -D(X^Y) - (DX) Y + (DY) X
     lhs = lie_bracket(X, Y).val
     rhs = (-koszul_d(wedge_vv(X, Y), lg).val
-           - scalar_mul(div_mu(X, lg), Y).val
-           + scalar_mul(div_mu(Y, lg), X).val)
+           - scalar_mul(koszul_d(X, lg), Y).val
+           + scalar_mul(koszul_d(Y, lg), X).val)
     return np.maximum(d, per_sample(lhs - rhs))
 
 
@@ -301,7 +295,7 @@ def _r_closed_forms(ws):
         Z = extras["deformation_z"](jets)
         acc(lie_der_bivector(Z, ws.P0).val - ws.P1.val)
         if "deformation_div_closed" in extras:
-            acc(div_mu(Z).val - extras["deformation_div_closed"](jets).val)
+            acc(koszul_d(Z).val - extras["deformation_div_closed"](jets).val)
     if "xn_closed" in extras:
         acc(extras["xn_closed"](jets).val - pn_modular_field(ws.P0, ws.N).val)
     if "x1_closed" in extras:
@@ -309,9 +303,9 @@ def _r_closed_forms(ws):
         acc(hamiltonian_vf(ws.P0, lad[2]).val - x1.val)
         acc(hamiltonian_vf(ws.P1, lad[1]).val - x1.val)
     if "x0_mu" in extras:
-        acc(modular_vf(ws.P0).val - extras["x0_mu"](jets).val)
+        acc(koszul_d(ws.P0).val - extras["x0_mu"](jets).val)
     if "x1_mu" in extras:
-        acc(modular_vf(ws.P1).val - extras["x1_mu"](jets).val)
+        acc(koszul_d(ws.P1).val - extras["x1_mu"](jets).val)
     if "xm1_mu" in extras:
         acc(ws.hier.modular(-1).val - extras["xm1_mu"](jets).val)
     if "z_closed" in extras and ws.hier.Z0 is not None:

@@ -1,19 +1,28 @@
 """Single-shot ladder formulas: the bit-for-bit reference for ``Hierarchy``.
 
 Each function builds one ladder object (or one ladder) straight from
-``jmatpow``, recomputing every power of N anew.  ``Hierarchy`` walks
+``jmatpow``, recomputing every power of N anew; ``hierarchy_hamiltonian``
+is also the jet oracle of the flow right-hand side.  ``Hierarchy`` walks
 the powers outward once and multiplies in the same order, so its objects
 must equal these bit for bit.  The package itself builds ladders only
 through ``Hierarchy``.
 """
 
-from pnhier.hierarchy import check_depths, hierarchy_hamiltonian
-from pnhier.jets import jmatmul, jmatpow, jmatvec
+from pnhier.hierarchy import check_depths
+from pnhier.jets import jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace
 
 
 def hierarchy_bivector(P0, N, i):
     """Pi_i = N^i Pi0 (one factor of N per ladder step; i may be negative)."""
     return jmatmul(jmatpow(N, i), P0)
+
+
+def hierarchy_hamiltonian(N, i):
+    """h_i = tr(N^i)/(2i) for i != 0, h_0 = log|det N|/2."""
+    i = int(i)
+    if i == 0:
+        return jlogabsdet(N, "recursion operator") * 0.5
+    return jtrace(jmatpow(N, i)) * (1.0 / (2 * i))
 
 
 def hamiltonian_ladder(N, depth, neg_depth=0):

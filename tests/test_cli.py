@@ -143,7 +143,9 @@ def test_non_finite_flow_times_exit_2_before_integrating(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "hamiltonian_flow_rhs", never_called)
     for argv in (["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"],
-                 ["--dt", "inf"], ["--t-end", "inf", "--method", "rkf45"]):
+                 ["--dt", "inf"], ["--t-end", "inf", "--method", "rkf45"],
+                 ["--dt", "nan", "--method", "rkf45"],
+                 ["--dt", "-1", "--method", "rkf45"]):
         code, out, err = run(capsys, "integrate", "--system", "an-toda", *argv)
         assert code == 2, argv
         assert out == ""

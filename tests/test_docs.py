@@ -1,8 +1,9 @@
 """The demos and the README example stay in step with the package.
 
 Every name that a demo script or a README python block imports from pnhier
-must exist (checked by parsing, nothing is executed), and the two quick
-demos must run to a clean exit.
+must exist (checked by parsing, nothing is executed), and so must every
+module attribute the README names in backticks.  The two quick demos must
+run to a clean exit.
 """
 
 import ast
@@ -63,6 +64,49 @@ def test_documented_imports_resolve(where, source):
     assert names, f"{where} imports nothing from pnhier"
     missing = [f"{m}.{n}" for m, n in names if not resolves(m, n)]
     assert missing == [], f"{where} imports names pnhier does not have"
+
+
+MODULES = {p.stem for p in (ROOT / "src" / "pnhier").glob("*.py")} - {"__init__"}
+
+
+def readme_spans(text):
+    """Backticked spans of README text, paths left out."""
+    return [s for s in re.findall(r"`([^`\n]+)`", text) if "/" not in s]
+
+
+def resolves_chain(module, names):
+    obj = importlib.import_module(f"pnhier.{module}")
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_readme_module_table_names_resolve():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## What's inside", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `pnhier\.(\w+)` \| (.*) \|$", table, flags=re.M)
+    assert len(rows) == 9
+    missing = [f"{mod}.{name}" for mod, cells in rows
+               for name in readme_spans(cells)
+               if re.fullmatch(r"[A-Za-z_]\w*", name) and name != "pnhier"
+               and not resolves_chain(mod, [name])]
+    assert missing == [], "the README module table names what pnhier lacks"
+
+
+def test_readme_module_references_resolve():
+    text = (ROOT / "README.md").read_text()
+    chains = [chain.split(".") for span in readme_spans(text)
+              for chain in re.findall(r"\w+(?:\.\w+)+", span)]
+    # pnhier.<mod>[.<name>] must name a module; <mod>.<name> is checked
+    # where <mod> is one (system.pi0 and np.matmul are not)
+    checked = [c[1:] if c[0] == "pnhier" else c for c in chains
+               if c[0] == "pnhier" or c[0] in MODULES]
+    assert len(checked) >= 10
+    missing = [".".join(c) for c in checked
+               if c[0] not in MODULES or not resolves_chain(c[0], c[1:])]
+    assert missing == [], "the README names module attributes pnhier lacks"
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

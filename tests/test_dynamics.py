@@ -11,6 +11,7 @@ import pytest
 
 from eigen_reference import _ql_implicit as reference_ql
 from eigen_reference import reference_eigenvalues
+from ladder_reference import hierarchy_hamiltonian
 from pnhier.dynamics import (MAX_STEPS, Trajectory, _ql_implicit,
                              _tridiagonalize, conservation_report,
                              hamiltonian_flow_rhs, hierarchy_monitors,
@@ -20,7 +21,7 @@ from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
                            ExclusionBreach, RangeError, SingularTensorError,
                            StepUnderflow)
 from pnhier.fields import hamiltonian_vf
-from pnhier.hierarchy import hierarchy_hamiltonian, recursion_operator
+from pnhier.hierarchy import recursion_operator
 from pnhier.jets import Jet2
 from pnhier.systems import make_system
 
@@ -254,14 +255,9 @@ def test_flow_rhs_from_index_and_closed_form_agree():
     sys = make_system("toda_moser", 2)
     x = sys.sample(samples=1, seed=17)[0]
     by_index = hamiltonian_flow_rhs(sys, index=1)
-    by_closed = hamiltonian_flow_rhs(sys, h=sys.extras["h_closed"][1])
-    assert np.allclose(by_index(0.0, x), by_closed(0.0, x), atol=1e-12)
-    with pytest.raises(RangeError):
-        hamiltonian_flow_rhs(sys)
-    with pytest.raises(RangeError):
-        hamiltonian_flow_rhs(sys, index=1, h=sys.extras["h_closed"][1])
-    with pytest.raises(RangeError):
-        hamiltonian_flow_rhs(sys, index=1, bivector="pi7")
+    jets = Jet2.coords(x[None, :], order=1)
+    by_closed = hamiltonian_vf(sys.pi0(jets), sys.extras["h_closed"][1](jets))
+    assert np.allclose(by_index(0.0, x), by_closed.val[0], atol=1e-12)
     with pytest.raises(DimensionError):
         by_index(0.0, x[:3])
 
@@ -278,8 +274,7 @@ def assert_matches_oracle(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("leg", ("pi0", "pi1"))
-def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
+def test_index_flow_evaluates_each_bivector_once_per_stage():
     sys = make_system("an_toda", 3)
     calls = {"pi0": 0, "pi1": 0}
     for name in calls:
@@ -288,10 +283,10 @@ def test_index_flow_evaluates_each_bivector_once_per_stage(leg):
             return _fn(jets)
         setattr(sys, name, counted)
     x = sys.sample(samples=1, seed=19)[0]
-    rhs = hamiltonian_flow_rhs(sys, index=2, bivector=leg)
+    rhs = hamiltonian_flow_rhs(sys, index=2)
     got = rhs(0.0, x)
     assert calls == {"pi0": 1, "pi1": 1}
-    assert_matches_oracle(got, jet_oracle(sys, x, 2, leg))
+    assert_matches_oracle(got, jet_oracle(sys, x, 2, "pi0"))
 
 
 # Jet2 constructions of an index-2 flow at n=3: the six coordinate jets,
@@ -346,13 +341,13 @@ def test_an_index_flow_inverts_a_pinned_number_of_times(key, monkeypatch):
     assert len(calls) == TEN_STAGE_INVS[key]
 
 
-def integrate_both_ways(sys, x0, index, leg, steps=200, dt=1e-3):
+def integrate_both_ways(sys, x0, index, steps=200, dt=1e-3):
     """rk4 states from one rhs for the whole run, and from a fresh rhs for
     every call."""
     def fresh(t, x):
-        return hamiltonian_flow_rhs(sys, index=index, bivector=leg)(t, x)
+        return hamiltonian_flow_rhs(sys, index=index)(t, x)
 
-    one = hamiltonian_flow_rhs(sys, index=index, bivector=leg)
+    one = hamiltonian_flow_rhs(sys, index=index)
     return [rk4(f, x0, t_end=steps * dt, dt=dt).states for f in (one, fresh)]
 
 
@@ -362,23 +357,22 @@ def test_reused_stage_state_is_bit_identical_to_a_fresh_rhs(key):
     sys = make_system(key, 2)
     x0 = sys.sample(samples=1, seed=29)[0]
     for index in (2, -1):
-        for leg in ("pi0", "pi1"):
-            kept, fresh = integrate_both_ways(sys, x0, index, leg)
-            assert kept.shape == (201, sys.m)
-            assert np.array_equal(kept, fresh), (index, leg)
+        kept, fresh = integrate_both_ways(sys, x0, index)
+        assert kept.shape == (201, sys.m)
+        assert np.array_equal(kept, fresh), index
 
 
 def test_a_returned_field_does_not_alias_the_rhs_state():
     sys = make_system("an_toda", 2)
     x, y = sys.sample(samples=2, seed=31)
-    for kw in ({"index": 2}, {"h": sys.extras["h_closed"][1]}):
-        rhs = hamiltonian_flow_rhs(sys, **kw)
+    for index in (2, -1):
+        rhs = hamiltonian_flow_rhs(sys, index=index)
         first = rhs(0.0, x)
         want = first.copy()
         first[:] = np.nan           # a caller may write into what it got
         assert np.array_equal(rhs(0.0, x), want)
         # a later stage does not write into an earlier result either
-        fresh = hamiltonian_flow_rhs(sys, **kw)(0.0, y)
+        fresh = hamiltonian_flow_rhs(sys, index=index)(0.0, y)
         assert np.array_equal(rhs(0.0, y), fresh)
         assert np.all(np.isnan(first))
         # the rhs does not keep the caller's point either
@@ -404,9 +398,19 @@ def test_order_one_tail_matches_the_jet_oracle(key):
     sys = make_system(key, 3)
     for x in sys.sample(samples=3, seed=23):
         for index in range(-2, 5):
-            for leg in ("pi0", "pi1"):
-                got = hamiltonian_flow_rhs(sys, index=index, bivector=leg)(0.0, x)
-                assert_matches_oracle(got, jet_oracle(sys, x, index, leg))
+            got = hamiltonian_flow_rhs(sys, index=index)(0.0, x)
+            assert_matches_oracle(got, jet_oracle(sys, x, index, "pi0"))
+
+
+@pytest.mark.parametrize("key", ("harmonic", "calogero", "toda_moser",
+                                 "cn_toda", "an_toda"))
+def test_the_pi1_flow_of_h_k_is_the_index_k_plus_1_flow(key):
+    """Lenard: pi1# dh_k = pi0# dh_(k+1), so no flow needs a pi1 leg."""
+    sys = make_system(key, 3)
+    for x in sys.sample(samples=3, seed=23):
+        for k in range(-2, 4):
+            got = hamiltonian_flow_rhs(sys, index=k + 1)(0.0, x)
+            assert_matches_oracle(got, jet_oracle(sys, x, k, "pi1"))
 
 
 def test_order_one_tail_keeps_the_singularity_guards():

@@ -11,15 +11,16 @@ import pytest
 
 import polyjets as pj
 from pnhier.errors import DimensionError
+from pnhier import fields
 from pnhier.fields import (SCHOUTEN_BB_SIGN, antisymmetry_defect,
-                           cotangent_apply, differential, divergence,
-                           evaluate, hamiltonian_vf, jacobi_defect,
-                           jacobi_trivector, lie_bracket, lie_der_bivector,
-                           nijenhuis_torsion, per_sample, pn_compat_defect,
-                           poisson_bracket, scalar_mul, schouten,
-                           schouten_bb, schouten_bf, sharp, torsion_defect,
+                           cotangent_apply, differential, evaluate,
+                           hamiltonian_vf, jacobi_defect, jacobi_trivector,
+                           lie_bracket, lie_der_bivector, nijenhuis_torsion,
+                           per_sample, pn_compat_defect, poisson_bracket,
+                           scalar_mul, schouten_bb, sharp, torsion_defect,
                            wedge_vb, wedge_vv)
 from pnhier.jets import Jet2
+from pnhier.modular import koszul_d
 
 rng = np.random.default_rng(20260817)
 
@@ -80,7 +81,7 @@ def test_evaluate_and_divergence_against_fd():
     assert np.allclose(Xf.val,
                        np.einsum('bi,bi->b', X.value(x), pj.fd_grad(f.value, x)),
                        atol=1e-8)
-    div = divergence(X.jet(x))
+    div = koszul_d(X.jet(x))
     assert np.allclose(div.val,
                        np.einsum('bii->b', pj.fd_grad(X.value, x)), atol=1e-8)
     assert np.allclose(div.grad, pj.fd_grad(
@@ -213,18 +214,26 @@ def test_schouten_bb_symmetry_and_jacobi_equivalence():
     assert np.allclose(PP.val, 2.0 * SCHOUTEN_BB_SIGN * J.val, atol=1e-11)
 
 
-def test_schouten_dispatch_matches_specialized_ops():
-    x = points()
-    f = pj.random_scalar(rng, 4).jet(x)
-    X = pj.random_vector(rng, 4).jet(x)
-    P = pj.random_bivector(rng, 4).jet(x)
-    assert np.allclose(schouten(X, f).val, evaluate(X, f).val)
-    assert np.allclose(schouten(f, X).val, -evaluate(X, f).val)
-    assert np.allclose(schouten(X, P).val, lie_der_bivector(X, P).val)
-    assert np.allclose(schouten(P, X).val, -lie_der_bivector(X, P).val)
-    assert np.allclose(schouten(P, f).val, schouten_bf(P, f).val)
-    with pytest.raises(DimensionError):
-        schouten(P, schouten_bb(P, P))   # (2, 3) has no overload
+def leibniz_defect(P, X, Y):
+    """[P, X^Y] - ([P,X]^Y - X^[P,Y]) with [P, X] = -L_X P, and the scale."""
+    lhs = schouten_bb(P, wedge_vv(X, Y)).val
+    PX, PY = -lie_der_bivector(X, P), -lie_der_bivector(Y, P)
+    rhs = wedge_vb(Y, PX).val - wedge_vb(X, PY).val   # [P,X]^Y = Y^[P,X]
+    return np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs))
+
+
+def test_schouten_bb_sign_obeys_the_graded_leibniz_rule(monkeypatch):
+    for _ in range(5):
+        x = points()
+        P = pj.random_bivector(rng, 4).jet(x)
+        X = pj.random_vector(rng, 4).jet(x)
+        Y = pj.random_vector(rng, 4).jet(x)
+        defect, scale = leibniz_defect(P, X, Y)
+        assert defect <= 1e-14 * max(1.0, scale), (defect, scale)
+        # the rule pins the sign: the opposite convention misses it
+        monkeypatch.setattr(fields, "SCHOUTEN_BB_SIGN", -SCHOUTEN_BB_SIGN)
+        assert leibniz_defect(P, X, Y)[0] > 0.1 * scale
+        monkeypatch.undo()
 
 
 def test_canonical_bivector_is_poisson_and_constant_n_torsion_free():

