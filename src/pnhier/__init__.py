@@ -10,14 +10,14 @@ sampled points and along integrated flows.
 __version__ = "0.1.0"
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
-                     EngineError, ExclusionBreach, RangeError,
-                     SingularTensorError, StepUnderflow)
+                     EngineError, RangeError, SingularTensorError,
+                     StepUnderflow)
 from .jets import Jet2
 
 __all__ = [
     "Jet2",
     "EngineError", "DimensionError", "DomainError", "RangeError",
-    "SingularTensorError", "ExclusionBreach", "StepUnderflow",
+    "SingularTensorError", "StepUnderflow",
     "ConvergenceError",
     "__version__",
 ]

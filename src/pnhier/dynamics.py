@@ -23,8 +23,7 @@ import numbers
 import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
-                     ExclusionBreach, RangeError, SingularTensorError,
-                     StepUnderflow)
+                     RangeError, SingularTensorError, StepUnderflow)
 from .hierarchy import LADDER_CAP, Hierarchy, recursion_operator
 from .jets import Jet2, _einsum, _guarded_inv
 
@@ -82,13 +81,20 @@ def _start_state(rhs, x0, t_end, guard):
     if not 0.0 < t_end < np.inf:     # also refuses nan
         raise RangeError(f"t_end must be finite and > 0, got {t_end}")
     if guard is not None and not np.all(guard(x0[None, :])):
-        raise ExclusionBreach("initial point is outside the chart domain")
+        raise DomainError("initial point is outside the chart domain")
     return x0
 
 
 def _check_dt(dt):
     if not 0.0 < dt < np.inf:        # also refuses nan
         raise RangeError(f"dt must be finite and > 0, got {dt}")
+
+
+def _check_record_every(n):
+    """n as an int; RangeError unless it is an integer >= 1 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise RangeError(f"record_every must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _counted(rhs):
@@ -113,16 +119,17 @@ def _singular_stage(exc, evals, t):
 def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     """Classical fixed-step RK4 from t=0 to t_end.
 
-    Records every ``record_every``-th step (plus the final one).  If the
-    trajectory leaves the guarded domain, or a stage raises
-    SingularTensorError, it is truncated at the last good step and flagged,
-    not errored; only a singular start point raises.  More than MAX_STEPS
-    steps is a RangeError, raised before the first step.
+    Records the start, every ``record_every``-th step (an integer >= 1)
+    and the last step reached.  If the trajectory leaves the guarded
+    domain, or a stage raises SingularTensorError, it is truncated at the
+    last good step and flagged, not errored; only a singular start point
+    raises.  More than MAX_STEPS steps is a RangeError, raised before the
+    first step.
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
     _check_dt(dt)
-    record_every = max(1, int(record_every))
+    record_every = _check_record_every(record_every)
     ratio = t_end / dt               # inf when it overflows
     if not ratio <= MAX_STEPS:
         raise RangeError(f"t_end / dt = {ratio:.3g} exceeds the cap of "
@@ -148,10 +155,10 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
             break
         t, x = t + h, x_new
         accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
-        if (k + 1) % record_every == 0 or k == steps - 1:
+        if (k + 1) % record_every == 0:
             times.append(t)
             states.append(x)
-    if times[-1] != t:      # a truncated run ends on its last good step
+    if times[-1] != t:      # every run ends on its last good step
         times.append(t)
         states.append(x)
     return Trajectory(times, states, truncated, rhs_evals=evals[0],
@@ -166,14 +173,14 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     the local error, compared against atol + rtol*|x| per component.  Raises
     StepUnderflow when step control pushes dt below 1e-12.  Leaving the
     guarded domain or a SingularTensorError in a stage truncates the run as
-    in ``rk4``.
+    in ``rk4``, and records follow its rule, counted in accepted steps.
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 < tol <= 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")
-    record_every = max(1, int(record_every))
+    record_every = _check_record_every(record_every)
     c, a, b4, b5 = RKF45["c"], RKF45["a"], RKF45["b4"], RKF45["b5"]
     dt = min(t_end, 1e-2) if dt_init is None else float(dt_init)
     if not 0.0 < dt < np.inf:
@@ -204,7 +211,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
                 break
             t, x = t + h, x4
             accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
-            if accepted % record_every == 0 or t >= t_end * (1.0 - 1e-14):
+            if accepted % record_every == 0:
                 times.append(t)
                 states.append(x)
         else:
@@ -221,9 +228,9 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
                       accepted=accepted, rejected=rejected, dt_min=lo, dt_max=hi)
 
 
-def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
-              record_every=1, guard=None):
-    """Dispatch to rk4 (fixed dt) or rkf45 (adaptive, atol/rtol).
+def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, record_every=1,
+              guard=None):
+    """Dispatch to rk4 (fixed dt) or rkf45 (adaptive, atol = rtol = 1e-10).
 
     dt must be finite and > 0 under either method, though rkf45 picks its
     own steps.
@@ -232,8 +239,7 @@ def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, atol=1e-10, rtol=1e-10,
         return rk4(rhs, x0, t_end, dt, record_every=record_every, guard=guard)
     if method == "rkf45":
         _check_dt(dt)
-        return rkf45(rhs, x0, t_end, atol=atol, rtol=rtol,
-                     record_every=record_every, guard=guard)
+        return rkf45(rhs, x0, t_end, record_every=record_every, guard=guard)
     raise RangeError(f"unknown method '{method}' (rk4 or rkf45)")
 
 
@@ -351,19 +357,6 @@ def lax_monitors(system, states):
         return {}
     ev = lax_eigenvalues(lax_fn(states), tag=f"{system.key} Lax")
     return {f"lambda_{j + 1}": ev[:, j] for j in range(ev.shape[1])}
-
-
-def conservation_report(traj, quantities):
-    """max_t |Q(x(t)) - Q(x(0))| for each named quantity.
-
-    ``quantities`` maps a name either to a callable states -> array or to a
-    precomputed array whose leading axis runs over the records.
-    """
-    out = {}
-    for name, q in quantities.items():
-        vals = np.asarray(q(traj.states) if callable(q) else q, dtype=float)
-        out[name] = float(np.max(np.abs(vals - vals[0])))
-    return out
 
 
 # ---- symmetric eigensolver -----------------------------------------------------

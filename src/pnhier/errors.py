@@ -14,7 +14,8 @@ class DimensionError(EngineError):
 
 
 class DomainError(EngineError):
-    """A point lies outside the chart domain of the requested system."""
+    """A point lies outside the chart domain (a flow that leaves it later is
+    truncated instead), or a Lax matrix is non-finite or asymmetric."""
 
 
 class RangeError(EngineError):
@@ -28,10 +29,6 @@ class SingularTensorError(EngineError):
     infinity norm falls below 1e-12 (jets.RCOND_MIN) or is not finite, and
     when the inverse breaks down on an exactly zero pivot.
     """
-
-
-class ExclusionBreach(EngineError):
-    """A trajectory left the open region on which the structure is defined."""
 
 
 class StepUnderflow(EngineError):

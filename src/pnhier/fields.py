@@ -11,11 +11,12 @@ gradient and Hessian lives in jets alone.  A derivative enters as
 ``differential(A)`` (D A, the derivative of A as a jet of one order less),
 so an operation that consumes a derivative (brackets, Lie derivatives,
 torsion) returns a jet of one order less than the operand it differentiates;
-purely algebraic operations (sharp, wedge, n_act) preserve the order.  Terms are summed in the order they are listed, which fixes the
-bits of every result.  Identities are therefore checked by evaluating both
-sides on order-2 coordinate jets and comparing values, with one level of
-bracket nesting still differentiable.  The structure defects read values
-only and pass ``order=0``.
+purely algebraic operations (sharp, wedge, n_act) preserve the order.
+Terms are summed in the order they are listed, which fixes the bits of
+every result.  Identities are checked by evaluating both sides on order-2
+coordinate jets and comparing values, with one level of bracket nesting
+still differentiable; the structure defects read values only, from
+operands cut to order 1 by ``jtruncate`` before they are differentiated.
 
 Sign conventions (fixed here once, tested in test_fields.py):
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import differential, jcontract, jtranspose
+from .jets import differential, jcontract, jtranspose, jtruncate
 
 SCHOUTEN_BB_SIGN = -1.0
 
@@ -139,9 +140,9 @@ def jacobi_trivector(P):
     Vanishes iff P satisfies the Jacobi identity; independent of the overall
     Schouten sign convention.
     """
-    dP = differential(P)
+    dP = differential(jtruncate(P, 1))
     return jcontract(("ce,abc->abe", P, dP), ("ca,bec->abe", P, dP),
-                     ("cb,eac->abe", P, dP), order=0)
+                     ("cb,eac->abe", P, dP))
 
 
 def jacobi_defect(P):
@@ -151,9 +152,9 @@ def jacobi_defect(P):
 
 def nijenhuis_torsion(N):
     """T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j)."""
-    dN = differential(N)
+    dN = differential(jtruncate(N, 1))
     return jcontract(("lj,ikl->ijk", N, dN), (-1, "lk,ijl->ijk", N, dN),
-                     (-1, "il,lkj->ijk", N, dN), ("il,ljk->ijk", N, dN), order=0)
+                     (-1, "il,lkj->ijk", N, dN), ("il,ljk->ijk", N, dN))
 
 
 def torsion_defect(N):
@@ -174,11 +175,11 @@ def pn_compat_defect(P0, N):
     and returns the pointwise max of the two.  Both vanish exactly when
     (P0, N) is a compatible pair.
     """
-    dP0, dN = differential(P0), differential(N)
+    dP0, dN = differential(jtruncate(P0, 1)), differential(jtruncate(N, 1))
     alg = N.val @ P0.val - P0.val @ N.val.swapaxes(-1, -2)
     coord = jcontract(("lj,ikl->ijk", P0, dN), ("il,jkl->ijk", P0, dN),
                       (-1, "lj,ilk->ijk", P0, dN), (-1, "lk,ijl->ijk", N, dP0),
-                      ("jl,ilk->ijk", N, dP0), order=0).val
+                      ("jl,ilk->ijk", N, dP0)).val
     return np.maximum(per_sample(alg), per_sample(coord))
 
 

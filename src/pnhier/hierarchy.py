@@ -17,8 +17,8 @@ the one place that builds more than one of them.  For a fixed (Pi0, N[, Z0])
 it inverts N at most once and walks N^k outward from k = 0, one factor per
 step, deriving at each k the bivector Pi_k, its modular field X^k, the
 hamiltonian h_k and, when a master field Z0 is given, Z_k = N^k Z0 and
-div Z_k.  Built without Pi0 it holds the powers and hamiltonians alone: all
-that a table of h_k or a monitor along a flow reads.  It multiplies in the
+div Z_k.  Built without Pi0 it holds the hamiltonians alone: all that a
+table of h_k or a monitor along a flow reads.  It multiplies in the
 order ``jmatpow`` does, so each object is bit-identical to its single-shot
 formula (tests/ladder_reference.py keeps those formulas as the reference).
 It is also the package's only builder of hamiltonians.  The flow builds no
@@ -33,8 +33,8 @@ import numpy as np
 from .errors import RangeError
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
-from .jets import (jeye, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec,
-                   jtrace, jtranspose, jtruncate)
+from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
+                   jtranspose, jtruncate)
 from .modular import koszul_d
 
 
@@ -74,11 +74,10 @@ class Hierarchy:
     The walk goes outward from k = 0 in either direction as far as the
     largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
     N and N^-1 taken from ``jmatpow``.  N is inverted on the first
-    negative index, never again.  At k = 0 no product is formed: N^0 is the
-    identity's values, Pi_0 is Pi0 and Z_0 is Z0.  Each object is kept at
-    the lowest jet order its consumers read:
+    negative index, never again.  At k = 0 no product is formed: Pi_0 is
+    Pi0 and Z_0 is Z0.  Each object is kept at the lowest jet order its
+    consumers read:
 
-        power(k)       N^k                  values only
         hamiltonian(k) h_k                  order 2
         bivector(k)    Pi_k = N^k Pi0       order 1                  needs P0
         modular(k)     X^k = D_mu Pi_k      order 1 (taken at 2)     needs P0
@@ -87,20 +86,18 @@ class Hierarchy:
 
     Order-2 matrices are held only where the walk continues: N^-1 and the
     current power at each end.  h_0 = log|det N|/2 is computed on first
-    request.  Modular fields and divergences are taken in the density
-    exp(logg) dx (logg = None is the coordinate Lebesgue density).  An
-    object that needs P0 or Z0 raises RangeError when it was passed as None.
+    request.  Modular fields and divergences are taken in the coordinate
+    Lebesgue density.  An object that needs P0 or Z0 raises RangeError when
+    it was passed as None.
     """
 
-    def __init__(self, P0, N, Z0=None, logg=None):
-        self.P0, self.N, self.Z0, self.logg = P0, N, Z0, logg
-        self._power, self._bivector, self._modular = {}, {}, {}
+    def __init__(self, P0, N, Z0=None):
+        self.P0, self.N, self.Z0 = P0, N, Z0
+        self._reached = set()    # every k the walk has derived
+        self._bivector, self._modular = {}, {}
         self._hamiltonian, self._master, self._master_div = {}, {}, {}
         self._base = {}    # +1 / -1 -> order-2 N / N^-1
         self._edge = {}    # +1 / -1 -> (k, order-2 N^k) at that end of the walk
-
-    def power(self, k):
-        return self._get(self._power, k)
 
     def bivector(self, k):
         return self._get(self._bivector, k, needs="P0")
@@ -129,15 +126,15 @@ class Hierarchy:
     def _get(self, table, k, needs=None):
         if needs is not None and getattr(self, needs) is None:
             raise RangeError(f"this hierarchy was built without {needs}")
-        if k not in self._power:
+        if k not in self._reached:
             self._walk_to(k)
         return table[k]
 
     def _walk_to(self, k):
-        if 0 not in self._power:
+        if 0 not in self._reached:
             self._derive(0, None)
         step = 1 if k > 0 else -1
-        while k not in self._power:
+        while k not in self._reached:
             if step in self._edge:
                 j, prev = self._edge[step]
                 j, Nj = j + step, jmatmul(prev, self._base[step])
@@ -150,20 +147,17 @@ class Hierarchy:
     def _derive(self, k, Nk):
         """Every object at k from the order-2 N^k; at k = 0, Nk is None and
         N^0 = I acts as the identity, so no product is formed."""
-        if k == 0:
-            B, n = self.N.val.shape[0], self.N.val.shape[-1]
-            self._power[0] = jeye(n, self.N.m, B, order=0)
-        else:
-            self._power[k] = jtruncate(Nk, 0)
+        self._reached.add(k)
+        if k != 0:
             self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
         if self.P0 is not None:
             Pk = self.P0 if k == 0 else jmatmul(Nk, self.P0)
             self._bivector[k] = jtruncate(Pk, 1)
-            self._modular[k] = koszul_d(Pk, self.logg)
+            self._modular[k] = koszul_d(Pk)
         if self.Z0 is not None:
             Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
             self._master[k] = jtruncate(Zk, 1)
-            self._master_div[k] = koszul_d(Zk, self.logg)
+            self._master_div[k] = koszul_d(Zk)
 
 
 def cotangent_ladder_defect(N, ladder):
@@ -228,27 +222,29 @@ def spectrum(N):
     return np.take_along_axis(ev, order, axis=-1)
 
 
-def spectral_pairing(N, n=None, tol=1e-8):
+# Relative gap, to max(1, |lambda|), within which two eigenvalues are one.
+SPECTRAL_TOL = 1e-8
+
+
+def spectral_pairing(N, n):
     """Sorted eigenvalues of N plus a pairing and multiplicity report.
 
     Recursion operators built from a bivector pair carry a doubled spectrum;
     per point this reports the sorted real eigenvalues, whether they pair up,
     how many distinct values they collapse to, and whether at least n are
-    distinct (the sufficient condition for n independent ladder invariants).
-    Degeneracy is reported, never raised.
+    distinct (the sufficient condition for n independent ladder invariants),
+    at the relative gap SPECTRAL_TOL.  Degeneracy is reported, never raised.
     """
     ev = spectrum(N)
     lam = ev.real
     m = lam.shape[-1]
-    if n is None:
-        n = m // 2
     scale = np.maximum(1.0, np.abs(lam))
     new = np.ones(lam.shape, dtype=bool)
-    new[..., 1:] = np.diff(lam, axis=-1) > tol * scale[..., 1:]
+    new[..., 1:] = np.diff(lam, axis=-1) > SPECTRAL_TOL * scale[..., 1:]
     distinct = new.sum(axis=-1)
     if m % 2 == 0:
         paired = np.all(np.abs(lam[..., 0::2] - lam[..., 1::2])
-                        <= tol * scale[..., 0::2], axis=-1)
+                        <= SPECTRAL_TOL * scale[..., 0::2], axis=-1)
     else:
         paired = np.zeros(lam.shape[:-1], dtype=bool)
     return {

@@ -233,43 +233,42 @@ class Jet2:
 
 # ---- assembling tensors out of scalar jets ---------------------------------
 
-def jstack(entries, m=None):
+def jstack(entries):
     """Stack a (possibly nested) list of scalar jets/constants into one jet.
 
     ``jstack([j1, j2])`` gives a vector jet of shape (B, 2);
     ``jstack([[a, b], [c, d]])`` a matrix jet of shape (B, 2, 2).
-    Plain numbers are lifted to constants.
+    Plain numbers are lifted to constants; the chart dimension m, batch and
+    order come from the first jet entry.
     """
     ref = _find_jet(entries)
     if ref is None:
         raise DimensionError("jstack needs at least one Jet2 entry")
-    if m is None:
-        m = ref.m
-    val, grad, hess = _collect(entries, ref, m)
+    val, grad, hess = _collect(entries, ref)
     # axis=1 stacking in _collect builds shapes (B, n1, n2, ..., [m[, m]]) directly
-    return Jet2(val, grad, hess, m=m)
+    return Jet2(val, grad, hess, m=ref.m)
 
 
 # Module-level rather than nested in jstack: a nested recursive helper refers
 # to itself through its closure cell, so every call would leave a reference
 # cycle (holding the first jet entry) for the cyclic garbage collector.
 
-def _collect(node, ref, m):
+def _collect(node, ref):
     if isinstance(node, (list, tuple)):
-        parts = [_collect(c, ref, m) for c in node]
+        parts = [_collect(c, ref) for c in node]
         val = np.stack([p[0] for p in parts], axis=1)
         grad = None if parts[0][1] is None else np.stack([p[1] for p in parts], axis=1)
         hess = None if parts[0][2] is None else np.stack([p[2] for p in parts], axis=1)
         return val, grad, hess
-    j = _lift(node, ref, m)
+    j = _lift(node, ref)
     return j.val, j.grad, j.hess
 
 
-def _lift(e, ref, m):
+def _lift(e, ref):
     if isinstance(e, Jet2):
         return e
     return Jet2.const(np.broadcast_to(np.asarray(e, float), ref.val.shape),
-                      m, order=ref.order)
+                      ref.m, order=ref.order)
 
 
 def _find_jet(node):
@@ -342,7 +341,7 @@ def _accumulate(acc, coef, x):
     return acc
 
 
-def jcontract(*terms, order=2):
+def jcontract(*terms):
     """Signed sum of multilinear contractions of jets, with its derivatives.
 
     Each term is ``(spec, J1, ..., Jn)`` or ``(coef, spec, J1, ..., Jn)``;
@@ -354,9 +353,9 @@ def jcontract(*terms, order=2):
     (second-order forward-mode Taylor propagation).  Every component is
     added in the order the terms and operands are given, so a rewrite that
     keeps that order keeps the bits.  The result has the smallest operand
-    order, at most ``order``: pass ``order=0`` when only the value is read.
+    order: pass operands cut with ``jtruncate`` when only the value is read.
     """
-    rules = []
+    rules, order = [], 2
     for term in terms:
         if isinstance(term[0], str):
             coef, spec, ops = 1, term[0], term[1:]

@@ -105,8 +105,8 @@ def commutator_family_defect(hier, lam, mu, i_range, j_range):
 def modular_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample defects of the two relations mixing Z_i with the modular fields.
 
-    With X^j the modular field of pi_j and f_i = div(Z_i), all in the
-    density of the Hierarchy ``hier``:
+    With X^j the modular field of pi_j and f_i = div(Z_i), all from the
+    Hierarchy ``hier`` (coordinate Lebesgue density):
 
         [X^j, Z_i] + coeff_pi(i,j) * X^{i+j} - X^j_{f_i} = 0
         L_{X^i} pi_j + L_{X^j} pi_i = 0

@@ -87,8 +87,6 @@ class _Workspace:
     """
 
     def __init__(self, system, samples, seed, depth):
-        if samples < 1:
-            raise RangeError("samples must be >= 1")
         self.system = system
         self.samples = int(samples)
         self.seed = int(seed)

@@ -64,9 +64,12 @@ class System:
         return len(self.labels)
 
     def sample(self, samples, seed):
-        """Philox counter-based sampling of the box, reproducible by seed."""
+        """Philox counter-based sampling of the box, reproducible by seed;
+        RangeError unless samples >= 1 and 0 <= seed < 2**128."""
         if samples < 1:
             raise RangeError(f"samples must be >= 1, got {samples}")
+        if not 0 <= int(seed) < 2**128:      # the range of a Philox key
+            raise RangeError(f"seed must be in [0, 2**128), got {seed}")
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
         u = rng.random((int(samples), self.m))
         return self.lo + (self.hi - self.lo) * u
@@ -216,12 +219,12 @@ def harmonic(n):
     def xn_closed(jets):
         # modular field of the pair: -p_i d/dq_i + q_i d/dp_i
         return jstack([-jets[n + i] for i in range(n)]
-                      + [jets[i] for i in range(n)], m=m)
+                      + [jets[i] for i in range(n)])
 
     def deformation_z(jets):
         I = actions(jets)
         return jstack([I[i] * jets[i] * (-0.25) for i in range(n)]
-                      + [I[i] * jets[n + i] * (-0.25) for i in range(n)], m=m)
+                      + [I[i] * jets[n + i] * (-0.25) for i in range(n)])
 
     def h1_closed(jets):
         I = actions(jets)
@@ -245,7 +248,6 @@ def harmonic(n):
             "deformation_z": deformation_z,
             "deformation_div_closed": lambda jets: -h1_closed(jets),
             "h_closed": {1: h1_closed},
-            "period": 2.0 * np.pi,
         })
 
 
@@ -272,7 +274,7 @@ def calogero(n):
 
     def x1_closed(jets):
         return jstack([_const_like(0.0, jets[0])] * n
-                      + [jets[i] for i in range(n)], m=m)
+                      + [jets[i] for i in range(n)])
 
     return System(
         "calogero", "rational Calogero-Moser", n, labels,
@@ -313,25 +315,25 @@ def toda_moser(n):
         return _const_like(0.0, jets[0])
 
     def x0_mu(jets):
-        return jstack([1.0] * n + [zero(jets)] * n, m=m)
+        return jstack([1.0] * n + [zero(jets)] * n)
 
     def x1_mu(jets):
         return jstack([jets[i] for i in range(n)]
-                      + [-jets[n + i] for i in range(n)], m=m)
+                      + [-jets[n + i] for i in range(n)])
 
     def xm1_mu(jets):
         return jstack([jets[i] ** -1 for i in range(n)]
-                      + [jets[n + i] * jets[i] ** -2 for i in range(n)], m=m)
+                      + [jets[n + i] * jets[i] ** -2 for i in range(n)])
 
     def z_closed(i):
         def z(jets):
             return jstack([jets[k] ** (i + 1) for k in range(n)]
-                          + [zero(jets)] * n, m=m)
+                          + [zero(jets)] * n)
         return z
 
     def deformation_z(jets):
         return jstack([jets[k] * jets[k] * (-0.5) for k in range(n)]
-                      + [zero(jets)] * n, m=m)
+                      + [zero(jets)] * n)
 
     def sum_lam(jets):
         out = jets[0]
@@ -375,23 +377,17 @@ def cn_toda(n):
     m = 2 * n
     labels = [f"a{i+1}" for i in range(n)] + [f"b{i+1}" for i in range(n)]
 
-    def A(jets, i):   # a_{i+1} in math indexing
-        return jets[i]
-
-    def Bc(jets, i):
-        return jets[n + i]
-
     def pi_linear(jets):
+        a = jets[:n]          # a[i] is a_{i+1} in math indexing
         up = {}
         for i in range(n - 1):
-            up[(i, n + i)] = -A(jets, i)          # {a_i, b_i}   = -a_i
-            up[(i, n + i + 1)] = A(jets, i)       # {a_i, b_i+1} = +a_i
-        up[(n - 1, 2 * n - 1)] = A(jets, n - 1) * (-2.0)   # {a_n, b_n} = -2 a_n
+            up[(i, n + i)] = -a[i]          # {a_i, b_i}   = -a_i
+            up[(i, n + i + 1)] = a[i]       # {a_i, b_i+1} = +a_i
+        up[(n - 1, 2 * n - 1)] = a[n - 1] * (-2.0)   # {a_n, b_n} = -2 a_n
         return _table_to_matrix(up, m, jets[0])
 
     def pi_cubic(jets):
-        a = [A(jets, i) for i in range(n)]
-        b = [Bc(jets, i) for i in range(n)]
+        a, b = jets[:n], jets[n:]
         up = {}
         # a-a couplings
         for i in range(n - 2):
@@ -434,34 +430,25 @@ def cn_toda(n):
 
     def h2_closed(jets):
         # tr(L^2)/2 = sum b^2 + 2 sum_{i<n} a_i^2 + a_n^2
-        out = Bc(jets, 0) * Bc(jets, 0)
+        a, b = jets[:n], jets[n:]
+        out = b[0] * b[0]
         for i in range(1, n):
-            out = out + Bc(jets, i) * Bc(jets, i)
+            out = out + b[i] * b[i]
         for i in range(n - 1):
-            out = out + A(jets, i) * A(jets, i) * 2.0
-        out = out + A(jets, n - 1) * A(jets, n - 1)
+            out = out + a[i] * a[i] * 2.0
+        out = out + a[n - 1] * a[n - 1]
         return out
 
     def printed_flow(jets):
         """The classical equations of motion in (a, b); the engine field
         X_{H2} of pi_linear equals -2 times this (constant included)."""
-        a = [A(jets, i) for i in range(n)]
-        b = [Bc(jets, i) for i in range(n)]
+        a, b = jets[:n], jets[n:]
         adot = [a[i] * (b[i + 1] - b[i]) for i in range(n - 1)]
         adot.append(a[n - 1] * b[n - 1] * (-2.0))
         bdot = [a[0] * a[0] * 2.0]
         for i in range(1, n):
             bdot.append((a[i] * a[i] - a[i - 1] * a[i - 1]) * 2.0)
-        return jstack(adot + bdot, m=m)
-
-    def flaschka_np(q, p):
-        """Canonical (q, p) -> (a, b); a_n carries the doubled-root weight."""
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        a = np.empty_like(q)
-        a[:, :n - 1] = 0.5 * np.exp(0.5 * (q[:, :n - 1] - q[:, 1:]))
-        a[:, n - 1] = np.exp(q[:, n - 1]) / np.sqrt(2.0)
-        return np.concatenate([a, -0.5 * p], axis=1)
+        return jstack(adot + bdot)
 
     return System(
         "cn_toda", "C_n Bogoyavlensky-Toda", n, labels,
@@ -475,8 +462,6 @@ def cn_toda(n):
             "h2_closed": h2_closed,
             "printed_flow": printed_flow,
             "flow_scale": -2.0,
-            "flaschka_np": flaschka_np,
-            "pushforward_scale": -4.0,
         })
 
 

@@ -90,6 +90,12 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify", "--system", "harmonic",
                "--checks", "bogus")[0] == 2
     assert run(capsys, "verify", "--system", "harmonic", "--tol", "0")[0] == 2
+    # a Philox key is an integer in [0, 2**128)
+    for seed in ("-1", "340282366920938463463374607431768211456"):
+        code, out, err = run(capsys, "verify", "--system", "harmonic",
+                             "--n", "1", "--samples", "5", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "seed must be in [0, 2**128)" in err
     # argparse-level rejections exit through SystemExit, also with code 2
     for argv in (["integrate", "--system", "harmonic", "--method", "euler"],
                  ["frobnicate"]):

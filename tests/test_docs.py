@@ -2,10 +2,12 @@
 
 Every name that a demo script or a README python block imports from pnhier
 must exist (checked by parsing, nothing is executed), and so must every
-module attribute the README names in backticks.  The two quick demos must
-run to a clean exit.
+module attribute the README names in backticks.  The README's "Command
+line" section and the ``pnhier`` parser must name the same flags.  The two
+quick demos must run to a clean exit.
 """
 
+import argparse
 import ast
 import importlib
 import os
@@ -107,6 +109,23 @@ def test_readme_module_references_resolve():
     missing = [".".join(c) for c in checked
                if c[0] not in MODULES or not resolves_chain(c[0], c[1:])]
     assert missing == [], "the README names module attributes pnhier lacks"
+
+
+def test_readme_command_line_flags_match_the_parser():
+    from pnhier.cli import _build_parser
+
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = [action for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    defined = {flag for action in subparsers
+               for sub in action.choices.values()
+               for option in sub._actions for flag in option.option_strings
+               if flag.startswith("--") and flag != "--help"}
+    assert len(defined) >= 10
+    assert documented - {"--help"} <= defined, "README names unknown flags"
+    assert defined <= documented, "README leaves parser flags out"
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

@@ -401,14 +401,13 @@ def test_jcontract_order_cap():
     x = sample_points()
     A, v = matrix_field_jet(x), vector_field_jet(x)
     full = jcontract(("ik,k->i", A, v))
-    one = jcontract(("ik,k->i", A, v), order=1)
-    zero = jcontract(("ik,k->i", A, v), order=0)
+    # the smallest operand order caps the result: truncating one operand
+    # is enough, and the lower orders keep their bits
+    one = jcontract(("ik,k->i", A, jtruncate(v, 1)))
+    zero = jcontract(("ik,k->i", jtruncate(A, 0), v))
     assert (full.order, one.order, zero.order) == (2, 1, 0)
     assert np.array_equal(one.val, full.val) and np.array_equal(one.grad, full.grad)
     assert np.array_equal(zero.val, full.val)
-    # an operand of lower order caps the result the same way
-    v1 = Jet2(v.val, v.grad, None)
-    assert jcontract(("ik,k->i", A, v1)).order == 1
 
 
 def test_jcontract_spec_must_match_the_operands():

@@ -78,7 +78,7 @@ def test_config_validation():
         small_report(tol=0.0)
     with pytest.raises(RangeError):
         small_report(depth=0)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="samples must be >= 1, got 0"):
         small_report(samples=0)
 
 
@@ -95,6 +95,16 @@ def test_commuting_flows_tolerance_is_scaled():
     scale = TOL_SCALE["commuting-flows"]
     assert by_name["commuting-flows"]["tol"] == 1e-8 * scale
     assert by_name["torsion"]["tol"] == 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the h_0 Hessian cancels about four digits where "
+    "cond(N) is large, so commuting-flows reads 2.5e-7 against tol 1e-7 "
+    "on identities that hold"))
+def test_cn_toda_seed_222_passes_commuting_flows():
+    rep = verify_report(make_system("cn_toda", 3), seed=222,
+                        checks="commuting")
+    assert rep["all_pass"]
 
 
 def test_not_applicable_rows_carry_reasons():

@@ -55,7 +55,7 @@ def _nested_table_to_matrix(upper, m, ref):
     for (i, j), v in upper.items():
         rows[i][j] = v
         rows[j][i] = -v
-    return jstack(rows, m=m)
+    return jstack(rows)
 
 
 def _nested_canonical_pi0(jets, n):
