@@ -41,7 +41,7 @@ for i in sorted(ladder):
     print(f"  h_{i:+d} = {ladder[i].val[0]:+.15g}")
 
 print("\nspectrum doubling (each eigenvalue appears once per chart leg):")
-rep = spectral_pairing(N, n=2)
+rep = spectral_pairing(N)
 print(f"  eigenvalues {np.round(rep['eigenvalues'][0], 12)}, "
       f"paired={bool(rep['paired'][0])}, distinct={int(rep['distinct'][0])}")
 

@@ -18,12 +18,11 @@ bit-for-bit reference; LAPACK's eigvalsh is the independent cross-check.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
-                     RangeError, SingularTensorError, StepUnderflow)
+                     RangeError, SingularTensorError, StepUnderflow,
+                     check_int, check_positive)
 from .hierarchy import LADDER_CAP, Hierarchy, recursion_operator
 from .jets import Jet2, _einsum, _guarded_inv
 
@@ -78,23 +77,10 @@ class Trajectory:
 
 def _start_state(rhs, x0, t_end, guard):
     x0 = np.asarray(x0, dtype=float).ravel()
-    if not 0.0 < t_end < np.inf:     # also refuses nan
-        raise RangeError(f"t_end must be finite and > 0, got {t_end}")
+    check_positive("t_end", t_end)
     if guard is not None and not np.all(guard(x0[None, :])):
         raise DomainError("initial point is outside the chart domain")
     return x0
-
-
-def _check_dt(dt):
-    if not 0.0 < dt < np.inf:        # also refuses nan
-        raise RangeError(f"dt must be finite and > 0, got {dt}")
-
-
-def _check_record_every(n):
-    """n as an int; RangeError unless it is an integer >= 1 (not a bool)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise RangeError(f"record_every must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def _counted(rhs):
@@ -119,17 +105,17 @@ def _singular_stage(exc, evals, t):
 def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     """Classical fixed-step RK4 from t=0 to t_end.
 
-    Records the start, every ``record_every``-th step (an integer >= 1)
-    and the last step reached.  If the trajectory leaves the guarded
-    domain, or a stage raises SingularTensorError, it is truncated at the
-    last good step and flagged, not errored; only a singular start point
-    raises.  More than MAX_STEPS steps is a RangeError, raised before the
-    first step.
+    Records the start, every ``record_every``-th step and the last step
+    reached.  If the trajectory leaves the guarded domain, or a stage
+    raises SingularTensorError, it is truncated at the last good step and
+    flagged, not errored; only a singular start point raises.  Finite
+    positive t_end and dt, an integer record_every >= 1 and at most
+    MAX_STEPS steps, or a RangeError before the first step.
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
-    _check_dt(dt)
-    record_every = _check_record_every(record_every)
+    check_positive("dt", dt)
+    record_every = check_int("record_every", record_every, 1)
     ratio = t_end / dt               # inf when it overflows
     if not ratio <= MAX_STEPS:
         raise RangeError(f"t_end / dt = {ratio:.3g} exceeds the cap of "
@@ -174,17 +160,17 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     StepUnderflow when step control pushes dt below 1e-12.  Leaving the
     guarded domain or a SingularTensorError in a stage truncates the run as
     in ``rk4``, and records follow its rule, counted in accepted steps.
+    dt_init is checked as rk4's dt is; atol and rtol lie in (0, 1e-2].
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 < tol <= 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")
-    record_every = _check_record_every(record_every)
+    record_every = check_int("record_every", record_every, 1)
     c, a, b4, b5 = RKF45["c"], RKF45["a"], RKF45["b4"], RKF45["b5"]
-    dt = min(t_end, 1e-2) if dt_init is None else float(dt_init)
-    if not 0.0 < dt < np.inf:
-        raise RangeError(f"dt_init must be finite and > 0, got {dt_init}")
+    dt = (min(t_end, 1e-2) if dt_init is None
+          else float(check_positive("dt_init", dt_init)))
     times, states = [0.0], [x]
     truncated = None
     t = 0.0
@@ -232,13 +218,13 @@ def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, record_every=1,
               guard=None):
     """Dispatch to rk4 (fixed dt) or rkf45 (adaptive, atol = rtol = 1e-10).
 
-    dt must be finite and > 0 under either method, though rkf45 picks its
-    own steps.
+    dt must be finite and positive under either method, though rkf45 picks
+    its own steps; the other parameters are checked by the method itself.
     """
     if method == "rk4":
         return rk4(rhs, x0, t_end, dt, record_every=record_every, guard=guard)
     if method == "rkf45":
-        _check_dt(dt)
+        check_positive("dt", dt)
         return rkf45(rhs, x0, t_end, record_every=record_every, guard=guard)
     raise RangeError(f"unknown method '{method}' (rk4 or rkf45)")
 
@@ -262,9 +248,9 @@ def _stage_point(system, x):
 def hamiltonian_flow_rhs(system, index):
     """rhs(t, x) for the pi0-hamiltonian flow of the ladder invariant h_k.
 
-    ``index`` is the ladder index k, an integer with |k| <= 12 (the ladder
-    cap of ``check_depths``); a bad index is a RangeError here, before any
-    stage.  The pi1 flow of h_k is the pi0 flow of h_(k+1) (Lenard).
+    ``index`` is the ladder index k, an integer in -12..12 (the ladder cap
+    of ``check_depths``; not a float, bool or string); a bad index is a
+    RangeError here, before any stage.  The pi1 flow of h_k is the pi0 flow of h_(k+1) (Lenard).
 
     Each stage evaluates pi0 and pi1 once, on order-1 coordinate jets; the
     rest is an order-1 tail on plain arrays (see ``_ladder_differential``)
@@ -286,7 +272,7 @@ def hamiltonian_flow_rhs(system, index):
       constant Pi0 (harmonic, calogero, an_toda) is thus inverted once per
       rhs; a varying one at every stage.
     """
-    index = _flow_index(index)
+    index = check_int("flow index", index, -LADDER_CAP, LADDER_CAP)
     point = np.zeros((1, system.m))
     jets = Jet2.coords(point, order=1)
     inverted = [None, None]      # bytes of the last Pi0 inverted, its inverse
@@ -301,17 +287,6 @@ def hamiltonian_flow_rhs(system, index):
         return _einsum("...ji,...j->...i", P0.val, dh)[0]     # P0# dh
 
     return rhs
-
-
-def _flow_index(index):
-    """The ladder index of a flow as an int; RangeError unless |k| <= cap."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise RangeError(f"flow index must be an integer, got {index!r}")
-    k = int(index)
-    if abs(k) > LADDER_CAP:
-        raise RangeError(f"flow index must be in -{LADDER_CAP}..{LADDER_CAP}, "
-                         f"got {k}")
-    return k
 
 
 def _ladder_differential(Q, P0, P1, k):
@@ -474,11 +449,12 @@ def lax_eigenvalues(L, tag="lax"):
     followed by implicit-shift QL, run over the whole stack at once and
     budgeted at 30*k iterations per matrix (ConvergenceError beyond).  A 2-D
     input is a batch of one and gives a (k,) result; an empty stack gives a
-    (0, k) one.  Input must be square (DimensionError), finite, and each
-    matrix symmetric to roundoff at its own scale max(|L|, 1) (DomainError
-    otherwise).  The
-    per-matrix reference in tests/eigen_reference.py must agree bit for bit,
-    and LAPACK's eigvalsh is the independent cross-check.
+    (0, k) one.  Every size k takes the same path: at k = 1 the reduction
+    and the QL sweep do nothing and the diagonal is returned as it is.
+    Input must be square (DimensionError), finite, and each matrix
+    symmetric to roundoff at its own scale max(|L|, 1) (DomainError
+    otherwise).  The per-matrix reference in tests/eigen_reference.py must
+    agree bit for bit, and LAPACK's eigvalsh is the independent cross-check.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim not in (2, 3) or L.shape[-1] != L.shape[-2]:
@@ -495,9 +471,6 @@ def lax_eigenvalues(L, tag="lax"):
                   initial=0.0)
     if np.any(asym > 1e-10 * scale):
         raise DomainError(f"{tag}: matrix is not symmetric")
-    if k == 1:
-        ev = stack[:, 0, :1].copy()
-    else:
-        d, e = _tridiagonalize(stack.copy())
-        ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
+    d, e = _tridiagonalize(stack.copy())
+    ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
     return ev[0] if L.ndim == 2 else ev

@@ -1,8 +1,13 @@
-"""Exception types raised by the engine.
+"""Exception types raised by the engine, and the two parameter rules.
 
 Every error the package raises deliberately derives from EngineError, so
 callers (and the CLI) can distinguish engine failures from programming bugs.
+Every integer parameter passes ``check_int`` and every positive real one
+``check_positive``: a bad value is a RangeError worded alike everywhere.
 """
+
+import math
+import numbers
 
 
 class EngineError(Exception):
@@ -37,3 +42,24 @@ class StepUnderflow(EngineError):
 
 class ConvergenceError(EngineError):
     """An iterative solver exhausted its iteration budget."""
+
+
+def check_int(name, value, lo=None, hi=None):
+    """``value`` as an int; RangeError unless it is an integer (numpy's too,
+    not a bool, a float or a string) >= lo, and <= hi when hi is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise RangeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if hi is not None and not lo <= value <= hi:
+        raise RangeError(f"{name} must be in {lo}..{hi}, got {value}")
+    if lo is not None and value < lo:
+        raise RangeError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
+def check_positive(name, value):
+    """``value`` unchanged; RangeError unless it is a real number, finite and
+    > 0 (not nan, a string or None)."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise RangeError(f"{name} must be finite and positive, got {value}")
+    return value

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, check_int
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, per_sample, poisson_bracket, sharp)
 from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
@@ -57,15 +57,11 @@ LADDER_CAP = 12
 def check_depths(depth, neg_depth):
     """Validate a ladder range; returns (depth, neg_depth) as ints.
 
-    Depth is capped at LADDER_CAP = 12 in each direction.
+    Both are integers (``errors.check_int``): depth in 1..LADDER_CAP and
+    neg_depth in 0..LADDER_CAP, with LADDER_CAP = 12.
     """
-    depth, neg_depth = int(depth), int(neg_depth)
-    if not 1 <= depth <= LADDER_CAP:
-        raise RangeError(f"depth must be in 1..{LADDER_CAP}, got {depth}")
-    if not 0 <= neg_depth <= LADDER_CAP:
-        raise RangeError(f"neg_depth must be in 0..{LADDER_CAP}, "
-                         f"got {neg_depth}")
-    return depth, neg_depth
+    return (check_int("depth", depth, 1, LADDER_CAP),
+            check_int("neg_depth", neg_depth, 0, LADDER_CAP))
 
 
 class Hierarchy:
@@ -226,14 +222,15 @@ def spectrum(N):
 SPECTRAL_TOL = 1e-8
 
 
-def spectral_pairing(N, n):
+def spectral_pairing(N):
     """Sorted eigenvalues of N plus a pairing and multiplicity report.
 
     Recursion operators built from a bivector pair carry a doubled spectrum;
     per point this reports the sorted real eigenvalues, whether they pair up,
-    how many distinct values they collapse to, and whether at least n are
-    distinct (the sufficient condition for n independent ladder invariants),
-    at the relative gap SPECTRAL_TOL.  Degeneracy is reported, never raised.
+    how many distinct values they collapse to, and whether at least m/2 are
+    distinct (the sufficient condition for m/2 independent ladder
+    invariants, n on every catalog chart, where m = 2n), at the relative
+    gap SPECTRAL_TOL.  Degeneracy is reported, never raised.
     """
     ev = spectrum(N)
     lam = ev.real
@@ -252,5 +249,5 @@ def spectral_pairing(N, n):
         "max_imag": float(np.max(np.abs(ev.imag))),
         "paired": paired,
         "distinct": distinct,
-        "independent": distinct >= int(n),
+        "independent": distinct >= m // 2,
     }

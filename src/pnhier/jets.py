@@ -234,57 +234,23 @@ class Jet2:
 # ---- assembling tensors out of scalar jets ---------------------------------
 
 def jstack(entries):
-    """Stack a (possibly nested) list of scalar jets/constants into one jet.
+    """Stack a flat list of jets and plain numbers into one jet on axis 1.
 
-    ``jstack([j1, j2])`` gives a vector jet of shape (B, 2);
-    ``jstack([[a, b], [c, d]])`` a matrix jet of shape (B, 2, 2).
-    Plain numbers are lifted to constants; the chart dimension m, batch and
-    order come from the first jet entry.
+    ``jstack([j1, j2])`` of scalar jets gives a vector jet of shape (B, 2);
+    a matrix jet stacks rows, ``jstack([jstack(row) for row in rows])``.
+    Plain numbers are lifted to constants at the m, shape and order of the
+    first jet entry.  np.stack copies: the result shares no memory.
     """
-    ref = _find_jet(entries)
+    ref = next((e for e in entries if isinstance(e, Jet2)), None)
     if ref is None:
         raise DimensionError("jstack needs at least one Jet2 entry")
-    val, grad, hess = _collect(entries, ref)
-    # axis=1 stacking in _collect builds shapes (B, n1, n2, ..., [m[, m]]) directly
+    parts = [e if isinstance(e, Jet2) else Jet2.const(
+        np.broadcast_to(np.asarray(e, float), ref.val.shape), ref.m,
+        order=ref.order) for e in entries]
+    val = np.stack([p.val for p in parts], axis=1)
+    grad = None if parts[0].grad is None else np.stack([p.grad for p in parts], axis=1)
+    hess = None if parts[0].hess is None else np.stack([p.hess for p in parts], axis=1)
     return Jet2(val, grad, hess, m=ref.m)
-
-
-# Module-level rather than nested in jstack: a nested recursive helper refers
-# to itself through its closure cell, so every call would leave a reference
-# cycle (holding the first jet entry) for the cyclic garbage collector.
-
-def _collect(node, ref):
-    if isinstance(node, (list, tuple)):
-        parts = [_collect(c, ref) for c in node]
-        val = np.stack([p[0] for p in parts], axis=1)
-        grad = None if parts[0][1] is None else np.stack([p[1] for p in parts], axis=1)
-        hess = None if parts[0][2] is None else np.stack([p[2] for p in parts], axis=1)
-        return val, grad, hess
-    j = _lift(node, ref)
-    return j.val, j.grad, j.hess
-
-
-def _lift(e, ref):
-    if isinstance(e, Jet2):
-        return e
-    return Jet2.const(np.broadcast_to(np.asarray(e, float), ref.val.shape),
-                      ref.m, order=ref.order)
-
-
-def _find_jet(node):
-    if isinstance(node, Jet2):
-        return node
-    if isinstance(node, (list, tuple)):
-        for c in node:
-            found = _find_jet(c)
-            if found is not None:
-                return found
-    return None
-
-
-def jeye(n, m, batch, order=2):
-    """Constant identity-matrix jet of shape (batch, n, n)."""
-    return Jet2.const(np.eye(n), m, batch=batch, order=order)
 
 
 # ---- the product rule -------------------------------------------------------
@@ -523,10 +489,9 @@ def jlogabsdet(A, what="matrix"):
 def jmatpow(A, k):
     """Integer power of a matrix jet (k may be negative)."""
     k = int(k)
-    n = A.val.shape[-1]
-    B = A.val.shape[0]
     if k == 0:
-        return jeye(n, A.m, B, order=A.order)
+        return Jet2.const(np.eye(A.val.shape[-1]), A.m, batch=A.val.shape[0],
+                          order=A.order)
     base = A if k > 0 else jinv(A)
     out = base
     for _ in range(abs(k) - 1):

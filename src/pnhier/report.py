@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from . import __version__
-from .errors import EngineError, RangeError
+from .errors import EngineError, RangeError, check_positive
 from .fields import (
     antisymmetry_defect,
     cotangent_apply,
@@ -67,7 +67,7 @@ from .master import (
     modular_family_defect,
 )
 from .modular import koszul_d, modular_pair_defect_field, pn_modular_field
-from .systems import SYSTEMS, make_system
+from .systems import SYSTEMS
 
 CONTROL_FLOOR = 1e-5
 
@@ -88,10 +88,8 @@ class _Workspace:
 
     def __init__(self, system, samples, seed, depth):
         self.system = system
-        self.samples = int(samples)
-        self.seed = int(seed)
-        self.depth = int(depth)
-        self.x = system.sample(samples, seed)
+        self.x = system.sample(samples, seed)     # checks samples and seed
+        self.samples, self.seed, self.depth = int(samples), int(seed), depth
         self.jets = system.jets(self.x)
         self.P0 = system.pi0(self.jets)
         self.P1 = system.pi1(self.jets)
@@ -431,10 +429,11 @@ def _selected(name, tokens):
 # ---- verify ------------------------------------------------------------------
 
 def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
-    """Run the identity suite on seeded samples and assemble the report dict."""
-    if not 0.0 < tol < np.inf:       # also refuses nan
-        raise RangeError(f"tol must be finite and positive, got {tol}")
-    check_depths(depth, 0)
+    """Run the identity suite on seeded samples and assemble the report dict:
+    integer samples >= 1, seed in [0, 2**128) and depth in 1..12, a finite
+    positive tol, or a RangeError before a sample is drawn."""
+    check_positive("tol", tol)
+    depth, _ = check_depths(depth, 0)
     tokens = _tokens(checks)
     if tokens is not None:
         if not tokens:
@@ -463,7 +462,7 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
         rows.append(_judged_row(ws, name, identity, run, "floor", CONTROL_FLOOR,
                                 operator.gt))
 
-    pairing = spectral_pairing(ws.N, n=system.n)
+    pairing = spectral_pairing(ws.N)
     spectrum = {
         "max_imag": float(pairing["max_imag"]),
         "paired_all": bool(np.all(pairing["paired"])),
@@ -572,7 +571,7 @@ def hierarchy_report(system, depth=4):
             row.append(max(b0, b1))
         matrix.append(row)
 
-    pairing = spectral_pairing(N, n=system.n)
+    pairing = spectral_pairing(N)
     return {
         "meta": _meta("hierarchy", system, version_extras={"depth": int(depth)}),
         "probe": [float(v) for v in x[0]],
@@ -592,12 +591,18 @@ def hierarchy_report(system, depth=4):
 # ---- catalog -----------------------------------------------------------------
 
 def catalog_report(n=2):
-    """All catalog entries instantiated at a representative size."""
+    """All catalog entries instantiated at a representative size; one
+    that does not exist at size n is "not-available" with the reason, like
+    a verify row that does not apply, and none at all is a RangeError."""
     entries = []
-    for key in SYSTEMS:
-        s = make_system(key, n)
-        entries.append({
-            "system": key.replace("_", "-"),
+    for key, build in SYSTEMS.items():
+        entries.append({"system": key.replace("_", "-")})
+        try:
+            s = build(n)
+        except RangeError as exc:
+            entries[-1].update(status="not-available", reason=str(exc))
+            continue
+        entries[-1].update({
             "title": s.title,
             "n": int(s.n),
             "m": int(s.m),
@@ -608,6 +613,8 @@ def catalog_report(n=2):
             "description": s.description,
             "closed_forms": sorted(s.extras),
         })
+    if all("status" in e for e in entries):
+        raise RangeError(f"no catalog system exists at n = {n!r}")
     return {"meta": {"command": "catalog", "n": int(n), "version": __version__},
             "systems": entries}
 

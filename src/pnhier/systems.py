@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, RangeError
+from .errors import DimensionError, DomainError, RangeError, check_int
 from .jets import Jet2, jstack
 
 
@@ -65,13 +65,14 @@ class System:
 
     def sample(self, samples, seed):
         """Philox counter-based sampling of the box, reproducible by seed;
-        RangeError unless samples >= 1 and 0 <= seed < 2**128."""
-        if samples < 1:
-            raise RangeError(f"samples must be >= 1, got {samples}")
-        if not 0 <= int(seed) < 2**128:      # the range of a Philox key
+        RangeError unless samples >= 1 and 0 <= seed < 2**128 are integers
+        (``errors.check_int``: a float is refused, never truncated)."""
+        samples = check_int("samples", samples, 1)
+        seed = check_int("seed", seed)
+        if not 0 <= seed < 2**128:      # the range of a Philox key
             raise RangeError(f"seed must be in [0, 2**128), got {seed}")
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        u = rng.random((int(samples), self.m))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        u = rng.random((samples, self.m))
         return self.lo + (self.hi - self.lo) * u
 
     def domain_ok(self, x):
@@ -106,26 +107,23 @@ class System:
 
 # ---- small builders ----------------------------------------------------------
 
-def _const_like(c, j):
-    return Jet2.const(np.full(j.val.shape, float(c)), j.m, order=j.order)
-
-
-def _table_to_matrix(upper, m, ref):
+def _table_to_matrix(upper, ref):
     """Antisymmetric matrix jet from a dict {(i, j): {x^i, x^j}} with i < j.
 
     An entry is a scalar jet or a plain number, a constant whose derivatives
-    are zero.  The tables are scattered into zero-filled (B, m, m) value,
-    gradient and Hessian arrays at ``ref``'s order: each entry is written
-    once at [:, i, j], then one negated fancy-index copy per array fills
-    [:, j, i].  Slots not in the table stay +0.0; a negated jet entry keeps
-    the sign of its zeros, as the jet negation does, and a constant entry's
-    derivatives stay +0.0 in both triangles, as a lifted constant's do.
-    A key outside 0 <= i < j < m raises DimensionError, since a diagonal
+    are zero.  ``ref``, a coordinate jet of the chart, sets the chart
+    dimension m, the batch and the order.  The tables are scattered into
+    zero-filled (B, m, m) value, gradient and Hessian arrays: each entry is
+    written once at [:, i, j], then one negated fancy-index copy per array
+    fills [:, j, i].  Slots not in the table stay +0.0; a negated jet entry
+    keeps the sign of its zeros, as the jet negation does, and a constant
+    entry's derivatives stay +0.0 in both triangles, as a lifted constant's
+    do.  A key outside 0 <= i < j < m raises DimensionError, since a diagonal
     or lower key would break antisymmetry or overwrite an entry; so does a
     jet entry of lower order than ``ref``, whose missing derivatives would
     otherwise be written as NaN.
     """
-    order = ref.order
+    order, m = ref.order, ref.m
     shape = ref.val.shape + (m, m)
     val = np.zeros(shape)
     grad = np.zeros(shape + (m,)) if order >= 1 else None
@@ -168,9 +166,10 @@ def _canonical_block(n):
                      [np.eye(n), np.zeros((n, n))]])
 
 
-def _const_matrix(block, jets):
-    """The constant matrix ``block`` as a jet at the batch and order of jets."""
-    return Jet2.const(block, jets[0].m, batch=jets[0].val.shape[0],
+def _const_jet(value, jets):
+    """The constant array ``value`` (a vector or a matrix) as a jet at the
+    batch and order of jets."""
+    return Jet2.const(value, jets[0].m, batch=jets[0].val.shape[0],
                       order=jets[0].order)
 
 
@@ -201,8 +200,7 @@ def harmonic(n):
     is diag(I, I).  Everything about this model is a closed form, which makes
     it the sharpest oracle in the catalog.
     """
-    if n < 1:
-        raise RangeError("harmonic needs n >= 1")
+    n = check_int("harmonic n", n, 1)
     m = 2 * n
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
     canonical = _canonical_block(n)
@@ -214,7 +212,7 @@ def harmonic(n):
     def pi1(jets):
         I = actions(jets)
         # I_i dp ^ dq  means {p_i, q_i} = I_i, i.e. {q_i, p_i} = -I_i
-        return _table_to_matrix({(i, n + i): -I[i] for i in range(n)}, m, jets[0])
+        return _table_to_matrix({(i, n + i): -I[i] for i in range(n)}, jets[0])
 
     def xn_closed(jets):
         # modular field of the pair: -p_i d/dq_i + q_i d/dp_i
@@ -240,7 +238,7 @@ def harmonic(n):
     return System(
         "harmonic", "harmonic oscillators", n, labels,
         lo=[0.3] * m, hi=[1.5] * m,
-        pi0_fn=lambda jets: _const_matrix(canonical, jets),
+        pi0_fn=lambda jets: _const_jet(canonical, jets),
         pi1_fn=pi1, domain_fn=domain,
         description="n uncoupled oscillators; recursion operator diag(I, I)",
         extras={
@@ -259,22 +257,17 @@ def calogero(n):
     F_i are the Lax traces, G_i their conjugates; {F_i, G_i} = +1 and the
     second bracket scales by F_i.  The physical flow is X = sum_i F_i d/dG_i.
     """
-    if n < 1:
-        raise RangeError("calogero needs n >= 1")
-    m = 2 * n
+    n = check_int("calogero n", n, 1)
     labels = [f"F{i+1}" for i in range(n)] + [f"G{i+1}" for i in range(n)]
 
     def pi0(jets):
-        return _table_to_matrix({(i, n + i): 1.0 for i in range(n)},
-                                m, jets[0])
+        return _table_to_matrix({(i, n + i): 1.0 for i in range(n)}, jets[0])
 
     def pi1(jets):
-        return _table_to_matrix({(i, n + i): jets[i] for i in range(n)},
-                                m, jets[0])
+        return _table_to_matrix({(i, n + i): jets[i] for i in range(n)}, jets[0])
 
     def x1_closed(jets):
-        return jstack([_const_like(0.0, jets[0])] * n
-                      + [jets[i] for i in range(n)])
+        return jstack([0.0] * n + [jets[i] for i in range(n)])
 
     return System(
         "calogero", "rational Calogero-Moser", n, labels,
@@ -298,24 +291,20 @@ def toda_moser(n):
     fields, master symmetries, ladder hamiltonians -- has a closed form here,
     including at negative depth, so this model anchors most oracle tests.
     """
-    if n < 1:
-        raise RangeError("toda_moser needs n >= 1")
+    n = check_int("toda_moser n", n, 1)
     m = 2 * n
     labels = [f"lam{i+1}" for i in range(n)] + [f"r{i+1}" for i in range(n)]
 
     def pi0(jets):
         return _table_to_matrix({(i, n + i): jets[n + i] for i in range(n)},
-                                m, jets[0])
+                                jets[0])
 
     def pi1(jets):
         return _table_to_matrix({(i, n + i): jets[i] * jets[n + i]
-                                 for i in range(n)}, m, jets[0])
-
-    def zero(jets):
-        return _const_like(0.0, jets[0])
+                                 for i in range(n)}, jets[0])
 
     def x0_mu(jets):
-        return jstack([1.0] * n + [zero(jets)] * n)
+        return _const_jet(np.repeat([1.0, 0.0], n), jets)
 
     def x1_mu(jets):
         return jstack([jets[i] for i in range(n)]
@@ -328,12 +317,12 @@ def toda_moser(n):
     def z_closed(i):
         def z(jets):
             return jstack([jets[k] ** (i + 1) for k in range(n)]
-                          + [zero(jets)] * n)
+                          + [0.0] * n)
         return z
 
     def deformation_z(jets):
         return jstack([jets[k] * jets[k] * (-0.5) for k in range(n)]
-                      + [zero(jets)] * n)
+                      + [0.0] * n)
 
     def sum_lam(jets):
         out = jets[0]
@@ -372,9 +361,7 @@ def cn_toda(n):
     boundary terms at the doubled C_n root.  Conserved hamiltonians are
     H_{2i} = tr(L^{2i})/(2i) for the symmetric 2n x 2n Lax matrix below.
     """
-    if n < 2:
-        raise RangeError("cn_toda needs n >= 2")
-    m = 2 * n
+    n = check_int("cn_toda n", n, 2)
     labels = [f"a{i+1}" for i in range(n)] + [f"b{i+1}" for i in range(n)]
 
     def pi_linear(jets):
@@ -384,7 +371,7 @@ def cn_toda(n):
             up[(i, n + i)] = -a[i]          # {a_i, b_i}   = -a_i
             up[(i, n + i + 1)] = a[i]       # {a_i, b_i+1} = +a_i
         up[(n - 1, 2 * n - 1)] = a[n - 1] * (-2.0)   # {a_n, b_n} = -2 a_n
-        return _table_to_matrix(up, m, jets[0])
+        return _table_to_matrix(up, jets[0])
 
     def pi_cubic(jets):
         a, b = jets[:n], jets[n:]
@@ -411,7 +398,7 @@ def cn_toda(n):
         # b-b couplings
         for i in range(n - 1):
             up[(n + i, n + i + 1)] = (a[i] * a[i] * (b[i] + b[i + 1])) * 2.0
-        return _table_to_matrix(up, m, jets[0])
+        return _table_to_matrix(up, jets[0])
 
     def lax_np(x):
         """Symmetric 2n x 2n Lax matrix at points x of shape (B, 2n)."""
@@ -475,9 +462,7 @@ def an_toda(n):
     The Flaschka map sends the physical flow onto the symmetric tridiagonal
     Lax pair whose spectrum the dynamics checks monitor.
     """
-    if n < 2:
-        raise RangeError("an_toda needs n >= 2")
-    m = 2 * n
+    n = check_int("an_toda n", n, 2)
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
     canonical = _canonical_block(n)
 
@@ -491,7 +476,7 @@ def an_toda(n):
             up[(i, n + i)] = -p[i]                        # -B block: {q_i, p_i} = -p_i
         for i in range(n - 1):
             up[(n + i, n + i + 1)] = (q[i] - q[i + 1]).exp()   # C block
-        return _table_to_matrix(up, m, jets[0])
+        return _table_to_matrix(up, jets[0])
 
     def h1_closed(jets):
         out = jets[n]
@@ -538,7 +523,7 @@ def an_toda(n):
     return System(
         "an_toda", "open Toda chain", n, labels,
         lo=[-0.5] * n + [-1.0] * n, hi=[0.5] * n + [1.0] * n,
-        pi0_fn=lambda jets: _const_matrix(canonical, jets),
+        pi0_fn=lambda jets: _const_jet(canonical, jets),
         pi1_fn=pi1,
         description="canonical chart; nearest-neighbour exponential couplings",
         extras={
@@ -559,8 +544,9 @@ SYSTEMS = {
 
 
 def make_system(key, n):
-    """Instantiate a registered system; RangeError on unknown key or bad n."""
+    """Instantiate a registered system; RangeError on an unknown key, or
+    unless n is an integer at least the chart's smallest size."""
     if key not in SYSTEMS:
-        raise RangeError(f"unknown system '{key}'; choose from "
-                         f"{sorted(SYSTEMS)}")
+        known = ", ".join(k.replace("_", "-") for k in SYSTEMS)
+        raise RangeError(f"unknown system {key!r} (catalog: {known})")
     return SYSTEMS[key](n)

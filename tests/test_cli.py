@@ -86,7 +86,10 @@ def test_impossible_tolerance_fails_with_code_1(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "verify", "--system", "kepler")[0] == 2
+    code, out, err = run(capsys, "verify", "--system", "kepler")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown system 'kepler' (catalog: harmonic, "
+                   "calogero, toda-moser, cn-toda, an-toda)\n")
     assert run(capsys, "verify", "--system", "harmonic",
                "--checks", "bogus")[0] == 2
     assert run(capsys, "verify", "--system", "harmonic", "--tol", "0")[0] == 2
@@ -238,6 +241,26 @@ def test_catalog_lists_five_systems(capsys):
     assert code == 0
     cat = json.loads(out)
     assert len(cat["systems"]) == 5
+
+
+def test_catalog_lists_systems_too_small_for_n_as_not_available(capsys):
+    # cn-toda and an-toda need n >= 2; one chart's size guard used to lose
+    # the whole listing with exit 2
+    code, out, err = run(capsys, "catalog", "--n", "1")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["systems"]
+    assert [r["system"] for r in rows] == [
+        "harmonic", "calogero", "toda-moser", "cn-toda", "an-toda"]
+    for row in rows[:3]:
+        assert "status" not in row and (row["n"], row["m"]) == (1, 2)
+    for row, key in zip(rows[3:], ("cn_toda", "an_toda")):
+        assert row == {"system": key.replace("_", "-"),
+                       "status": "not-available",
+                       "reason": f"{key} n must be >= 2, got 1"}
+    # a size at which no system exists is still a usage error
+    code, out, err = run(capsys, "catalog", "--n", "0")
+    assert (code, out) == (2, "")
+    assert "no catalog system exists at n = 0" in err
 
 
 def test_integrate_csv(capsys):

@@ -3,8 +3,9 @@
 Every name that a demo script or a README python block imports from pnhier
 must exist (checked by parsing, nothing is executed), and so must every
 module attribute the README names in backticks.  The README's "Command
-line" section and the ``pnhier`` parser must name the same flags.  The two
-quick demos must run to a clean exit.
+line" section and the ``pnhier`` parser must name the same flags, and its
+error sentence, ``pnhier.__all__`` and ``pnhier.errors`` the same errors.
+The two quick demos must run to a clean exit.
 """
 
 import argparse
@@ -126,6 +127,28 @@ def test_readme_command_line_flags_match_the_parser():
     assert len(defined) >= 10
     assert documented - {"--help"} <= defined, "README names unknown flags"
     assert defined <= documented, "README leaves parser flags out"
+
+
+def test_error_lists_agree():
+    # README's error sentence, the package exports and the errors module
+    # must name the same EngineError subclasses
+    import pnhier
+    from pnhier import errors
+
+    text = (ROOT / "README.md").read_text()
+    sentence = text.split("All errors derive from", 1)[1].split("\n\n", 1)[0]
+    documented = {s for s in readme_spans(sentence) if "." not in s}
+
+    def engine_errors(namespace, names):
+        return {name for name in names
+                if isinstance(getattr(namespace, name), type)
+                and issubclass(getattr(namespace, name), errors.EngineError)
+                and getattr(namespace, name) is not errors.EngineError}
+
+    exported = engine_errors(pnhier, pnhier.__all__)
+    defined = engine_errors(errors, dir(errors))
+    assert len(defined) == 6
+    assert documented == exported == defined
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

@@ -212,7 +212,7 @@ def test_record_every_and_zero_field():
 
 @pytest.mark.parametrize("method", ("rk4", "rkf45"))
 def test_record_every_must_be_a_positive_integer(method):
-    for bad in (0, -3, 2.7, 2.0, np.nan, True, "2", None):
+    for bad in (0, -3, 2.5, 2.7, 2.0, np.nan, True, "2", None):
         with pytest.raises(RangeError, match="record_every"):
             integrate(rotation, [1.0, 0.0], t_end=0.1, method=method,
                       record_every=bad)
@@ -451,7 +451,7 @@ def test_order_one_tail_keeps_the_singularity_guards():
     assert np.all(np.isfinite(hamiltonian_flow_rhs(sys, index=2)(0.0, x)))
 
 
-@pytest.mark.parametrize("index", [2.5, 2.0, "2", True, 13, -13, 400])
+@pytest.mark.parametrize("index", [2.5, 2.0, "2", True, None, 13, -13, 400])
 def test_flow_index_must_be_an_integer_within_the_ladder_cap(index):
     sys = make_system("an_toda", 2)
 

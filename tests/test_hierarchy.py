@@ -17,7 +17,7 @@ from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
                               lenard_defect, n_act, recursion_operator,
                               spectral_pairing, spectrum)
 from pnhier import hierarchy, jets
-from pnhier.jets import Jet2, jeye
+from pnhier.jets import Jet2
 from pnhier.modular import koszul_d
 from pnhier.report import verify_report
 from pnhier.systems import make_system
@@ -36,7 +36,7 @@ def tm_workspace(n=2, samples=16, seed=11):
 
 def test_identity_recursion_operator_ladder():
     m, B = 4, 5
-    N = jeye(m, m, batch=B)
+    N = Jet2.const(np.eye(m), m, batch=B)
     ladder = Hierarchy(None, N).ladder(depth=3, neg_depth=2)
     for i in range(-2, 4):
         expected = 0.0 if i == 0 else m / (2.0 * i)
@@ -72,7 +72,7 @@ def test_probe_ladder_values_of_small_chain():
 
 
 def test_ladder_depth_bounds():
-    hier = Hierarchy(None, jeye(3, 3, batch=2))
+    hier = Hierarchy(None, Jet2.const(np.eye(3), 3, batch=2))
     with pytest.raises(RangeError):
         hier.ladder(depth=13)
     with pytest.raises(RangeError):
@@ -142,7 +142,7 @@ def test_spectrum_against_dense_eigvals():
 
 def test_spectral_pairing_reports_doubling_and_degeneracy():
     _, P0, P1, N = tm_workspace(n=2, samples=10)
-    rep = spectral_pairing(N, n=2)
+    rep = spectral_pairing(N)
     assert rep["eigenvalues"].shape == (10, 4)
     assert bool(np.all(rep["paired"]))
     assert np.all(rep["distinct"] == 2)
@@ -151,7 +151,7 @@ def test_spectral_pairing_reports_doubling_and_degeneracy():
     # an unpaired diagonal operator is reported, not rejected
     val = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (3, 1, 1))
     M = Jet2(val, np.zeros((3, 4, 4, 4)), m=4)
-    rep = spectral_pairing(M, n=2)
+    rep = spectral_pairing(M)
     assert not np.any(rep["paired"])
     assert np.all(rep["distinct"] == 4)
     assert bool(np.all(rep["independent"]))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pnhier.errors import DimensionError, SingularTensorError
 from pnhier.fields import schouten_bb
 from pnhier.hierarchy import n_act, recursion_operator
-from pnhier.jets import (Jet2, check_invertible, jcontract, jeye, jinv,
+from pnhier.jets import (Jet2, check_invertible, jcontract, jinv,
                          jlogabsdet, jmatmul, jmatpow, jmatvec, jstack, jtrace,
                          jtranspose, jtruncate)
 from pnhier.systems import make_system
@@ -177,9 +177,9 @@ def matrix_field(x):
 
 def matrix_field_jet(x):
     x0, x1, x2 = Jet2.coords(x)
-    return jstack([[4.0 + x0 * x1, x2.exp() * 0.3, x1 * x1],
-                   [x2, 4.0 + x0.log(), x0 * x2],
-                   [0.5 * x1, x0 + x2, 5.0 + x1 * x2]])
+    return jstack([jstack([4.0 + x0 * x1, x2.exp() * 0.3, x1 * x1]),
+                   jstack([x2, 4.0 + x0.log(), x0 * x2]),
+                   jstack([0.5 * x1, x0 + x2, 5.0 + x1 * x2])])
 
 
 def test_jstack_matches_direct_field():
@@ -493,7 +493,7 @@ def test_jstack_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        jstack([[x0 * x1, 1.0], [x2, 0.5]])
+        jstack([jstack([x0 * x1, 1.0]), jstack([x2, 0.5])])
         assert gc.collect() == 0
     finally:
         gc.enable()

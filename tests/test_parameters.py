@@ -1,0 +1,78 @@
+"""One rule per parameter kind across the public API.
+
+``errors.check_int`` refuses a float, a bool, a string and None with a
+RangeError instead of truncating or leaking a TypeError, and accepts numpy
+integers as the ints they are.  The flow index and ``record_every`` take the
+same cases in tests/test_dynamics.py.  ``errors.check_positive`` refuses
+zero, negatives, nan, infinities and non-numbers alike.
+"""
+
+import numpy as np
+import pytest
+
+from pnhier.dynamics import integrate, rk4, rkf45
+from pnhier.errors import RangeError
+from pnhier.hierarchy import Hierarchy
+from pnhier.jets import Jet2
+from pnhier.report import render_report, verify_report
+from pnhier.systems import SYSTEMS, make_system
+
+
+def _ladder(depth, neg_depth):
+    ladder = Hierarchy(None, Jet2.const(np.eye(2), 2, batch=1)).ladder(
+        depth, neg_depth)
+    return {k: h.val.tolist() for k, h in ladder.items()}
+
+
+def _chart(key, n):
+    system = make_system(key, n)
+    return type(system.n), system.n, system.labels
+
+
+# each entry point takes the value under test and returns something that
+# compares equal when two values act the same
+ENTRY_POINTS = {
+    "sample-samples": lambda v: make_system("harmonic", 1).sample(v, 5).tolist(),
+    "sample-seed": lambda v: make_system("harmonic", 1).sample(2, v).tolist(),
+    "verify_report-depth": lambda v: render_report(verify_report(
+        make_system("harmonic", 1), samples=2, seed=1, depth=v,
+        checks="torsion")),
+    "ladder-depth": lambda v: _ladder(v, 0),
+    "ladder-neg_depth": lambda v: _ladder(1, v),
+    **{f"make_system-{key}": (lambda key: lambda v: _chart(key, v))(key)
+       for key in SYSTEMS},
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_integer_parameters_refuse_non_integers_and_take_numpy_ints(entry):
+    call = ENTRY_POINTS[entry]
+    for bad in (2.5, True, "2", None):
+        with pytest.raises(RangeError, match="must be an integer"):
+            call(bad)
+    assert call(np.int64(3)) == call(3)
+
+
+def _never(t, x):
+    raise AssertionError("an integration started on a bad parameter")
+
+
+POSITIVE = {
+    "verify_report-tol": lambda v: verify_report(
+        make_system("harmonic", 1), samples=2, seed=1, tol=v,
+        checks="torsion"),
+    "rk4-t_end": lambda v: rk4(_never, [1.0], t_end=v, dt=0.1),
+    "rk4-dt": lambda v: rk4(_never, [1.0], t_end=1.0, dt=v),
+    "rkf45-dt_init": lambda v: rkf45(_never, [1.0], t_end=1.0, dt_init=v),
+    "integrate-rkf45-dt": lambda v: integrate(_never, [1.0], t_end=1.0,
+                                              method="rkf45", dt=v),
+}
+
+
+@pytest.mark.parametrize("entry", POSITIVE)
+def test_positive_parameters_refuse_everything_but_a_finite_positive(entry):
+    for bad in (0.0, -1.0, np.nan, np.inf, "1", None):
+        if bad is None and entry == "rkf45-dt_init":
+            continue        # None asks rkf45 to pick its first step
+        with pytest.raises(RangeError, match="must be finite and positive"):
+            POSITIVE[entry](bad)

@@ -46,16 +46,17 @@ def test_builder_shapes_and_antisymmetry(key):
     assert sys.description
 
 
-def _nested_table_to_matrix(upper, m, ref):
+def _nested_table_to_matrix(upper, ref):
     """Reference assembly: an m x m nested list of scalar jets, one zero
     constant on every empty slot and a jet negation on every lower entry,
-    stacked by jstack."""
+    stacked row by row by jstack."""
+    m = ref.m
     zero = Jet2.const(np.zeros(ref.val.shape), m, order=ref.order)
     rows = [[zero] * m for _ in range(m)]
     for (i, j), v in upper.items():
         rows[i][j] = v
         rows[j][i] = -v
-    return jstack(rows)
+    return jstack([jstack(row) for row in rows])
 
 
 def _nested_canonical_pi0(jets, n):
@@ -99,21 +100,21 @@ def test_scatter_assembly_matches_nested_jstack_bit_for_bit(key, n, order,
 def test_bivector_table_keys_must_be_strictly_upper(key):
     ref = Jet2.coords(np.ones((2, 4)))[0]
     with pytest.raises(DimensionError):
-        systems._table_to_matrix({key: ref}, 4, ref)
+        systems._table_to_matrix({key: ref}, ref)
 
 
 def test_bivector_table_entries_carry_the_matrix_order():
     ref = Jet2.coords(np.ones((2, 4)))[0]
     flat = Jet2.coords(np.ones((2, 4)), order=1)[0]
     with pytest.raises(DimensionError):
-        systems._table_to_matrix({(0, 3): flat}, 4, ref)
-    P = systems._table_to_matrix({(0, 3): ref}, 4, ref)
+        systems._table_to_matrix({(0, 3): flat}, ref)
+    P = systems._table_to_matrix({(0, 3): ref}, ref)
     assert np.array_equal(P.val[:, 0, 3], -P.val[:, 3, 0])
 
 
 def test_bivector_table_constants_are_entries_without_derivatives():
     ref = Jet2.coords(np.ones((2, 4)))[0]
-    P = systems._table_to_matrix({(0, 3): ref, (1, 2): 2.5}, 4, ref)
+    P = systems._table_to_matrix({(0, 3): ref, (1, 2): 2.5}, ref)
     assert np.array_equal(P.val[:, 1, 2], [2.5, 2.5])
     assert np.array_equal(P.val[:, 2, 1], [-2.5, -2.5])
     for part in (P.grad, P.hess):
