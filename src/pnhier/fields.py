@@ -126,12 +126,25 @@ def schouten_bb(P, Q):
 # ---- structure defects -------------------------------------------------------
 #
 # Every *_defect function returns a per-sample array of shape (B,): the max
-# abs defect at each sample point.  Callers reduce with np.max / np.mean.
+# abs defect at each sample point.  A defect over several identity instances
+# (index pairs, densities, routes) is ``worst_defect`` of their residuals;
+# callers reduce the result with np.max / np.mean.
 
 def per_sample(arr):
-    """Max abs over all non-batch axes: defect tensor (B, ...) -> (B,)."""
+    """Max abs over all non-batch axes: defect tensor (B, ...) -> (B,).
+    ``worst_defect`` folds it over several residuals."""
     arr = np.abs(np.asarray(arr))
     return np.max(arr, axis=tuple(range(1, arr.ndim))) if arr.ndim > 1 else arr
+
+
+def worst_defect(diffs):
+    """Per-sample max of ``per_sample`` over residual tensors (B, ...), taken
+    one at a time (a generator streams them); 0.0 when there are none, and a
+    nan at a sample in any residual reaches the result there."""
+    out = 0.0
+    for d in diffs:
+        out = np.maximum(out, per_sample(d))
+    return out
 
 
 def jacobi_trivector(P):
@@ -180,7 +193,7 @@ def pn_compat_defect(P0, N):
     coord = jcontract(("lj,ikl->ijk", P0, dN), ("il,jkl->ijk", P0, dN),
                       (-1, "lj,ilk->ijk", P0, dN), (-1, "lk,ijl->ijk", N, dP0),
                       ("jl,ilk->ijk", N, dP0)).val
-    return np.maximum(per_sample(alg), per_sample(coord))
+    return worst_defect((alg, coord))
 
 
 def antisymmetry_defect(P):

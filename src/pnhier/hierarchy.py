@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import RangeError, check_int
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
-                     lie_bracket, per_sample, poisson_bracket, sharp)
+                     lie_bracket, poisson_bracket, sharp, worst_defect)
 from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
                    jtranspose, jtruncate)
 from .modular import koszul_d
@@ -84,7 +84,8 @@ class Hierarchy:
     current power at each end.  h_0 = log|det N|/2 is computed on first
     request.  Modular fields and divergences are taken in the coordinate
     Lebesgue density.  An object that needs P0 or Z0 raises RangeError when
-    it was passed as None.
+    it was passed as None; so does a new index that is not an integer in
+    -LADDER_CAP..LADDER_CAP (checked before a walk, not on a lookup).
     """
 
     def __init__(self, P0, N, Z0=None):
@@ -127,6 +128,7 @@ class Hierarchy:
         return table[k]
 
     def _walk_to(self, k):
+        check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if 0 not in self._reached:
             self._derive(0, None)
         step = 1 if k > 0 else -1
@@ -158,14 +160,10 @@ class Hierarchy:
 
 def cotangent_ladder_defect(N, ladder):
     """Per-sample max |N^* dh_i - dh_{i+1}| over consecutive ladder indices."""
-    worst = 0.0
-    for i in sorted(ladder):
-        if i + 1 not in ladder:
-            continue
-        lhs = cotangent_apply(N, differential(ladder[i]))
-        rhs = differential(ladder[i + 1])
-        worst = np.maximum(worst, per_sample(lhs.val - rhs.val))
-    return worst
+    return worst_defect(
+        cotangent_apply(N, differential(ladder[i])).val
+        - differential(ladder[i + 1]).val
+        for i in sorted(ladder) if i + 1 in ladder)
 
 
 def lenard_defect(hier, ladder):
@@ -175,40 +173,26 @@ def lenard_defect(hier, ladder):
     (matrix powers of N on pi0), which makes it independent of the
     cotangent-ladder route.
     """
-    idx = sorted(ladder)
-    worst = 0.0
-    for j in idx:
-        if j - 1 not in ladder:
-            continue
-        for i in (0, 1):
-            lhs = sharp(hier.bivector(i), differential(ladder[j]))
-            rhs = sharp(hier.bivector(i + 1), differential(ladder[j - 1]))
-            worst = np.maximum(worst, per_sample(lhs.val - rhs.val))
-    return worst
+    return worst_defect(
+        sharp(hier.bivector(i), differential(ladder[j])).val
+        - sharp(hier.bivector(i + 1), differential(ladder[j - 1])).val
+        for j in sorted(ladder) if j - 1 in ladder for i in (0, 1))
 
 
 def involution_defect(P0, P1, ladder):
     """Per-sample max |{h_i, h_j}| over both brackets and all ladder pairs."""
     idx = sorted(ladder)
-    worst = 0.0
-    for ai, i in enumerate(idx):
-        for j in idx[ai + 1:]:
-            for P in (P0, P1):
-                worst = np.maximum(worst, per_sample(
-                    poisson_bracket(P, ladder[i], ladder[j]).val))
-    return worst
+    return worst_defect(poisson_bracket(P, ladder[i], ladder[j]).val
+                        for ai, i in enumerate(idx) for j in idx[ai + 1:]
+                        for P in (P0, P1))
 
 
 def commuting_flows_defect(P0, ladder):
     """Per-sample max |[X_i, X_j]| for the pi0-hamiltonian ladder fields."""
     idx = sorted(ladder)
     fields = {i: hamiltonian_vf(P0, ladder[i]) for i in idx}
-    worst = 0.0
-    for ai, i in enumerate(idx):
-        for j in idx[ai + 1:]:
-            worst = np.maximum(worst,
-                               per_sample(lie_bracket(fields[i], fields[j]).val))
-    return worst
+    return worst_defect(lie_bracket(fields[i], fields[j]).val
+                        for ai, i in enumerate(idx) for j in idx[ai + 1:])
 
 
 def spectrum(N):

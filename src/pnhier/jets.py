@@ -41,7 +41,7 @@ import string
 
 import numpy as np
 
-from .errors import DimensionError, SingularTensorError
+from .errors import DimensionError, SingularTensorError, check_int
 
 try:    # the C routine behind np.einsum(optimize=False), without the 1-2 us wrapper
     from numpy._core.multiarray import c_einsum as _einsum
@@ -487,8 +487,8 @@ def jlogabsdet(A, what="matrix"):
 
 
 def jmatpow(A, k):
-    """Integer power of a matrix jet (k may be negative)."""
-    k = int(k)
+    """Integer power of a matrix jet (k may be negative; see errors.check_int)."""
+    k = check_int("exponent", k)
     if k == 0:
         return Jet2.const(np.eye(A.val.shape[-1]), A.m, batch=A.val.shape[0],
                           order=A.order)

@@ -8,14 +8,13 @@ relations tying the Z_i to the modular fields of the hierarchy bivectors.
 
 The family defects read Z_i, pi_j and the modular fields X^j from one
 ``hierarchy.Hierarchy`` built with Z0, the only code that forms Z_i.  Every
-defect function returns per-sample arrays of shape (B,); callers reduce with
-np.max / np.mean and decide what "small" means.
+defect function returns per-sample arrays of shape (B,), a family defect
+the ``fields.worst_defect`` over its index box; callers reduce with np.max /
+np.mean and decide what "small" means.
 """
 
-import numpy as np
-
 from .fields import (evaluate, hamiltonian_vf, lie_bracket,
-                     lie_der_bivector, per_sample)
+                     lie_der_bivector, per_sample, worst_defect)
 from .modular import koszul_d
 
 
@@ -54,16 +53,10 @@ def hamiltonian_family_defect(hier, ladder, lam, mu, nu, anchor, i_range, j_rang
     Z_i(h_{-i}) is a constant instead; see anomaly_defect.  The ladder must
     cover every i + j that occurs.
     """
-    worst = 0.0
-    for i in i_range:
-        Zi = hier.master(i)
-        for j in j_range:
-            if i + j == 0:
-                continue
-            lhs = evaluate(Zi, ladder[j]).val
-            rhs = coeff_h(lam, mu, nu, anchor, i, j) * ladder[i + j].val
-            worst = np.maximum(worst, per_sample(lhs - rhs))
-    return worst
+    return worst_defect(
+        evaluate(hier.master(i), ladder[j]).val
+        - coeff_h(lam, mu, nu, anchor, i, j) * ladder[i + j].val
+        for i in i_range for j in j_range if i + j != 0)
 
 
 def anomaly_defect(hier, ladder, lam, mu, anomaly, i_range):
@@ -72,34 +65,24 @@ def anomaly_defect(hier, ladder, lam, mu, anomaly, i_range):
     For the open lattice systems the constant is n*(mu - lam) with n the
     number of degrees of freedom; it is independent of i.
     """
-    worst = 0.0
-    for i in i_range:
-        lhs = evaluate(hier.master(i), ladder[-i]).val
-        worst = np.maximum(worst, per_sample(lhs - anomaly))
-    return worst
+    return worst_defect(evaluate(hier.master(i), ladder[-i]).val - anomaly
+                        for i in i_range)
 
 
 def bivector_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample max defect of L_{Z_i} pi_j = coeff_pi(i,j) * pi_{i+j} over the box."""
-    worst = 0.0
-    for i in i_range:
-        Zi = hier.master(i)
-        for j in j_range:
-            lhs = lie_der_bivector(Zi, hier.bivector(j)).val
-            rhs = coeff_pi(lam, mu, i, j) * hier.bivector(i + j).val
-            worst = np.maximum(worst, per_sample(lhs - rhs))
-    return worst
+    return worst_defect(
+        lie_der_bivector(hier.master(i), hier.bivector(j)).val
+        - coeff_pi(lam, mu, i, j) * hier.bivector(i + j).val
+        for i in i_range for j in j_range)
 
 
 def commutator_family_defect(hier, lam, mu, i_range, j_range):
     """Per-sample max defect of [Z_i, Z_j] = coeff_z(i,j) * Z_{i+j} over the box."""
-    worst = 0.0
-    for i in i_range:
-        for j in j_range:
-            lhs = lie_bracket(hier.master(i), hier.master(j)).val
-            rhs = coeff_z(lam, mu, i, j) * hier.master(i + j).val
-            worst = np.maximum(worst, per_sample(lhs - rhs))
-    return worst
+    return worst_defect(
+        lie_bracket(hier.master(i), hier.master(j)).val
+        - coeff_z(lam, mu, i, j) * hier.master(i + j).val
+        for i in i_range for j in j_range)
 
 
 def modular_family_defect(hier, lam, mu, i_range, j_range):
@@ -113,23 +96,16 @@ def modular_family_defect(hier, lam, mu, i_range, j_range):
 
     Returns {"bracket": ..., "exchange": ...} with the max defect of each.
     """
-    worst_bracket = 0.0
-    for i in i_range:
-        Zi, fi = hier.master(i), hier.master_div(i)
-        for j in j_range:
-            lhs = lie_bracket(hier.modular(j), Zi).val
-            rhs = (
-                -coeff_pi(lam, mu, i, j) * hier.modular(i + j).val
-                + hamiltonian_vf(hier.bivector(j), fi).val
-            )
-            worst_bracket = np.maximum(worst_bracket, per_sample(lhs - rhs))
-    worst_exchange = 0.0
-    for i in i_range:
-        for j in j_range:
-            lhs = lie_der_bivector(hier.modular(i), hier.bivector(j)).val
-            rhs = -lie_der_bivector(hier.modular(j), hier.bivector(i)).val
-            worst_exchange = np.maximum(worst_exchange, per_sample(lhs - rhs))
-    return {"bracket": worst_bracket, "exchange": worst_exchange}
+    bracket = worst_defect(
+        lie_bracket(hier.modular(j), hier.master(i)).val
+        - (-coeff_pi(lam, mu, i, j) * hier.modular(i + j).val
+           + hamiltonian_vf(hier.bivector(j), hier.master_div(i)).val)
+        for i in i_range for j in j_range)
+    exchange = worst_defect(
+        lie_der_bivector(hier.modular(i), hier.bivector(j)).val
+        + lie_der_bivector(hier.modular(j), hier.bivector(i)).val
+        for i in i_range for j in j_range)
+    return {"bracket": bracket, "exchange": exchange}
 
 
 def deformation_defect(P0, P1, Z, logg=None):

@@ -44,6 +44,7 @@ from .fields import (
     torsion_defect,
     wedge_vb,
     wedge_vv,
+    worst_defect,
 )
 from .hierarchy import (
     Hierarchy,
@@ -110,7 +111,7 @@ class _Workspace:
 # ---- check runners -----------------------------------------------------------
 
 def _r_antisymmetry(ws):
-    return np.maximum(antisymmetry_defect(ws.P0), antisymmetry_defect(ws.P1))
+    return worst_defect(antisymmetry_defect(P) for P in (ws.P0, ws.P1))
 
 
 def _r_jacobi_pi0(ws):
@@ -145,33 +146,25 @@ def _r_modular_routes(ws):
     pair = modular_pair_defect_field(ws.P0, ws.P1, ws.N)
     ham0 = hamiltonian_vf(ws.P0, ws.hier.hamiltonian(1) * (-1.0))
     ham1 = hamiltonian_vf(ws.P1, ws.hier.hamiltonian(0) * (-1.0))
-    d = per_sample(pair.val - direct.val)
-    d = np.maximum(d, per_sample(ham0.val - direct.val))
-    return np.maximum(d, per_sample(ham1.val - direct.val))
+    return worst_defect(route.val - direct.val for route in (pair, ham0, ham1))
 
 
 def _r_mu_independence(ws):
     routes = [modular_pair_defect_field(ws.P0, ws.P1, ws.N, lg).val
               for lg in (None, ws.lg_b, ws.lg_c)]
-    d = per_sample(routes[0] - routes[1])
-    d = np.maximum(d, per_sample(routes[0] - routes[2]))
-    return np.maximum(d, per_sample(routes[1] - routes[2]))
+    return worst_defect(routes[a] - routes[b] for a, b in ((0, 1), (0, 2), (1, 2)))
 
 
 def _r_density_change(ws):
-    d = None
-    for P in (ws.P0, ws.P1):
-        base = koszul_d(P)
-        for lg in (ws.lg_b, ws.lg_c):
-            diff = koszul_d(P, lg).val - base.val + hamiltonian_vf(P, lg).val
-            d = per_sample(diff) if d is None else np.maximum(d, per_sample(diff))
-    return d
+    flat = [(P, koszul_d(P).val) for P in (ws.P0, ws.P1)]
+    return worst_defect(koszul_d(P, lg).val - base + hamiltonian_vf(P, lg).val
+                        for P, base in flat for lg in (ws.lg_b, ws.lg_c))
 
 
 def _r_koszul_d2(ws):
     weighted = koszul_d(koszul_d(ws.P1, ws.lg_b), ws.lg_b)
     flat = koszul_d(koszul_d(ws.P0))
-    return np.maximum(per_sample(weighted.val), per_sample(flat.val))
+    return worst_defect((weighted.val, flat.val))
 
 
 def _r_koszul_generator(ws):
@@ -180,17 +173,16 @@ def _r_koszul_generator(ws):
     X = hamiltonian_vf(ws.P0, lad[1])
     Y = hamiltonian_vf(ws.P1, lad[0])
     # vector-bivector: L_X P = D(X^P) - (DX) P - X ^ (DP)
-    lhs = lie_der_bivector(X, ws.P1).val
-    rhs = (koszul_d(wedge_vb(X, ws.P1), lg).val
-           - scalar_mul(koszul_d(X, lg), ws.P1).val
-           - wedge_vv(X, koszul_d(ws.P1, lg)).val)
-    d = per_sample(lhs - rhs)
+    vb = lie_der_bivector(X, ws.P1).val - (
+        koszul_d(wedge_vb(X, ws.P1), lg).val
+        - scalar_mul(koszul_d(X, lg), ws.P1).val
+        - wedge_vv(X, koszul_d(ws.P1, lg)).val)
     # vector-vector: [X, Y] = -D(X^Y) - (DX) Y + (DY) X
-    lhs = lie_bracket(X, Y).val
-    rhs = (-koszul_d(wedge_vv(X, Y), lg).val
-           - scalar_mul(koszul_d(X, lg), Y).val
-           + scalar_mul(koszul_d(Y, lg), X).val)
-    return np.maximum(d, per_sample(lhs - rhs))
+    vv = lie_bracket(X, Y).val - (
+        -koszul_d(wedge_vv(X, Y), lg).val
+        - scalar_mul(koszul_d(X, lg), Y).val
+        + scalar_mul(koszul_d(Y, lg), X).val)
+    return worst_defect((vb, vv))
 
 
 def _r_cotangent(ws):
@@ -223,8 +215,8 @@ def _oevel_data(ws):
 def _r_oevel_conformal(ws):
     lam, mu, nu, anchor = _oevel_data(ws)
     lad = ws.ladder()
-    d = conformal_defects(ws.P0, ws.P1, ws.hier.Z0, lam, mu, nu, lad[anchor])
-    return np.maximum(np.maximum(d["pi0"], d["pi1"]), d["h"])
+    return worst_defect(conformal_defects(ws.P0, ws.P1, ws.hier.Z0, lam, mu,
+                                          nu, lad[anchor]).values())
 
 
 def _r_oevel_h_family(ws):
@@ -256,8 +248,7 @@ def _r_oevel_z_family(ws):
 def _r_oevel_modular(ws):
     lam, mu, nu, anchor = _oevel_data(ws)
     rng = range(-2, 3)
-    d = modular_family_defect(ws.hier, lam, mu, rng, rng)
-    return np.maximum(d["bracket"], d["exchange"])
+    return worst_defect(modular_family_defect(ws.hier, lam, mu, rng, rng).values())
 
 
 def _need_deformation(ws):
@@ -268,8 +259,8 @@ def _need_deformation(ws):
 
 def _r_deformation(ws):
     Z = ws.system.extras["deformation_z"](ws.jets)
-    d = deformation_defect(ws.P0, ws.P1, Z)
-    return np.maximum(d, deformation_defect(ws.P0, ws.P1, Z, logg=ws.lg_b))
+    return worst_defect(deformation_defect(ws.P0, ws.P1, Z, logg)
+                        for logg in (None, ws.lg_b))
 
 
 def _r_closed_forms(ws):
@@ -278,46 +269,42 @@ def _r_closed_forms(ws):
     extras = sysm.extras
     jets = ws.jets
     lad = ws.ladder()
-    d = np.zeros(ws.x.shape[0])
-
-    def acc(diff):
-        nonlocal d
-        d = np.maximum(d, per_sample(np.asarray(diff)))
-
+    d = []
     for k, fn in extras.get("h_closed", {}).items():
         if k in lad:
-            acc(fn(jets).val - lad[k].val)
+            d.append(fn(jets).val - lad[k].val)
     if "deformation_z" in extras:
         Z = extras["deformation_z"](jets)
-        acc(lie_der_bivector(Z, ws.P0).val - ws.P1.val)
+        d.append(lie_der_bivector(Z, ws.P0).val - ws.P1.val)
         if "deformation_div_closed" in extras:
-            acc(koszul_d(Z).val - extras["deformation_div_closed"](jets).val)
+            d.append(koszul_d(Z).val - extras["deformation_div_closed"](jets).val)
     if "xn_closed" in extras:
-        acc(extras["xn_closed"](jets).val - pn_modular_field(ws.P0, ws.N).val)
+        d.append(extras["xn_closed"](jets).val - pn_modular_field(ws.P0, ws.N).val)
     if "x1_closed" in extras:
         x1 = extras["x1_closed"](jets)
-        acc(hamiltonian_vf(ws.P0, lad[2]).val - x1.val)
-        acc(hamiltonian_vf(ws.P1, lad[1]).val - x1.val)
+        d.append(hamiltonian_vf(ws.P0, lad[2]).val - x1.val)
+        d.append(hamiltonian_vf(ws.P1, lad[1]).val - x1.val)
     if "x0_mu" in extras:
-        acc(koszul_d(ws.P0).val - extras["x0_mu"](jets).val)
+        d.append(koszul_d(ws.P0).val - extras["x0_mu"](jets).val)
     if "x1_mu" in extras:
-        acc(koszul_d(ws.P1).val - extras["x1_mu"](jets).val)
+        d.append(koszul_d(ws.P1).val - extras["x1_mu"](jets).val)
     if "xm1_mu" in extras:
-        acc(ws.hier.modular(-1).val - extras["xm1_mu"](jets).val)
+        d.append(ws.hier.modular(-1).val - extras["xm1_mu"](jets).val)
     if "z_closed" in extras and ws.hier.Z0 is not None:
         for i in (-1, 1, 2):
-            acc(ws.hier.master(i).val - extras["z_closed"](i)(jets).val)
+            d.append(ws.hier.master(i).val - extras["z_closed"](i)(jets).val)
     if "h2_closed" in extras:
         h2 = extras["h2_closed"](jets)
-        acc(h2.val - ws.hier.hamiltonian(1).val)
+        d.append(h2.val - ws.hier.hamiltonian(1).val)
         L = extras["lax_np"](ws.x)
-        acc(np.einsum('bii->b', ws.N.val) - np.einsum('bij,bji->b', L, L))
-        acc(lad[0].val - np.log(np.abs(np.linalg.det(L))))
+        d.append(np.einsum('bii->b', ws.N.val) - np.einsum('bij,bji->b', L, L))
+        d.append(lad[0].val - np.log(np.abs(np.linalg.det(L))))
         if "printed_flow" in extras:
             flow = hamiltonian_vf(ws.P0, h2)
             printed = extras["printed_flow"](jets)
-            acc(flow.val - extras["flow_scale"] * printed.val)
-        acc(sharp(ws.P1, differential(lad[0])).val - sharp(ws.P0, differential(h2)).val)
+            d.append(flow.val - extras["flow_scale"] * printed.val)
+        d.append(sharp(ws.P1, differential(lad[0])).val
+                 - sharp(ws.P0, differential(h2)).val)
     if "pushed_flow_np" in extras:
         n = sysm.n
         h2 = extras["h_closed"][2](jets)
@@ -326,9 +313,9 @@ def _r_closed_forms(ws):
         adot = a * (X[:, :n - 1] - X[:, 1:n]) * 0.5
         bdot = -0.5 * X[:, n:]
         adot_ref, bdot_ref = extras["pushed_flow_np"](ws.x)
-        acc(adot - adot_ref)
-        acc(bdot - bdot_ref)
-    return d
+        d.append(adot - adot_ref)
+        d.append(bdot - bdot_ref)
+    return worst_defect(d)
 
 
 def _perturbed_n(ws):

@@ -1,0 +1,74 @@
+"""Byte-identity digests of the command line, the demos and one bench text.
+
+Usage:  python3 tests/report_digests.py [TREE]
+
+Runs a fixed set of ``pnhier`` commands, the three demos and the seed-0
+``flow-an-toda`` benchmark operation against TREE's ``src`` (default: the
+tree that holds this script), each in its own subprocess with BLAS pinned
+to one thread.  Prints one line per command: its label, its exit code and
+the sha256 of its stdout and of its stderr.  Two trees give the same lines
+exactly when every command behaves byte for byte alike, so a refactor is
+checked with ``diff`` of two runs.  pytest does not collect this file.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CHARTS = ("harmonic", "calogero", "toda-moser", "cn-toda", "an-toda")
+VERIFY = (("harmonic", 4), ("calogero", 3), ("toda-moser", 3),
+          ("cn-toda", 3), ("an-toda", 4))
+DEMOS = ("catalog_checkup", "ladder_tour", "lattice_flow")
+
+BENCH_TEXT = ("import sys; sys.path.insert(0, 'bench'); import workloads; "
+              "text, problems = workloads.build('flow-an-toda', 0)(); "
+              "sys.stdout.write(text); sys.exit(1 if problems else 0)")
+
+
+def commands():
+    """(label, argv) for every command, in print order."""
+    cli = [sys.executable, "-m", "pnhier.cli"]
+    for system, n in VERIFY:
+        for seed in (0, 7):
+            yield (f"verify-{system}-n{n}-seed{seed}",
+                   cli + ["verify", "--system", system, "--n", str(n),
+                          "--seed", str(seed)])
+    yield ("verify-cn-toda-n3-seed222",
+           cli + ["verify", "--system", "cn-toda", "--n", "3", "--seed", "222"])
+    for system in CHARTS:
+        yield (f"hierarchy-{system}-n3",
+               cli + ["hierarchy", "--system", system, "--n", "3"])
+    integrate = cli + ["integrate", "--system"]
+    yield ("integrate-an-toda-n3-t2",
+           integrate + ["an-toda", "--n", "3", "--t-end", "2"])
+    yield ("integrate-toda-moser-n2-t1-rkf45",
+           integrate + ["toda-moser", "--n", "2", "--t-end", "1",
+                        "--method", "rkf45"])
+    yield ("integrate-cn-toda-n2-t1",
+           integrate + ["cn-toda", "--n", "2", "--t-end", "1"])
+    yield ("integrate-toda-moser-n2-t1-flow-1",
+           integrate + ["toda-moser", "--n", "2", "--t-end", "1",
+                        "--flow", "-1"])
+    for n in (1, 2, 3):
+        yield f"catalog-n{n}", cli + ["catalog", "--n", str(n)]
+    for demo in DEMOS:
+        yield f"demo-{demo}", [sys.executable, f"demos/{demo}.py"]
+    yield "bench-flow-an-toda-seed0", [sys.executable, "-c", BENCH_TEXT]
+
+
+def main(argv):
+    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for label, cmd in commands():
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
+        out = hashlib.sha256(done.stdout).hexdigest()
+        err = hashlib.sha256(done.stderr).hexdigest()
+        print(f"{label} {done.returncode} {out} {err}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -18,7 +18,7 @@ from pnhier.fields import (SCHOUTEN_BB_SIGN, antisymmetry_defect,
                            lie_bracket, lie_der_bivector, nijenhuis_torsion,
                            per_sample, pn_compat_defect, poisson_bracket,
                            scalar_mul, schouten_bb, sharp, torsion_defect,
-                           wedge_vb, wedge_vv)
+                           wedge_vb, wedge_vv, worst_defect)
 from pnhier.jets import Jet2
 from pnhier.modular import koszul_d
 
@@ -284,6 +284,25 @@ def test_per_sample_and_defect_shapes():
     assert d[0] == 6.0 and d[1] == 18.0
     flat = np.array([1.0, -2.0])
     assert np.array_equal(per_sample(flat), np.abs(flat))
+
+
+def test_worst_defect_folds_per_sample_maxima():
+    assert worst_defect([]) == 0.0
+    assert worst_defect(iter(())) == 0.0
+    tensors = [rng.standard_normal((6, 3, 4)), rng.standard_normal((6, 5)),
+               rng.standard_normal(6)]
+    assert worst_defect([tensors[0]]).tobytes() == per_sample(tensors[0]).tobytes()
+    chain = 0.0
+    for t in tensors:
+        chain = np.maximum(chain, per_sample(t))
+    assert worst_defect(t for t in tensors).tobytes() == chain.tobytes()
+    for k, t in enumerate(tensors):
+        broken = list(tensors)
+        broken[k] = t.copy()
+        broken[k][(2,) + (0,) * (t.ndim - 1)] = np.nan
+        got = worst_defect(iter(broken))
+        assert np.isnan(got[2])
+        assert not np.isnan(np.delete(got, 2)).any()
 
 
 def test_order_requirements_raise():

@@ -229,6 +229,23 @@ def test_hierarchy_without_z0_refuses_master_fields():
             bare.master(k)
 
 
+def test_hierarchy_indices_are_integers_within_the_ladder_cap():
+    sys = make_system("toda_moser", 2)
+    jets_ = sys.jets(sys.sample(samples=4, seed=11))
+    P0 = sys.pi0(jets_)
+    N = recursion_operator(P0, sys.pi1(jets_))
+    Z0 = sys.extras["oevel"]["z0"](jets_)
+    for name in ("hamiltonian", "bivector", "master"):
+        # a fresh Hierarchy each time: the index is checked where a walk
+        # starts, and one already reached is a plain lookup
+        for bad in (2.5, True, 13, -13):
+            with pytest.raises(RangeError, match="ladder index must be"):
+                getattr(Hierarchy(P0, N, Z0), name)(bad)
+        hier = Hierarchy(P0, N, Z0)
+        got = getattr(hier, name)(np.int64(2))
+        assert got is getattr(hier, name)(2)
+
+
 def test_one_verify_report_inverts_n_once(monkeypatch):
     sys = make_system("toda_moser", 3)
     jets_ = sys.jets(sys.sample(samples=20, seed=3))

@@ -13,7 +13,7 @@ import pytest
 from pnhier.dynamics import integrate, rk4, rkf45
 from pnhier.errors import RangeError
 from pnhier.hierarchy import Hierarchy
-from pnhier.jets import Jet2
+from pnhier.jets import Jet2, jmatpow
 from pnhier.report import render_report, verify_report
 from pnhier.systems import SYSTEMS, make_system
 
@@ -22,6 +22,9 @@ def _ladder(depth, neg_depth):
     ladder = Hierarchy(None, Jet2.const(np.eye(2), 2, batch=1)).ladder(
         depth, neg_depth)
     return {k: h.val.tolist() for k, h in ladder.items()}
+
+
+DIAG = Jet2.const(np.diag([2.0, 3.0]), 2, batch=1)
 
 
 def _chart(key, n):
@@ -39,6 +42,9 @@ ENTRY_POINTS = {
         checks="torsion")),
     "ladder-depth": lambda v: _ladder(v, 0),
     "ladder-neg_depth": lambda v: _ladder(1, v),
+    "jmatpow-exponent": lambda v: jmatpow(DIAG, v).val.tolist(),
+    "Hierarchy.hamiltonian-index": lambda v: Hierarchy(
+        None, DIAG).hamiltonian(v).val.tolist(),
     **{f"make_system-{key}": (lambda key: lambda v: _chart(key, v))(key)
        for key in SYSTEMS},
 }

@@ -107,6 +107,18 @@ def test_cn_toda_seed_222_passes_commuting_flows():
     assert rep["all_pass"]
 
 
+@pytest.mark.parametrize("key", ["harmonic", "calogero", "toda_moser",
+                                 "cn_toda", "an_toda"])
+def test_each_row_run_alone_matches_the_full_report(key):
+    # a row's bits must not depend on which rows ran before it, though
+    # every row reads the one Hierarchy walk of its report
+    system = make_system(key, 3)
+    full = verify_report(system, samples=20, seed=5)
+    for row in full["checks"]:
+        alone = verify_report(system, samples=20, seed=5, checks=row["name"])
+        assert [r for r in alone["checks"] if r["name"] == row["name"]] == [row]
+
+
 def test_not_applicable_rows_carry_reasons():
     rep = small_report("an_toda", 2)
     na = {r["name"]: r["reason"] for r in rep["checks"]
