@@ -46,14 +46,17 @@ class ConvergenceError(EngineError):
 
 def check_int(name, value, lo=None, hi=None):
     """``value`` as an int; RangeError unless it is an integer (numpy's too,
-    not a bool, a float or a string) >= lo, and <= hi when hi is given."""
+    not a bool, a float or a string), >= lo when lo is given and <= hi when
+    hi is given (a bound left as None is no bound)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise RangeError(f"{name} must be an integer, got {value!r}")
     value = int(value)
-    if hi is not None and not lo <= value <= hi:
+    if lo is not None and hi is not None and not lo <= value <= hi:
         raise RangeError(f"{name} must be in {lo}..{hi}, got {value}")
     if lo is not None and value < lo:
         raise RangeError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise RangeError(f"{name} must be <= {hi}, got {value}")
     return value
 
 

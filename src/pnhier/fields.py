@@ -12,8 +12,8 @@ gradient and Hessian lives in jets alone.  A derivative enters as
 so an operation that consumes a derivative (brackets, Lie derivatives,
 torsion) returns a jet of one order less than the operand it differentiates;
 purely algebraic operations (sharp, wedge, n_act) preserve the order.
-Terms are summed in the order they are listed, which fixes the bits of
-every result.  Identities are checked by evaluating both sides on order-2
+Terms are summed in the order they are listed (the term-order rule of
+jets).  Identities are checked by evaluating both sides on order-2
 coordinate jets and comparing values, with one level of bracket nesting
 still differentiable; the structure defects read values only, from
 operands cut to order 1 by ``jtruncate`` before they are differentiated.

@@ -84,8 +84,8 @@ class Hierarchy:
     current power at each end.  h_0 = log|det N|/2 is computed on first
     request.  Modular fields and divergences are taken in the coordinate
     Lebesgue density.  An object that needs P0 or Z0 raises RangeError when
-    it was passed as None; so does a new index that is not an integer in
-    -LADDER_CAP..LADDER_CAP (checked before a walk, not on a lookup).
+    it was passed as None; so does an index that is not an integer in
+    -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are not 1).
     """
 
     def __init__(self, P0, N, Z0=None):
@@ -103,6 +103,7 @@ class Hierarchy:
         return self._get(self._modular, k, needs="P0")
 
     def hamiltonian(self, k):
+        k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if k != 0:
             return self._get(self._hamiltonian, k)
         if 0 not in self._hamiltonian:
@@ -121,6 +122,7 @@ class Hierarchy:
         return {i: self.hamiltonian(i) for i in range(-neg_depth, depth + 1)}
 
     def _get(self, table, k, needs=None):
+        k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if needs is not None and getattr(self, needs) is None:
             raise RangeError(f"this hierarchy was built without {needs}")
         if k not in self._reached:
@@ -128,7 +130,6 @@ class Hierarchy:
         return table[k]
 
     def _walk_to(self, k):
-        check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if 0 not in self._reached:
             self._derive(0, None)
         step = 1 if k > 0 else -1

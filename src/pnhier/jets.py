@@ -32,11 +32,20 @@ added in the order the terms are given, and within a term operand by
 operand (Hessian terms first, then each pair's cross term and its
 transpose), so two spellings of one sum agree bit for bit only when they
 list the terms in the same order.
+
+Matmul plans.  The order-2 terms of a two-operand product (each operand's
+Hessian term and the cross term) are compiled once per spec into one
+batched ``np.matmul`` over views of the operands (``_matmul_plan``); the
+rest -- values, gradients, specs that do not fit a plan -- runs on
+c_einsum.  A plan changes only the order of the inner sum over the
+contracted indices: the term-order rule still holds, values and gradients
+keep their bits, and a Hessian may move in its last bits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import string
 
 import numpy as np
@@ -269,11 +278,13 @@ def differential(f):
 
 @functools.lru_cache(maxsize=None)
 def _product_rule(spec, n):
-    """The einsum specs of one product term and of its derivatives.
+    """The einsum specs of one product term and the kernels of its derivatives.
 
-    Returns (value, gradients, Hessians, crosses): one gradient and one
-    Hessian spec per operand, which differentiates that operand alone, and
-    (k, l, spec) per operand pair k < l for the mixed term dJ_k dJ_l.
+    Returns (value, gradients, Hessians, crosses): the value spec, one
+    gradient spec and one Hessian kernel per operand, which differentiates
+    that operand alone, and (k, l, kernel) per operand pair k < l for the
+    mixed term dJ_k dJ_l.  A kernel is the spec's matmul plan where it has
+    one (two operands, see ``_matmul_plan``), else c_einsum of the spec.
     """
     ins, arrow, out = spec.partition("->")
     ops = ins.split(",")
@@ -285,11 +296,82 @@ def _product_rule(spec, n):
         return (",".join("..." + s + extra.get(k, "") for k, s in enumerate(ops))
                 + "->..." + out + tail)
 
+    def kernel(spec):
+        plan = _matmul_plan(spec) if n == 2 else None
+        return plan or functools.partial(_einsum, spec)
+
     return (make({}, ""),
             tuple(make({k: a}, a) for k in range(n)),
-            tuple(make({k: a + b}, a + b) for k in range(n)),
-            tuple((k, l, make({k: a, l: b}, a + b))
+            tuple(kernel(make({k: a + b}, a + b)) for k in range(n)),
+            tuple((k, l, kernel(make({k: a, l: b}, a + b)))
                   for k in range(n) for l in range(k + 1, n)))
+
+
+def _matmul_plan(spec):
+    """A two-operand spec as one batched np.matmul, or None if it does not fit.
+
+    The output letters split as G + R + C: R free letters of one operand P,
+    C free letters of the other, Q, and G the rest, the leading (broadcast)
+    matmul axes; an operand without a letter of G gets a size-1 axis there.
+    P is viewed as (..., G, R, K) and Q as (..., G, K, C), K the contracted
+    letters, and the product goes straight into a fresh array in the
+    output's axis order.  Each merged group of letters must lie side by
+    side in its operand, so that a C-ordered operand is viewed, never
+    copied; G is the shortest prefix that allows it.  So
+    ``...ikab,...kj->...ijab`` runs as (j, k) @ (k, ab) per i,
+    ``...ik,...kjab->...ijab`` as one (i, k) @ (k, jab) and the cross term
+    ``...ika,...kjb->...ijab`` as (a, k) @ (k, b) per (i, j).  No plan for
+    a repeated letter, a letter summed away in one operand, a spec that
+    contracts nothing, or one that is a matrix-vector product at best
+    (R or C empty), where c_einsum measured faster.
+    """
+    ins, _, out = spec.replace("...", "").partition("->")
+    ops = ins.split(",")
+    if any(len(set(s)) < len(s) for s in ops + [out]):
+        return None
+    x, y = ops
+    K = "".join(c for c in x if c in y and c not in out)
+    if not K or set(x + y) - set(out) != set(K):
+        return None
+    for g in range(len(out) + 1):
+        G, rest = out[:g], out[g:]
+        if not set(x) & set(y) <= set(G + K):
+            continue
+        for r in range(1, len(rest)):
+            R, C = rest[:r], rest[r:]
+            for swap in (0, 1):
+                p, q = ops[swap], ops[1 - swap]
+                if not (set(R) <= set(p) - set(q) and set(C) <= set(q) - set(p)):
+                    continue
+                layout = ((swap, p, [c if c in p else "" for c in G] + [R, K]),
+                          (1 - swap, q, [c if c in q else "" for c in G] + [K, C]))
+                if all(grp in s for _, s, groups in layout for grp in groups):
+                    views = tuple((i, tuple(s.index(c) for c in "".join(groups)),
+                                   tuple(groups)) for i, s, groups in layout)
+                    return functools.partial(_run_plan, spec, (x, y), views,
+                                             tuple(out), tuple(G) + (R, C))
+    return None
+
+
+def _run_plan(spec, letters, views, out_axes, mm_axes, *args):
+    """One call of a ``_matmul_plan``: view, multiply, write in place."""
+    nlead = args[0].ndim - len(letters[0])
+    lead = args[0].shape[:nlead]
+    if args[1].ndim - len(letters[1]) != nlead or args[1].shape[:nlead] != lead:
+        return _einsum(spec, *args)     # an unbatched constant: c_einsum broadcasts
+    size = {}
+    for s, A in zip(letters, args):
+        size.update(zip(s, A.shape[nlead:]))
+
+    def shape(groups):
+        return lead + tuple(math.prod(size[c] for c in grp) for grp in groups)
+
+    axes = tuple(range(nlead))
+    P, Q = (args[i].transpose(axes + tuple(nlead + j for j in perm))
+            .reshape(shape(groups)) for i, perm, groups in views)
+    out = np.empty(shape(out_axes))
+    np.matmul(P, Q, out=out.reshape(shape(mm_axes)))
+    return out
 
 
 def _accumulate(acc, coef, x):
@@ -332,7 +414,7 @@ def jcontract(*terms):
             if J.hess is None:
                 order = min(order, 0 if J.grad is None else 1)
     val = grad = hess = None
-    for coef, (vspec, gspecs, hspecs, xspecs), ops in rules:
+    for coef, (vspec, gspecs, hkernels, xkernels), ops in rules:
         vals = [J.val for J in ops]
         val = _accumulate(val, coef, _einsum(vspec, *vals))
         if order < 1:
@@ -343,15 +425,15 @@ def jcontract(*terms):
             grad = _accumulate(grad, coef, _einsum(spec, *args))
         if order < 2:
             continue
-        for k, spec in enumerate(hspecs):
+        for k, kernel in enumerate(hkernels):
             args = vals.copy()
             args[k] = ops[k].hess
-            hess = _accumulate(hess, coef, _einsum(spec, *args))
-        for k, l, spec in xspecs:
+            hess = _accumulate(hess, coef, kernel(*args))
+        for k, l, kernel in xkernels:
             args = vals.copy()
             args[k] = ops[k].grad
             args[l] = ops[l].grad
-            cross = _einsum(spec, *args)
+            cross = kernel(*args)
             hess = _accumulate(hess, coef, cross)
             hess = _accumulate(hess, coef, cross.swapaxes(-1, -2))
     return Jet2(val, grad, hess, m=ops[0].m)

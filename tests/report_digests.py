@@ -37,6 +37,10 @@ def commands():
                           "--seed", str(seed)])
     yield ("verify-cn-toda-n3-seed222",
            cli + ["verify", "--system", "cn-toda", "--n", "3", "--seed", "222"])
+    # large m (16), where the order-2 product rule is most of the time
+    yield ("verify-an-toda-n8-samples50-seed0",
+           cli + ["verify", "--system", "an-toda", "--n", "8", "--samples", "50",
+                  "--seed", "0"])
     for system in CHARTS:
         yield (f"hierarchy-{system}-n3",
                cli + ["hierarchy", "--system", system, "--n", "3"])

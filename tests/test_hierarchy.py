@@ -236,14 +236,33 @@ def test_hierarchy_indices_are_integers_within_the_ladder_cap():
     N = recursion_operator(P0, sys.pi1(jets_))
     Z0 = sys.extras["oevel"]["z0"](jets_)
     for name in ("hamiltonian", "bivector", "master"):
-        # a fresh Hierarchy each time: the index is checked where a walk
-        # starts, and one already reached is a plain lookup
+        # a fresh Hierarchy each time, before any walk (after one: below)
         for bad in (2.5, True, 13, -13):
             with pytest.raises(RangeError, match="ladder index must be"):
                 getattr(Hierarchy(P0, N, Z0), name)(bad)
         hier = Hierarchy(P0, N, Z0)
         got = getattr(hier, name)(np.int64(2))
         assert got is getattr(hier, name)(2)
+
+
+def test_hierarchy_indices_are_checked_after_a_walk_too():
+    sys = make_system("toda_moser", 2)
+    jets_ = sys.jets(sys.sample(samples=4, seed=11))
+    P0 = sys.pi0(jets_)
+    N = recursion_operator(P0, sys.pi1(jets_))
+    Z0 = sys.extras["oevel"]["z0"](jets_)
+    every = ("hamiltonian", "bivector", "modular", "master", "master_div")
+    for hier, names in ((Hierarchy(P0, N, Z0), every),
+                        (Hierarchy(None, N), every[:1])):
+        for name in names:
+            for k in (-1, 0, 1):            # indices 0 and +-1 are reached
+                getattr(hier, name)(k)
+            for bad in (True, False, 1.0, 0.0, -1.0, 2.5, 13, -13):
+                with pytest.raises(RangeError, match="ladder index must be"):
+                    getattr(hier, name)(bad)
+            assert getattr(hier, name)(np.int64(1)) is getattr(hier, name)(1)
+    with pytest.raises(RangeError, match="ladder index must be"):
+        Hierarchy(None, N).hamiltonian(0.0)    # h_0 before anything is built
 
 
 def test_one_verify_report_inverts_n_once(monkeypatch):

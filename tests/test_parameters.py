@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pnhier.dynamics import integrate, rk4, rkf45
-from pnhier.errors import RangeError
+from pnhier.errors import RangeError, check_int
 from pnhier.hierarchy import Hierarchy
 from pnhier.jets import Jet2, jmatpow
 from pnhier.report import render_report, verify_report
@@ -82,3 +82,15 @@ def test_positive_parameters_refuse_everything_but_a_finite_positive(entry):
             continue        # None asks rkf45 to pick its first step
         with pytest.raises(RangeError, match="must be finite and positive"):
             POSITIVE[entry](bad)
+
+
+def test_check_int_takes_either_bound_alone():
+    assert check_int("x", 3, hi=3) == 3 and check_int("x", -50, hi=3) == -50
+    with pytest.raises(RangeError, match="x must be <= 3, got 5"):
+        check_int("x", 5, hi=3)
+    assert check_int("x", 3, lo=3) == 3
+    with pytest.raises(RangeError, match="x must be >= 3, got 2"):
+        check_int("x", 2, lo=3)
+    with pytest.raises(RangeError, match="x must be in 0..3, got 4"):
+        check_int("x", 4, 0, 3)
+    assert check_int("x", -(10 ** 30)) == -(10 ** 30)

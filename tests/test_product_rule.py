@@ -5,9 +5,16 @@ operands are given.  The reference helpers below are hand-written kernels
 from before jcontract existed, kept verbatim as the oracle of that
 term-order contract: a rewrite that reorders a sum moves the last bits of
 the verify reports, and these comparisons catch it byte for byte.
+
+Two-operand Hessian and cross terms run as batched matmul plans where
+they fit (jets._matmul_plan), which may reorder the sum over a contracted
+index and nothing else: a plan agrees with c_einsum to a few ulps of the
+sum of |terms|, and every spec without a plan keeps c_einsum's bits.
 """
 
+import functools
 import inspect
+import string
 
 import numpy as np
 import pytest
@@ -15,7 +22,8 @@ import pytest
 from pnhier import fields, modular
 from pnhier.fields import lie_der_bivector, schouten_bb
 from pnhier.hierarchy import recursion_operator
-from pnhier.jets import Jet2, jmatmul, jmatvec
+from pnhier.jets import (Jet2, _einsum, _matmul_plan, _product_rule,
+                         _run_plan, jcontract, jmatmul, jmatvec)
 from pnhier.modular import koszul_d
 from pnhier.systems import make_system
 
@@ -116,3 +124,100 @@ def test_kernels_match_the_hand_written_product_rule_bit_for_bit(toda_moser):
 def test_fields_and_modular_leave_the_product_rule_to_jets():
     for module in (fields, modular):
         assert "einsum" not in inspect.getsource(module)
+
+
+def ref_jcontract(spec, *ops):
+    """One term's product rule by np.einsum alone, in jcontract's order."""
+    ins, _, out = spec.partition("->")
+    subs = ins.split(",")
+    a, b = [c for c in string.ascii_letters if c not in spec][:2]
+
+    def term(parts, extra):
+        lhs = ",".join("..." + s + extra.get(k, "") for k, s in enumerate(subs))
+        return np.einsum(lhs + "->..." + out + "".join(extra.values()),
+                         *[getattr(J, parts.get(k, "val")) for k, J in enumerate(ops)])
+
+    n = len(ops)
+    grads = [term({k: "grad"}, {k: a}) for k in range(n)]
+    hesses = [term({k: "hess"}, {k: a + b}) for k in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            cross = term({k: "grad", l: "grad"}, {k: a, l: b})
+            hesses += [cross, cross.swapaxes(-1, -2)]
+    return Jet2(term({}, {}), functools.reduce(np.add, grads),
+                functools.reduce(np.add, hesses), m=ops[0].m)
+
+
+def random_jet(r, shape, m, batch):
+    lead = () if batch is None else (batch,)
+    return Jet2(*(r.uniform(-1.0, 1.0, lead + shape + (m,) * d)
+                  for d in range(3)), m=m)
+
+
+# the package's two-operand specs, and spellings with moved axes, a letter
+# kept in both operands and the output, and a two-letter contraction
+PLANNED = ("ik,kj->ij", "ik,k->i", "ki,kj->ij", "ik,jk->ij", "ij,jk->ik",
+           "lk,ijl->ijk", "ijk,ik->ij", "ij,ij->")
+
+
+def order2_kernels(spec):
+    """(kernel, which operands are differentiated) per Hessian and cross."""
+    _, _, hkernels, xkernels = _product_rule(spec, 2)
+    return ([(kern, {k: 2}) for k, kern in enumerate(hkernels)]
+            + [(kern, {k: 1, l: 1}) for k, l, kern in xkernels])
+
+
+@pytest.mark.parametrize("m", [2, 6, 8])
+@pytest.mark.parametrize("B", [1, 25])
+def test_matmul_plans_agree_with_c_einsum_to_a_few_ulps(B, m):
+    r = np.random.default_rng(100 * B + m)
+    planned = []
+    for spec in PLANNED:
+        subs = spec.partition("->")[0].split(",")
+        for kernel, diff in order2_kernels(spec):
+            if kernel.func is not _run_plan:
+                continue
+            args = [r.uniform(-1.0, 1.0, (B,) + (m,) * (len(s) + diff.get(k, 0)))
+                    for k, s in enumerate(subs)]
+            kspec = kernel.args[0]
+            got, want = kernel(*args), _einsum(kspec, *args)
+            assert got.shape == want.shape
+            assert got.base is None and got.flags.c_contiguous
+            # two orders of one sum of t products: each is within
+            # (t - 1) eps / 2 of the exact sum, relative to the sum of |terms|
+            ins, _, out = kspec.replace("...", "").partition("->")
+            x, y = ins.split(",")
+            t = m ** len(set(x) & set(y) - set(out))
+            scale = _einsum(kspec, *[np.abs(a) for a in args])
+            assert np.all(np.abs(got - want) <= t * np.finfo(float).eps * scale)
+            planned.append(kspec)
+    # every Hessian and cross term of a matrix product runs as a plan
+    assert {"...ikab,...kj->...ijab", "...ik,...kjab->...ijab",
+            "...ika,...kjb->...ijab"} <= set(planned)
+
+
+def test_a_planned_product_rule_keeps_the_value_and_gradient_bits():
+    r = np.random.default_rng(7)
+    A, B = (random_jet(r, (8, 8), 8, 25) for _ in range(2))
+    new, ref = jmatmul(A, B), ref_jcontract("ik,kj->ij", A, B)
+    assert new.val.tobytes() == ref.val.tobytes()
+    assert new.grad.tobytes() == ref.grad.tobytes()
+    assert new.hess.base is None
+    scale = np.abs(ref.hess).max()
+    np.testing.assert_allclose(new.hess, ref.hess, rtol=0, atol=1e-14 * scale)
+
+
+def test_specs_without_a_plan_stay_on_c_einsum_bit_for_bit():
+    r = np.random.default_rng(11)
+    A, B, C = (random_jet(r, (6, 6), 6, 25) for _ in range(3))
+    v = random_jet(r, (6,), 6, 25)
+    const = random_jet(r, (6, 6), 6, None)          # no batch axis
+    for spec in ("...ijab,...jj->...iab",           # a repeated letter
+                 "...ijab,...jk->...iab",           # k summed in one operand
+                 "...ia,...jb->...ijab",            # nothing contracted
+                 "...ikab,...k->...iab"):           # a matrix-vector product
+        assert _matmul_plan(spec) is None
+    for spec, *ops in (("ij,jj->i", A, B), ("ij,jk->i", A, B),
+                       ("ik,kj->ij", A, const), ("ik,kj->ij", const, A),
+                       ("ik,kl,lj->ij", A, B, C), ("ik,kl,l->i", A, B, v)):
+        assert_same_bytes(jcontract((spec, *ops)), ref_jcontract(spec, *ops))
