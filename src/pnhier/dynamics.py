@@ -160,12 +160,13 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     StepUnderflow when step control pushes dt below 1e-12.  Leaving the
     guarded domain or a SingularTensorError in a stage truncates the run as
     in ``rk4``, and records follow its rule, counted in accepted steps.
-    dt_init is checked as rk4's dt is; atol and rtol lie in (0, 1e-2].
+    dt_init is checked as rk4's dt is, and atol and rtol as well
+    (``errors.check_positive``), each also <= 1e-2.
     """
     x = _start_state(rhs, x0, t_end, guard)
     rhs, evals = _counted(rhs)
     for name, tol in (("atol", atol), ("rtol", rtol)):
-        if not 0.0 < tol <= 1e-2:
+        if check_positive(name, tol) > 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")
     record_every = check_int("record_every", record_every, 1)
     c, a, b4, b5 = RKF45["c"], RKF45["a"], RKF45["b4"], RKF45["b5"]

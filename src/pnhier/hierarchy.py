@@ -17,13 +17,19 @@ the one place that builds more than one of them.  For a fixed (Pi0, N[, Z0])
 it inverts N at most once and walks N^k outward from k = 0, one factor per
 step, deriving at each k the bivector Pi_k, its modular field X^k, the
 hamiltonian h_k and, when a master field Z0 is given, Z_k = N^k Z0 and
-div Z_k.  Built without Pi0 it holds the hamiltonians alone: all that a
-table of h_k or a monitor along a flow reads.  It multiplies in the
-order ``jmatpow`` does, so each object is bit-identical to its single-shot
-formula (tests/ladder_reference.py keeps those formulas as the reference).
-It is also the package's only builder of hamiltonians.  The flow builds no
-N jet: its order-1 tail (``dynamics``) forms dh_k from the values and
-gradients of the pair on plain arrays.
+div Z_k.  The walk multiplies order-1 powers; only X^k and div Z_k, which
+read the Hessians of Pi_k and Z_k, take a second walk at order 2.  Built
+without Pi0 it holds the hamiltonians alone: all that a table of h_k or a
+monitor along a flow reads.  It multiplies in the order ``jmatpow`` does,
+and a contraction's value and gradient do not depend on the jet order, so
+Pi_k, Z_k, X^k, div Z_k, h_0 and h_{+-1} are bit-identical to their
+single-shot formulas, as are the values and gradients of every h_k
+(tests/ladder_reference.py keeps those formulas as the reference).  The
+Hessians of h_k for |k| >= 2 come from the order-1 powers (see
+``Hierarchy``) and may differ from the formulas in their last bits.  It is
+also the package's only builder of hamiltonians.  The flow builds no N jet:
+its order-1 tail (``dynamics``) forms dh_k from the values and gradients of
+the pair on plain arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ import numpy as np
 from .errors import RangeError, check_int
 from .fields import (cotangent_apply, differential, hamiltonian_vf,
                      lie_bracket, poisson_bracket, sharp, worst_defect)
-from .jets import (jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
-                   jtranspose, jtruncate)
+from .jets import (Jet2, jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jtrace,
+                   jtranspose, jtruncate, trace_pair)
 from .modular import koszul_d
 
 
@@ -69,94 +75,122 @@ class Hierarchy:
 
     The walk goes outward from k = 0 in either direction as far as the
     largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
-    N and N^-1 taken from ``jmatpow``.  N is inverted on the first
-    negative index, never again.  At k = 0 no product is formed: Pi_0 is
-    Pi0 and Z_0 is Z0.  Each object is kept at the lowest jet order its
-    consumers read:
+    N and N^-1 taken from ``jmatpow`` at order 2.  N is inverted on the
+    first negative index, never again.  At k = 0 no product is formed:
+    Pi_0 is Pi0 and Z_0 is Z0.  The one walk routine runs at two jet
+    orders.  The order-1 walk multiplies order-1 powers and yields what
+    reads no more than a gradient of them; the order-2 walk runs only
+    when a modular field or a master divergence is first asked for, and
+    only as far as asked:
 
-        hamiltonian(k) h_k                  order 2
-        bivector(k)    Pi_k = N^k Pi0       order 1                  needs P0
-        modular(k)     X^k = D_mu Pi_k      order 1 (taken at 2)     needs P0
-        master(k)      Z_k = N^k Z0         order 1                  needs Z0
-        master_div(k)  D_mu Z_k             order 1 (taken at 2)     needs Z0
+        hamiltonian(k) h_k                  order 2    order-1 walk
+        bivector(k)    Pi_k = N^k Pi0       order 1    order-1 walk  needs P0
+        master(k)      Z_k = N^k Z0         order 1    order-1 walk  needs Z0
+        modular(k)     X^k = D_mu Pi_k      order 1    order-2 walk  needs P0
+        master_div(k)  D_mu Z_k             order 1    order-2 walk  needs Z0
 
-    Order-2 matrices are held only where the walk continues: N^-1 and the
-    current power at each end.  h_0 = log|det N|/2 is computed on first
-    request.  Modular fields and divergences are taken in the coordinate
-    Lebesgue density.  An object that needs P0 or Z0 raises RangeError when
-    it was passed as None; so does an index that is not an integer in
-    -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are not 1).
+    For k != 0, with n = |k| and B = N (k > 0) or N^-1 (k < 0), the
+    Hessian of h_k = +-tr(B^n)/(2n) is
+
+        +-1/2 [tr(d_b B^(n-1) d_a B) + tr(B^(n-1) d2_ab B)],
+
+    two contractions of the order-1 B^(n-1), whose gradient already holds
+    the sum over j of B^j dB B^(n-2-j), against the order-2 B; at n = 1 it
+    is the trace of d2 B.  Order-2 matrices are held only at the two ends
+    of the walk, besides N and N^-1.  h_0 = log|det N|/2 is computed on
+    first request.  Modular fields and divergences are taken in the
+    coordinate Lebesgue density.  An object that needs P0 or Z0 raises
+    RangeError when it was passed as None; so does an index that is not an
+    integer in -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are
+    not 1).
     """
 
     def __init__(self, P0, N, Z0=None):
         self.P0, self.N, self.Z0 = P0, N, Z0
-        self._reached = set()    # every k the walk has derived
         self._bivector, self._modular = {}, {}
         self._hamiltonian, self._master, self._master_div = {}, {}, {}
         self._base = {}    # +1 / -1 -> order-2 N / N^-1
-        self._edge = {}    # +1 / -1 -> (k, order-2 N^k) at that end of the walk
+        # per walk order: every k it has derived, and +1 / -1 -> (k, N^k)
+        # at that end of the walk
+        self._reached = {1: set(), 2: set()}
+        self._edge = {1: {}, 2: {}}
 
     def bivector(self, k):
-        return self._get(self._bivector, k, needs="P0")
+        return self._get(self._bivector, k, 1, needs="P0")
 
     def modular(self, k):
-        return self._get(self._modular, k, needs="P0")
+        return self._get(self._modular, k, 2, needs="P0")
 
     def hamiltonian(self, k):
         k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if k != 0:
-            return self._get(self._hamiltonian, k)
+            return self._get(self._hamiltonian, k, 1)
         if 0 not in self._hamiltonian:
             self._hamiltonian[0] = jlogabsdet(self.N, "recursion operator") * 0.5
         return self._hamiltonian[0]
 
     def master(self, k):
-        return self._get(self._master, k, needs="Z0")
+        return self._get(self._master, k, 1, needs="Z0")
 
     def master_div(self, k):
-        return self._get(self._master_div, k, needs="Z0")
+        return self._get(self._master_div, k, 2, needs="Z0")
 
     def ladder(self, depth, neg_depth=0):
         """dict {i: h_i} for i = -neg_depth..depth; see check_depths."""
         depth, neg_depth = check_depths(depth, neg_depth)
         return {i: self.hamiltonian(i) for i in range(-neg_depth, depth + 1)}
 
-    def _get(self, table, k, needs=None):
+    def _get(self, table, k, order, needs=None):
         k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if needs is not None and getattr(self, needs) is None:
             raise RangeError(f"this hierarchy was built without {needs}")
-        if k not in self._reached:
-            self._walk_to(k)
+        if k not in self._reached[order]:
+            self._walk_to(k, order)
         return table[k]
 
-    def _walk_to(self, k):
-        if 0 not in self._reached:
-            self._derive(0, None)
+    def _walk_to(self, k, order):
+        reached, edge = self._reached[order], self._edge[order]
+        if 0 not in reached:
+            self._derive(0, order, None, None)
         step = 1 if k > 0 else -1
-        while k not in self._reached:
-            if step in self._edge:
-                j, prev = self._edge[step]
-                j, Nj = j + step, jmatmul(prev, self._base[step])
-            else:
-                j, Nj = step, jmatpow(self.N, step)
-                self._base[step] = Nj
-            self._edge[step] = (j, Nj)
-            self._derive(j, Nj)
+        while k not in reached:
+            if step not in self._base:
+                self._base[step] = jmatpow(self.N, step)
+            base = self._base[step]
+            j, prev = edge.get(step, (0, None))
+            Nj = jtruncate(base, order) if prev is None else jmatmul(prev, base)
+            edge[step] = (j + step, Nj)
+            self._derive(j + step, order, prev, Nj)
 
-    def _derive(self, k, Nk):
-        """Every object at k from the order-2 N^k; at k = 0, Nk is None and
-        N^0 = I acts as the identity, so no product is formed."""
-        self._reached.add(k)
-        if k != 0:
-            self._hamiltonian[k] = jtrace(Nk) * (1.0 / (2 * k))
+    def _derive(self, k, order, prev, Nk):
+        """The objects at k of the walk at ``order`` from N^k and the power
+        before it, prev; at k = 0, Nk is None and N^0 = I acts as the
+        identity, so no product is formed, and at |k| = 1 prev is None."""
+        self._reached[order].add(k)
+        if order == 1:
+            keep, bivectors, masters = (lambda J: jtruncate(J, 1),
+                                        self._bivector, self._master)
+            if k != 0:
+                self._hamiltonian[k] = self._hamiltonian_at(k, prev, Nk)
+        else:
+            keep, bivectors, masters = koszul_d, self._modular, self._master_div
         if self.P0 is not None:
-            Pk = self.P0 if k == 0 else jmatmul(Nk, self.P0)
-            self._bivector[k] = jtruncate(Pk, 1)
-            self._modular[k] = koszul_d(Pk)
+            bivectors[k] = keep(self.P0 if k == 0 else jmatmul(Nk, self.P0))
         if self.Z0 is not None:
-            Zk = self.Z0 if k == 0 else jmatvec(Nk, self.Z0)
-            self._master[k] = jtruncate(Zk, 1)
-            self._master_div[k] = koszul_d(Zk)
+            masters[k] = keep(self.Z0 if k == 0 else jmatvec(Nk, self.Z0))
+
+    def _hamiltonian_at(self, k, prev, Nk):
+        """h_k from the order-1 walk: value and gradient from the order-1
+        N^k, the Hessian from prev = B^(n-1) and the order-2 B."""
+        base = self._base[1 if k > 0 else -1]
+        if prev is None:
+            return jtrace(base) * (1.0 / (2 * k))
+        h = jtrace(Nk) * (1.0 / (2 * k))
+        if base.hess is None:
+            return h
+        d2 = (np.einsum("...ij,...jiab->...ab", prev.val, base.hess)
+              + trace_pair(base.grad, prev.grad))
+        return Jet2(h.val, h.grad, d2 * (0.5 if k > 0 else -0.5), m=h.m)
 
 
 def cotangent_ladder_defect(N, ladder):

@@ -545,12 +545,11 @@ def jlogabsdet(A, what="matrix"):
     """log|det| of a matrix jet, with an explicit singularity guard.
 
     The Hessian is tr(V d2A_ab) - tr(W_a W_b), with V = A^-1 and
-    W_a = A^-1 dA_a.  The second trace is one (m, n^2) @ (n^2, m) product
-    per sample of W with its (i, k)-transpose.  W comes from a solve with
-    A, not from a product with V: the trace cancels most of its terms when
-    A is ill-conditioned, and the backward-stable solve leaves less roundoff
-    in what remains (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 14).
+    W_a = A^-1 dA_a; the second trace is ``trace_pair(W, W)``.  W comes
+    from a solve with A, not from a product with V: the trace cancels most
+    of its terms when A is ill-conditioned, and the backward-stable solve
+    leaves less roundoff in what remains (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 14).
     """
     V = _guarded_inv(A.val, what)
     sign, logabs = np.linalg.slogdet(A.val)
@@ -561,11 +560,21 @@ def jlogabsdet(A, what="matrix"):
             lead, n, m = V.shape[:-2], V.shape[-1], A.m
             W = np.linalg.solve(A.val, A.grad.reshape(lead + (n, n * m)))
             W = W.reshape(lead + (n, n, m))                  # W[i, k, a]
-            Wik = W.reshape(lead + (n * n, m))
-            Wki = W.swapaxes(-3, -2).reshape(lead + (n * n, m))
             hess = (np.einsum('...ij,...jiab->...ab', V, A.hess)
-                    - np.matmul(Wik.swapaxes(-1, -2), Wki))
+                    - trace_pair(W, W))
     return Jet2(logabs, grad, hess, m=A.m)
+
+
+def trace_pair(X, Y):
+    """tr(X_a Y_b) for two stacks of n x n matrices on a trailing axis.
+
+    X[..., i, k, a] and Y[..., k, i, b] summed over i and k give the
+    (..., a, b) array, as one (m, n^2) @ (n^2, m) matmul per sample of X
+    with the (i, k)-transpose of Y.
+    """
+    lead, n, m = X.shape[:-3], X.shape[-2], X.shape[-1]
+    return np.matmul(X.reshape(lead + (n * n, m)).swapaxes(-1, -2),
+                     Y.swapaxes(-3, -2).reshape(lead + (n * n, m)))
 
 
 def jmatpow(A, k):

@@ -532,7 +532,7 @@ def probe_point(system):
 def hierarchy_report(system, depth=4):
     """Ladder table and pairwise defect matrices at the probe point."""
     x = probe_point(system)[None, :]
-    jets = system.jets(x)
+    jets = system.jets(x, order=1)      # values and first derivatives only
     P0 = system.pi0(jets)
     P1 = system.pi1(jets)
     N = recursion_operator(P0, P1)

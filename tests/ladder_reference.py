@@ -1,11 +1,16 @@
 """Single-shot ladder formulas: the bit-for-bit reference for ``Hierarchy``.
 
 Each function builds one ladder object (or one ladder) straight from
-``jmatpow``, recomputing every power of N anew; ``hierarchy_hamiltonian``
-is also the jet oracle of the flow right-hand side.  ``Hierarchy`` walks
-the powers outward once and multiplies in the same order, so its objects
-must equal these bit for bit.  The package itself builds ladders only
-through ``Hierarchy``.
+``jmatpow``, recomputing every power of N anew at the order of N;
+``hierarchy_hamiltonian`` is also the jet oracle of the flow right-hand
+side.  ``Hierarchy`` walks the powers outward once and multiplies in the
+same order, so its bivectors, master fields, modular fields, divergences,
+h_0 and h_{+-1} must equal these bit for bit, as must the values and
+gradients of every h_k.  For |k| >= 2 it takes the h_k Hessian from
+order-1 powers, a different order of the same sums, which
+tests/test_hierarchy.py compares against ``hierarchy_hamiltonian`` within a
+roundoff bound.  The package itself builds ladders only through
+``Hierarchy``.
 """
 
 from pnhier.hierarchy import check_depths

@@ -41,6 +41,11 @@ def commands():
     yield ("verify-an-toda-n8-samples50-seed0",
            cli + ["verify", "--system", "an-toda", "--n", "8", "--samples", "50",
                   "--seed", "0"])
+    # large m (10) with a master symmetry: the order-2 walk of the modular
+    # fields and master divergences runs there
+    yield ("verify-toda-moser-n5-samples50-seed0",
+           cli + ["verify", "--system", "toda-moser", "--n", "5", "--samples",
+                  "50", "--seed", "0"])
     for system in CHARTS:
         yield (f"hierarchy-{system}-n3",
                cli + ["hierarchy", "--system", system, "--n", "3"])

@@ -17,7 +17,7 @@ from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
                               lenard_defect, n_act, recursion_operator,
                               spectral_pairing, spectrum)
 from pnhier import hierarchy, jets
-from pnhier.jets import Jet2
+from pnhier.jets import Jet2, jmatpow, jtrace
 from pnhier.modular import koszul_d
 from pnhier.report import verify_report
 from pnhier.systems import make_system
@@ -173,20 +173,54 @@ def same_bits(kept, ref):
         assert np.array_equal(kept.hess, ref.hess)
 
 
+def abs_jet(J):
+    return Jet2(np.abs(J.val), np.abs(J.grad), np.abs(J.hess), m=J.m)
+
+
+def same_hamiltonian(kept, N, k):
+    """h_k equals the single-shot reference: value and gradient bit for bit,
+    the Hessian within the roundoff of two orders of one sum.
+
+    Both Hessians expand into the same products of entries of B = N^(+-1)
+    and its derivatives, so the sum of their absolute values is the
+    reference formula taken on |B|.  Each side sums at most t = (n + m)
+    (m + 4) roundings deep (n steps of an m-term product plus the m^2
+    terms of a trace), so each is within t eps of that sum of |terms|.
+    """
+    want = ref.hierarchy_hamiltonian(N, k)
+    assert kept.order == want.order
+    if k == 0 or kept.order < 2:
+        same_bits(kept, want)
+        return
+    assert np.array_equal(kept.val, want.val)
+    assert np.array_equal(kept.grad, want.grad)
+    n, m = abs(k), N.val.shape[-1]
+    bound = 2 * (n + m) * (m + 4) * np.finfo(kept.hess.dtype).eps * np.abs(
+        jtrace(jmatpow(abs_jet(jmatpow(N, 1 if k > 0 else -1)), n)).hess
+        / (2 * n))
+    assert np.all(np.abs(kept.hess - want.hess) <= bound)
+
+
 def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
     sys = make_system("toda_moser", 3)
     jets_ = sys.jets(sys.sample(samples=16, seed=11))
     P0, P1 = sys.pi0(jets_), sys.pi1(jets_)
     N = recursion_operator(P0, P1)
     Z0 = sys.extras["oevel"]["z0"](jets_)
-    hier = Hierarchy(P0, N, Z0)
-    # out of order on purpose: the walk must not depend on the request order
+    first = Hierarchy(P0, N, Z0)
+    deep = Hierarchy(P0, N, Z0)
+    deep.ladder(6, 6)       # the order-1 walk first, as far as it goes
+    # out of order on purpose: the walk must not depend on the request order;
+    # `first` runs the order-2 walk of each k before its order-1 walk, `deep`
+    # long after it
     for k in (3, -6, 0, 6, -1, 1, -3, 2, -2, 5, -5, 4, -4):
-        same_bits(hier.bivector(k), ref.hierarchy_bivector(P0, N, k))
-        same_bits(hier.hamiltonian(k), ref.hierarchy_hamiltonian(N, k))
-        same_bits(hier.master(k), ref.master_field(N, Z0, k))
-        same_bits(hier.master_div(k), koszul_d(ref.master_field(N, Z0, k)))
-        same_bits(hier.modular(k), koszul_d(ref.hierarchy_bivector(P0, N, k)))
+        for hier in (first, deep):
+            same_bits(hier.master_div(k), koszul_d(ref.master_field(N, Z0, k)))
+            same_bits(hier.modular(k), koszul_d(ref.hierarchy_bivector(P0, N, k)))
+            same_bits(hier.bivector(k), ref.hierarchy_bivector(P0, N, k))
+            same_hamiltonian(hier.hamiltonian(k), N, k)
+            same_bits(hier.master(k), ref.master_field(N, Z0, k))
+    hier = first
     assert hier.hamiltonian(2).order == 2
     assert hier.bivector(2).order == hier.master(2).order == 1
     assert hier.modular(2).order == hier.master_div(2).order == 1
@@ -204,11 +238,38 @@ def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
             jets_k = chart.jets(x, order=order)
             M = recursion_operator(chart.pi0(jets_k), chart.pi1(jets_k))
             got = Hierarchy(None, M).ladder(6, neg)
-            want = ref.hamiltonian_ladder(M, 6, neg)
-            assert got.keys() == want.keys()
-            for k in want:
-                assert got[k].order == want[k].order == order
-                same_bits(got[k], want[k])
+            assert got.keys() == ref.hamiltonian_ladder(M, 6, neg).keys()
+            for k in got:
+                assert got[k].order == order
+                same_hamiltonian(got[k], M, k)
+
+
+def test_only_modular_fields_and_divergences_multiply_order_2_powers(monkeypatch):
+    sys = make_system("toda_moser", 3)
+    jets_ = sys.jets(sys.sample(samples=4, seed=11))
+    P0 = sys.pi0(jets_)
+    N = recursion_operator(P0, sys.pi1(jets_))
+    Z0 = sys.extras["oevel"]["z0"](jets_)
+    products = []       # the order of every contraction of two or more jets
+    real = jets.jcontract
+
+    def spy(*terms):
+        out = real(*terms)
+        if any(len([J for J in t if isinstance(J, Jet2)]) > 1 for t in terms):
+            products.append(out.order)
+        return out
+
+    for mod in (jets, hierarchy):
+        monkeypatch.setattr(mod, "jcontract", spy, raising=False)
+    hier = Hierarchy(P0, N, Z0)
+    for k in range(-6, 7):
+        assert hier.hamiltonian(k).order == 2
+        hier.bivector(k), hier.master(k)
+    # N and N^-1 come from jmatpow at order 2; every power past them, and
+    # every Pi_k and Z_k, is formed at order 1
+    assert products and max(products) == 1
+    hier.modular(2)         # the order-2 walk: N Pi0, N N, N^2 Pi0, ...
+    assert max(products) == 2
 
 
 def test_hierarchy_without_z0_refuses_master_fields():

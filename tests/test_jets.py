@@ -17,7 +17,7 @@ from pnhier.fields import schouten_bb
 from pnhier.hierarchy import n_act, recursion_operator
 from pnhier.jets import (Jet2, check_invertible, jcontract, jinv,
                          jlogabsdet, jmatmul, jmatpow, jmatvec, jstack, jtrace,
-                         jtranspose, jtruncate)
+                         jtranspose, jtruncate, trace_pair)
 from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260816)
@@ -318,6 +318,15 @@ def test_inverse_and_logdet_hessians_match_the_einsum_forms(B, n, m):
         scale = np.abs(ref.hess).max()
         np.testing.assert_allclose(new.hess, ref.hess, rtol=1e-12,
                                    atol=1e-12 * scale)
+
+
+def test_trace_pair_is_the_trace_of_two_derivative_stacks():
+    r = np.random.default_rng(5)
+    for lead, n, m in (((4,), 3, 2), ((1,), 6, 6), ((2, 3), 2, 5)):
+        X, Y = (r.uniform(-1.0, 1.0, lead + (n, n, m)) for _ in range(2))
+        np.testing.assert_allclose(trace_pair(X, Y),
+                                   np.einsum('...ika,...kib->...ab', X, Y),
+                                   rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("order", [0, 1])

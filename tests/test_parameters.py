@@ -70,6 +70,8 @@ POSITIVE = {
     "rk4-t_end": lambda v: rk4(_never, [1.0], t_end=v, dt=0.1),
     "rk4-dt": lambda v: rk4(_never, [1.0], t_end=1.0, dt=v),
     "rkf45-dt_init": lambda v: rkf45(_never, [1.0], t_end=1.0, dt_init=v),
+    "rkf45-atol": lambda v: rkf45(_never, [1.0], t_end=1.0, atol=v),
+    "rkf45-rtol": lambda v: rkf45(_never, [1.0], t_end=1.0, rtol=v),
     "integrate-rkf45-dt": lambda v: integrate(_never, [1.0], t_end=1.0,
                                               method="rkf45", dt=v),
 }
