@@ -33,13 +33,13 @@ operand (Hessian terms first, then each pair's cross term and its
 transpose), so two spellings of one sum agree bit for bit only when they
 list the terms in the same order.
 
-Matmul plans.  The order-2 terms of a two-operand product (each operand's
-Hessian term and the cross term) are compiled once per spec into one
-batched ``np.matmul`` over views of the operands (``_matmul_plan``); the
-rest -- values, gradients, specs that do not fit a plan -- runs on
-c_einsum.  A plan changes only the order of the inner sum over the
-contracted indices: the term-order rule still holds, values and gradients
-keep their bits, and a Hessian may move in its last bits.
+Matmul plans.  Every term of a two-operand product -- the value, each
+operand's gradient and Hessian term, and the cross term -- is compiled
+once per spec into one batched ``np.matmul`` over views of the operands
+(``_matmul_plan``) where it fits; specs that do not fit a plan run on
+c_einsum and keep its bits.  A plan changes only the order of the inner
+sum over the contracted indices: the term-order rule still holds, and a
+planned value, gradient or Hessian may move in its last bits.
 """
 
 from __future__ import annotations
@@ -278,13 +278,13 @@ def differential(f):
 
 @functools.lru_cache(maxsize=None)
 def _product_rule(spec, n):
-    """The einsum specs of one product term and the kernels of its derivatives.
+    """The kernels of one product term and of its derivatives.
 
-    Returns (value, gradients, Hessians, crosses): the value spec, one
-    gradient spec and one Hessian kernel per operand, which differentiates
-    that operand alone, and (k, l, kernel) per operand pair k < l for the
-    mixed term dJ_k dJ_l.  A kernel is the spec's matmul plan where it has
-    one (two operands, see ``_matmul_plan``), else c_einsum of the spec.
+    Returns (value, gradients, Hessians, crosses): the value kernel, one
+    gradient and one Hessian kernel per operand, which differentiates that
+    operand alone, and (k, l, kernel) per operand pair k < l for the mixed
+    term dJ_k dJ_l.  A kernel is the spec's matmul plan where it has one
+    (two operands, see ``_matmul_plan``), else c_einsum of the spec.
     """
     ins, arrow, out = spec.partition("->")
     ops = ins.split(",")
@@ -300,8 +300,8 @@ def _product_rule(spec, n):
         plan = _matmul_plan(spec) if n == 2 else None
         return plan or functools.partial(_einsum, spec)
 
-    return (make({}, ""),
-            tuple(make({k: a}, a) for k in range(n)),
+    return (kernel(make({}, "")),
+            tuple(kernel(make({k: a}, a)) for k in range(n)),
             tuple(kernel(make({k: a + b}, a + b)) for k in range(n)),
             tuple((k, l, kernel(make({k: a, l: b}, a + b)))
                   for k in range(n) for l in range(k + 1, n)))
@@ -414,15 +414,15 @@ def jcontract(*terms):
             if J.hess is None:
                 order = min(order, 0 if J.grad is None else 1)
     val = grad = hess = None
-    for coef, (vspec, gspecs, hkernels, xkernels), ops in rules:
+    for coef, (vkernel, gkernels, hkernels, xkernels), ops in rules:
         vals = [J.val for J in ops]
-        val = _accumulate(val, coef, _einsum(vspec, *vals))
+        val = _accumulate(val, coef, vkernel(*vals))
         if order < 1:
             continue
-        for k, spec in enumerate(gspecs):
+        for k, kernel in enumerate(gkernels):
             args = vals.copy()
             args[k] = ops[k].grad
-            grad = _accumulate(grad, coef, _einsum(spec, *args))
+            grad = _accumulate(grad, coef, kernel(*args))
         if order < 2:
             continue
         for k, kernel in enumerate(hkernels):

@@ -20,6 +20,10 @@ from pathlib import Path
 CHARTS = ("harmonic", "calogero", "toda-moser", "cn-toda", "an-toda")
 VERIFY = (("harmonic", 4), ("calogero", 3), ("toda-moser", 3),
           ("cn-toda", 3), ("an-toda", 4))
+# every known false commuting-flows failure or near miss (ROADMAP item 1),
+# so that a moved verdict shows in a diff; 1606 is a verify-catalog bench seed
+BORDERLINE = (("cn-toda", 3, 222), ("cn-toda", 3, 281), ("cn-toda", 3, 1606),
+              ("an-toda", 4, 84), ("an-toda", 4, 159), ("an-toda", 4, 217))
 DEMOS = ("catalog_checkup", "ladder_tour", "lattice_flow")
 
 BENCH_TEXT = ("import sys; sys.path.insert(0, 'bench'); import workloads; "
@@ -35,8 +39,10 @@ def commands():
             yield (f"verify-{system}-n{n}-seed{seed}",
                    cli + ["verify", "--system", system, "--n", str(n),
                           "--seed", str(seed)])
-    yield ("verify-cn-toda-n3-seed222",
-           cli + ["verify", "--system", "cn-toda", "--n", "3", "--seed", "222"])
+    for system, n, seed in BORDERLINE:
+        yield (f"verify-{system}-n{n}-seed{seed}",
+               cli + ["verify", "--system", system, "--n", str(n),
+                      "--seed", str(seed)])
     # large m (16), where the order-2 product rule is most of the time
     yield ("verify-an-toda-n8-samples50-seed0",
            cli + ["verify", "--system", "an-toda", "--n", "8", "--samples", "50",

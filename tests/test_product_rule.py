@@ -6,10 +6,11 @@ from before jcontract existed, kept verbatim as the oracle of that
 term-order contract: a rewrite that reorders a sum moves the last bits of
 the verify reports, and these comparisons catch it byte for byte.
 
-Two-operand Hessian and cross terms run as batched matmul plans where
-they fit (jets._matmul_plan), which may reorder the sum over a contracted
-index and nothing else: a plan agrees with c_einsum to a few ulps of the
-sum of |terms|, and every spec without a plan keeps c_einsum's bits.
+Every two-operand term -- value, gradient, Hessian and cross -- runs as a
+batched matmul plan where it fits (jets._matmul_plan), which may reorder
+the sum over a contracted index and nothing else: a plan agrees with
+c_einsum to a few ulps of the sum of |terms|, and every spec without a
+plan keeps c_einsum's bits.
 """
 
 import functools
@@ -160,10 +161,12 @@ PLANNED = ("ik,kj->ij", "ik,k->i", "ki,kj->ij", "ik,jk->ij", "ij,jk->ik",
            "lk,ijl->ijk", "ijk,ik->ij", "ij,ij->")
 
 
-def order2_kernels(spec):
-    """(kernel, which operands are differentiated) per Hessian and cross."""
-    _, _, hkernels, xkernels = _product_rule(spec, 2)
-    return ([(kern, {k: 2}) for k, kern in enumerate(hkernels)]
+def kernels(spec):
+    """(kernel, which operands are differentiated) per term of the rule."""
+    vkernel, gkernels, hkernels, xkernels = _product_rule(spec, 2)
+    return ([(vkernel, {})]
+            + [(kern, {k: 1}) for k, kern in enumerate(gkernels)]
+            + [(kern, {k: 2}) for k, kern in enumerate(hkernels)]
             + [(kern, {k: 1, l: 1}) for k, l, kern in xkernels])
 
 
@@ -174,7 +177,7 @@ def test_matmul_plans_agree_with_c_einsum_to_a_few_ulps(B, m):
     planned = []
     for spec in PLANNED:
         subs = spec.partition("->")[0].split(",")
-        for kernel, diff in order2_kernels(spec):
+        for kernel, diff in kernels(spec):
             if kernel.func is not _run_plan:
                 continue
             args = [r.uniform(-1.0, 1.0, (B,) + (m,) * (len(s) + diff.get(k, 0)))
@@ -191,17 +194,26 @@ def test_matmul_plans_agree_with_c_einsum_to_a_few_ulps(B, m):
             scale = _einsum(kspec, *[np.abs(a) for a in args])
             assert np.all(np.abs(got - want) <= t * np.finfo(float).eps * scale)
             planned.append(kspec)
-    # every Hessian and cross term of a matrix product runs as a plan
-    assert {"...ikab,...kj->...ijab", "...ik,...kjab->...ijab",
-            "...ika,...kjb->...ijab"} <= set(planned)
+    # every term of a matrix product runs as a plan: value, gradients,
+    # Hessians and the cross term
+    assert {"...ik,...kj->...ij", "...ika,...kj->...ija",
+            "...ik,...kja->...ija", "...ikab,...kj->...ijab",
+            "...ik,...kjab->...ijab", "...ika,...kjb->...ijab"} <= set(planned)
 
 
-def test_a_planned_product_rule_keeps_the_value_and_gradient_bits():
+def test_a_planned_product_rule_agrees_with_the_reference_to_a_few_ulps():
     r = np.random.default_rng(7)
     A, B = (random_jet(r, (8, 8), 8, 25) for _ in range(2))
     new, ref = jmatmul(A, B), ref_jcontract("ik,kj->ij", A, B)
-    assert new.val.tobytes() == ref.val.tobytes()
-    assert new.grad.tobytes() == ref.grad.tobytes()
+    # the product rule taken on |A| and |B| sums |terms| per component
+    scale = ref_jcontract("ik,kj->ij", *(Jet2(abs(J.val), abs(J.grad), abs(J.hess))
+                                         for J in (A, B)))
+    t = 8                                           # the contracted length
+    for part in ("val", "grad"):
+        got, want = getattr(new, part), getattr(ref, part)
+        assert got.shape == want.shape and got.base is None
+        assert np.all(np.abs(got - want)
+                      <= t * np.finfo(float).eps * getattr(scale, part))
     assert new.hess.base is None
     scale = np.abs(ref.hess).max()
     np.testing.assert_allclose(new.hess, ref.hess, rtol=0, atol=1e-14 * scale)
