@@ -5,8 +5,8 @@ with fixed-step RK4 or adaptive RKF45, guards the chart domain along the way
 (a run that leaves it, or whose right-hand side turns singular, is truncated
 at its last good step), and evaluates the quantities the flows are supposed
 to conserve (ladder hamiltonians, Lax spectra).  A flow's right-hand side
-keeps what does not change between its stages: the coordinate jets, built
-once, and the inverse of Pi0 while Pi0 is unchanged.  The symmetric
+keeps what does not change between its stages: the coordinate jet, built
+once, and a constant Pi0 with its inverse.  The symmetric
 eigensolver is written out in full -- Householder tridiagonalization
 followed by QL with implicit shifts -- so spectral drift checks do not
 depend on LAPACK's eigensolver.
@@ -253,44 +253,51 @@ def hamiltonian_flow_rhs(system, index):
     of ``check_depths``; not a float, bool or string); a bad index is a
     RangeError here, before any stage.  The pi1 flow of h_k is the pi0 flow of h_(k+1) (Lenard).
 
-    Each stage evaluates pi0 and pi1 once, on order-1 coordinate jets; the
-    rest is an order-1 tail on plain arrays (see ``_ladder_differential``)
-    that builds no jet: it reads only the values and gradients of the pair.
-    The jet route ``hamiltonian_vf(pi0, h_k)``, with h_k built from N, is its
-    test oracle.
+    Each stage evaluates pi1 once, and pi0 once unless it is kept (below),
+    on an order-1 coordinate jet; the rest is an order-1 tail on plain
+    arrays (see ``_ladder_differential``) that builds no jet: it reads only
+    the values and gradients of the pair.  The jet route
+    ``hamiltonian_vf(pi0, h_k)``, with h_k built from N, is its test oracle.
 
     The rhs keeps state between calls, so it is not reentrant:
 
-    * one (1, m) point buffer and its m order-1 coordinate jets, built once
+    * one (1, m) point buffer and its order-1 coordinate jet, built once
       here.  A stage shape-checks its point (DimensionError) and writes it
-      into the buffer; the coordinate values are views of the buffer and
-      their gradients rows of one identity stack, shared by every stage.
-      Nothing downstream writes into an operand and every result is a fresh
-      array, so a returned field never aliases the buffer.
-    * the last Pi0 value it inverted, as bytes, and its guarded inverse.  A
-      stage whose Pi0 has the same bytes reuses the inverse; any other
-      inverts and guards afresh, and a failed guard stores nothing.  A
-      constant Pi0 (harmonic, calogero, an_toda) is thus inverted once per
-      rhs; a varying one at every stage.
+      into the buffer, which is the jet's value; its gradient is one
+      identity stack, shared by every stage.  Nothing downstream writes into
+      an operand and every result is a fresh array, so a returned field
+      never aliases the buffer.
+    * for a constant Pi0 (a table without jet blocks: harmonic, calogero,
+      an_toda), its value and guarded inverse from the first stage whose
+      guard passes; later stages evaluate neither again, and a failed guard
+      stores nothing.  A varying Pi0 (toda_moser, cn_toda) is evaluated,
+      inverted and guarded at every stage.
     """
     index = check_int("flow index", index, -LADDER_CAP, LADDER_CAP)
     point = np.zeros((1, system.m))
-    jets = Jet2.coords(point, order=1)
-    inverted = [None, None]      # bytes of the last Pi0 inverted, its inverse
+    X = Jet2.coords(point, order=1)
+    constant = system.tables[0].constant
+    kept = []               # a constant Pi0's value and its guarded inverse
 
     def rhs(t, x):
         point[0] = _stage_point(system, x)
-        P0, P1 = system.pi0(jets), system.pi1(jets)
-        key = P0.val.tobytes()
-        if key != inverted[0]:
-            inverted[:] = key, _guarded_inv(P0.val, "pi0")
-        dh = _ladder_differential(inverted[1], P0, P1, index)
-        return _einsum("...ji,...j->...i", P0.val, dh)[0]     # P0# dh
+        dP0 = None
+        if kept:
+            P0, Q = kept
+        else:
+            J = system.pi0(X)
+            P0, Q = J.val, _guarded_inv(J.val, "pi0")
+            if constant:
+                kept[:] = P0, Q
+            else:
+                dP0 = J.grad
+        dh = _ladder_differential(Q, system.pi1(X), index, dP0)
+        return _einsum("...ji,...j->...i", P0, dh)[0]     # P0# dh
 
     return rhs
 
 
-def _ladder_differential(Q, P0, P1, k):
+def _ladder_differential(Q, P1, k, dP0):
     """dh_k from the values and gradients of the pair, on plain arrays.
 
     For every integer k, h_k = tr(N^k)/2k (h_0 = log|det N|/2) has
@@ -299,8 +306,9 @@ def _ladder_differential(Q, P0, P1, k):
 
         dh_k,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(k-1),
 
-    so no dN tensor is formed.  Q is the caller's guarded inverse of P0.val.
-    For k <= 0, N^-1 comes from the guarded inverse, so a singular N raises
+    so no dN tensor is formed.  Q is the caller's guarded inverse of Pi0
+    and dP0 its gradient, None for a constant Pi0, whose term is zero.  For
+    k <= 0, N^-1 comes from the guarded inverse, so a singular N raises
     SingularTensorError as on the jet route.  Gradients are read in their
     stored (B, i, j, a) layout.
     """
@@ -309,8 +317,10 @@ def _ladder_differential(Q, P0, P1, k):
     R = Q
     for _ in range(abs(k - 1)):
         R = np.matmul(R, base)
-    return 0.5 * (_einsum("...ij,...jia->...a", R, P1.grad)
-                  - _einsum("...ij,...jia->...a", np.matmul(R, N), P0.grad))
+    dh = _einsum("...ij,...jia->...a", R, P1.grad)
+    if dP0 is not None:
+        dh = dh - _einsum("...ij,...jia->...a", np.matmul(R, N), dP0)
+    return 0.5 * dh
 
 
 # ---- conservation monitoring ---------------------------------------------------

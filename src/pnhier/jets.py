@@ -19,6 +19,13 @@ a divergence) returns a jet of one order less, which is exactly what identity
 checks need -- the deepest expressions are evaluated pointwise.  Arithmetic
 keeps the smallest order of its operands.
 
+The coordinates are one (B, m) vector jet X (``Jet2.coords``).  ``X[i]`` is
+the scalar jet x^i and ``X[a:b]`` a vector jet of coordinates, both views,
+so a chart writes a run of table entries as one vector expression
+(vector forward mode).  Public ``Jet2(...)``, ``coords`` and ``const``
+check what they are given; arithmetic, slices, contractions and the
+bivector tables build their results through the unchecked ``Jet2._new``.
+
 One product rule.  Every multilinear operation on jets -- matrix products,
 traces, and every bracket, wedge and Koszul operator in fields and modular --
 is a call of ``jcontract``: a signed sum of terms, each an einsum spec over
@@ -61,14 +68,16 @@ except ImportError:     # numpy < 2
 class Jet2:
     """Value + gradient + Hessian of a batched quantity.
 
-    Build coordinate jets with :meth:`coords`, constants with :meth:`const`,
-    then combine with ordinary arithmetic (+, -, *, /, **) and the matrix
-    helpers in this module.
+    Build the coordinate jet with :meth:`coords`, constants with
+    :meth:`const`, then index it and combine with ordinary arithmetic
+    (+, -, *, /, **) and the matrix helpers in this module.
     """
 
     __slots__ = ("val", "grad", "hess", "m")
 
     def __init__(self, val, grad=None, hess=None, m=None):
+        """The checked constructor: coerces to float arrays and checks that
+        grad and hess extend the value's shape by (m,) and (m, m)."""
         self.val = np.asarray(val, dtype=float)
         self.grad = None if grad is None else np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
@@ -91,11 +100,23 @@ class Jet2:
     # ---- constructors -----------------------------------------------------
 
     @classmethod
-    def coords(cls, x, order=2):
-        """Coordinate jets for a batch of points x with shape (B, m).
+    def _new(cls, val, grad, hess, m):
+        """The unchecked constructor, for results whose arrays are float
+        and shaped by construction: jet arithmetic, slices, contractions
+        and bivector tables.  Public input goes through ``Jet2(...)``."""
+        J = object.__new__(cls)
+        J.val, J.grad, J.hess, J.m = val, grad, hess, m
+        return J
 
-        Returns a list of m scalar jets [x^1, ..., x^m].  Lower orders save a
-        lot of memory on long batches (a trajectory only needs values).
+    @classmethod
+    def coords(cls, x, order=2):
+        """The coordinate jet X of a batch of points x with shape (B, m).
+
+        X is one (B, m) vector jet: its value is x itself (a float x is not
+        copied), its gradient one (B, m, m) identity stack and its Hessian
+        zeros.  ``X[i]`` is the scalar jet x^i and ``X[a:b]`` the vector jet
+        of coordinates a..b-1, views both.  Lower orders save a lot of
+        memory on long batches (a trajectory only needs values).
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -104,12 +125,10 @@ class Jet2:
             raise DimensionError(f"points must have shape (B, m), got {x.shape}")
         B, m = x.shape
         grad = None
-        if order >= 1:     # one (B, m, m) identity stack; x^i's gradient is row i
+        if order >= 1:
             grad = np.zeros((B, m, m))
             grad.reshape(B, m * m)[:, ::m + 1] = 1.0
-        return [cls(x[:, i], None if grad is None else grad[:, i],
-                    np.zeros((B, m, m)) if order >= 2 else None, m=m)
-                for i in range(m)]
+        return cls(x, grad, np.zeros((B, m, m, m)) if order >= 2 else None, m=m)
 
     @classmethod
     def const(cls, value, m, batch=None, order=2):
@@ -136,6 +155,17 @@ class Jet2:
     def __repr__(self):
         return f"Jet2(shape={self.val.shape}, m={self.m}, order={self.order})"
 
+    def __getitem__(self, key):
+        """Entry ``key`` (an index or a slice) of axis 1, the first axis
+        after the batch, as a jet of views.  Past the end is an IndexError,
+        so a vector jet unpacks and iterates; a scalar jet has no entries."""
+        if self.val.ndim < 2:
+            raise DimensionError("a scalar jet has no entries to index")
+        at = (slice(None), key)
+        return Jet2._new(self.val[at],
+                         None if self.grad is None else self.grad[at],
+                         None if self.hess is None else self.hess[at], self.m)
+
     def _coerce(self, other):
         if isinstance(other, Jet2):
             if other.m != self.m:
@@ -153,14 +183,14 @@ class Jet2:
             grad = self.grad + o.grad
         if self.hess is not None and o.hess is not None:
             hess = self.hess + o.hess
-        return Jet2(val, grad, hess, m=self.m)
+        return Jet2._new(val, grad, hess, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val,
-                    None if self.grad is None else -self.grad,
-                    None if self.hess is None else -self.hess, m=self.m)
+        return Jet2._new(-self.val,
+                         None if self.grad is None else -self.grad,
+                         None if self.hess is None else -self.hess, self.m)
 
     def __sub__(self, other):
         # one jet, not a negation and a sum: bit for bit self + (-other),
@@ -172,7 +202,7 @@ class Jet2:
             grad = self.grad - o.grad
         if self.hess is not None and o.hess is not None:
             hess = self.hess - o.hess
-        return Jet2(val, grad, hess, m=self.m)
+        return Jet2._new(val, grad, hess, self.m)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -188,7 +218,7 @@ class Jet2:
                         + self.val[..., None, None] * o.hess
                         + self.grad[..., :, None] * o.grad[..., None, :]
                         + self.grad[..., None, :] * o.grad[..., :, None])
-        return Jet2(val, grad, hess, m=self.m)
+        return Jet2._new(val, grad, hess, self.m)
 
     __rmul__ = __mul__
 
@@ -221,7 +251,7 @@ class Jet2:
                 hess = (df[..., None, None] * self.hess
                         + d2f[..., None, None]
                         * self.grad[..., :, None] * self.grad[..., None, :])
-        return Jet2(f, grad, hess, m=self.m)
+        return Jet2._new(f, grad, hess, self.m)
 
     def reciprocal(self):
         v = self.val
@@ -259,7 +289,7 @@ def jstack(entries):
     val = np.stack([p.val for p in parts], axis=1)
     grad = None if parts[0].grad is None else np.stack([p.grad for p in parts], axis=1)
     hess = None if parts[0].hess is None else np.stack([p.hess for p in parts], axis=1)
-    return Jet2(val, grad, hess, m=ref.m)
+    return Jet2._new(val, grad, hess, ref.m)
 
 
 # ---- the product rule -------------------------------------------------------
@@ -273,7 +303,7 @@ def differential(f):
     """
     if f.grad is None:
         raise DimensionError(f"operation needs jets of order >= 1, got {f.order}")
-    return Jet2(f.grad, f.hess, None, m=f.m)
+    return Jet2._new(f.grad, f.hess, None, f.m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,7 +466,7 @@ def jcontract(*terms):
             cross = kernel(*args)
             hess = _accumulate(hess, coef, cross)
             hess = _accumulate(hess, coef, cross.swapaxes(-1, -2))
-    return Jet2(val, grad, hess, m=ops[0].m)
+    return Jet2._new(val, grad, hess, ops[0].m)
 
 
 # ---- matrix calculus on jets ------------------------------------------------
@@ -460,14 +490,14 @@ def jtruncate(J, order):
     """J without the derivatives above ``order``, which no consumer reads."""
     if J.order <= order:
         return J
-    return Jet2(J.val, J.grad if order >= 1 else None, None, m=J.m)
+    return Jet2._new(J.val, J.grad if order >= 1 else None, None, J.m)
 
 
 def jtranspose(A):
     """Transpose of a matrix jet."""
-    return Jet2(A.val.swapaxes(-1, -2),
-                None if A.grad is None else A.grad.swapaxes(-3, -2),
-                None if A.hess is None else A.hess.swapaxes(-4, -3), m=A.m)
+    return Jet2._new(A.val.swapaxes(-1, -2),
+                     None if A.grad is None else A.grad.swapaxes(-3, -2),
+                     None if A.hess is None else A.hess.swapaxes(-4, -3), A.m)
 
 
 # Reciprocal condition number below which a matrix counts as numerically
@@ -538,7 +568,7 @@ def jinv(A, what="matrix"):
             hess += T
             hess += T.swapaxes(-1, -2)
             np.negative(hess, out=hess)
-    return Jet2(V, grad, hess, m=A.m)
+    return Jet2._new(V, grad, hess, A.m)
 
 
 def jlogabsdet(A, what="matrix"):
@@ -562,7 +592,7 @@ def jlogabsdet(A, what="matrix"):
             W = W.reshape(lead + (n, n, m))                  # W[i, k, a]
             hess = (np.einsum('...ij,...jiab->...ab', V, A.hess)
                     - trace_pair(W, W))
-    return Jet2(logabs, grad, hess, m=A.m)
+    return Jet2._new(logabs, grad, hess, A.m)
 
 
 def trace_pair(X, Y):

@@ -5,20 +5,28 @@ the open domain of validity, closed-form coordinate tables for the two
 bivectors (pi0, pi1), and whatever closed-form reference data the model has
 (first flows, master symmetries, Lax matrices, conserved hamiltonians).
 The engine never differentiates these tables symbolically -- they are
-evaluated on coordinate jets, so all derivatives come out exact.
+evaluated on the coordinate jet, so all derivatives come out exact.
 
 Bivector matrices follow the package convention P[i][j] = {x^i, x^j};
 a term "a * d/du ^ d/dv" in a classical table means {u, v} = +a, and the
 canonical symplectic bracket on (q_1..q_n, p_1..p_n) has {q_i, p_i} = -1,
 i.e. Pi_0 = [[0, -I], [I, 0]].
 
-A bivector table lists only the entries above the diagonal, as scalar jets
-or plain numbers (constants).  ``_table_to_matrix`` scatters them into
-zero-filled (B, m, m) value, gradient and Hessian arrays, each entry above
-the diagonal and its negation below, so every pi0/pi1 evaluation is a
-handful of slice writes, not an m x m nested list of scalar jets stacked
-row by row.  The constant canonical Pi_0 is built once per system, when the
-chart is made.
+A bivector table (``BivectorTable``) is compiled once, when the chart is
+made: a constant (m, m) template that holds the table's plain-number
+entries in both triangles, {x^i, x^j} = c above the diagonal and -c below,
+and flat upper and lower indices for a few jet blocks.  A block is a run
+of entries above the diagonal written as one vector jet over slices of
+the coordinate jet X (an_toda's -B block is ``-X[n:]``).  One evaluation
+copies the template into the value array, concatenates the blocks' values,
+gradients and Hessians once each, and makes one upper write and one
+negated lower write per array; so a negated jet entry keeps the sign of
+its zeros, as the jet negation does, and every constant entry's
+derivatives are +0.0 in both triangles, as a lifted constant's are.  A
+table without blocks is constant (the canonical Pi_0, calogero's pi0), and
+a flow keeps such a Pi0 and its inverse (``dynamics.hamiltonian_flow_rhs``).
+``tests/table_reference.py`` keeps every table entry by entry, as scalar
+jets stacked row by row: the compiled tables match it byte for byte.
 
 Five models are registered:
 
@@ -42,7 +50,7 @@ class System:
     """A named model: chart, sampling box, bivector pair, closed forms."""
 
     def __init__(self, key, title, n, labels, lo, hi,
-                 pi0_fn, pi1_fn, domain_fn=None,
+                 pi0, pi1, domain_fn=None,
                  pair_names=("pi0", "pi1"), description="", extras=None):
         self.key = key
         self.title = title
@@ -50,8 +58,7 @@ class System:
         self.labels = list(labels)
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        self._pi0_fn = pi0_fn
-        self._pi1_fn = pi1_fn
+        self.tables = (pi0, pi1)      # BivectorTable each
         self._domain_fn = domain_fn
         self.pair_names = pair_names
         self.description = description
@@ -83,7 +90,7 @@ class System:
         return self._domain_fn(x)
 
     def jets(self, x, order=2):
-        """Coordinate jets at points x of shape (B, m), domain-checked.
+        """The coordinate jet at points x of shape (B, m), domain-checked.
 
         order=1 suffices for flow right-hand sides, order=0 for plain
         evaluation along long trajectories (much lighter on memory).
@@ -98,79 +105,88 @@ class System:
                               f"domain of {self.key}")
         return Jet2.coords(x, order=order)
 
-    def pi0(self, jets):
-        return self._pi0_fn(jets)
+    def pi0(self, X):
+        return self.tables[0](X)
 
-    def pi1(self, jets):
-        return self._pi1_fn(jets)
+    def pi1(self, X):
+        return self.tables[1](X)
 
 
-# ---- small builders ----------------------------------------------------------
+# ---- bivector tables ---------------------------------------------------------
 
-def _table_to_matrix(upper, ref):
-    """Antisymmetric matrix jet from a dict {(i, j): {x^i, x^j}} with i < j.
+class BivectorTable:
+    """An antisymmetric matrix jet compiled from its entries above the diagonal.
 
-    An entry is a scalar jet or a plain number, a constant whose derivatives
-    are zero.  ``ref``, a coordinate jet of the chart, sets the chart
-    dimension m, the batch and the order.  The tables are scattered into
-    zero-filled (B, m, m) value, gradient and Hessian arrays: each entry is
-    written once at [:, i, j], then one negated fancy-index copy per array
-    fills [:, j, i].  Slots not in the table stay +0.0; a negated jet entry
-    keeps the sign of its zeros, as the jet negation does, and a constant
-    entry's derivatives stay +0.0 in both triangles, as a lifted constant's
-    do.  A key outside 0 <= i < j < m raises DimensionError, since a diagonal
-    or lower key would break antisymmetry or overwrite an entry; so does a
-    jet entry of lower order than ``ref``, whose missing derivatives would
-    otherwise be written as NaN.
+    ``const`` maps keys (i, j) to plain numbers; ``blocks`` lists one key
+    list per jet block, and ``fill(X)`` returns the blocks, in that order, as
+    (B, k) vector jets on the coordinate jet X, k the block's key count.
+    Every key must satisfy 0 <= i < j < m and appear once, or compiling
+    raises DimensionError, since a diagonal or lower key would break
+    antisymmetry and a repeated one overwrite an entry.  At each call a
+    block whose length is not its key count, or whose jet order is below
+    X's (it has no derivatives to write), raises DimensionError too.  A
+    table without blocks is ``constant``.
     """
-    order, m = ref.order, ref.m
-    shape = ref.val.shape + (m, m)
-    val = np.zeros(shape)
-    grad = np.zeros(shape + (m,)) if order >= 1 else None
-    hess = np.zeros(shape + (m, m)) if order >= 2 else None
-    jet_rows, jet_cols, const_rows, const_cols = [], [], [], []
-    for (i, j), v in upper.items():
-        if not 0 <= i < j < m:
-            raise DimensionError(f"bivector table key ({i}, {j}) is not "
-                                 f"strictly upper triangular in {m} x {m}")
-        if not isinstance(v, Jet2):
-            val[:, i, j] = float(v)
-            const_rows.append(i)
-            const_cols.append(j)
-            continue
-        if v.order < order:
-            raise DimensionError(f"bivector table entry ({i}, {j}) has jet "
-                                 f"order {v.order}, below {order}")
-        jet_rows.append(i)
-        jet_cols.append(j)
-        val[:, i, j] = v.val
-        if grad is not None:
-            grad[:, i, j] = v.grad
-        if hess is not None:
-            hess[:, i, j] = v.hess
-    # jet entries first, so the derivative arrays index a prefix; index
-    # arrays, not tuples, which numpy converts more slowly
-    rows, cols = np.array([jet_rows + const_rows, jet_cols + const_cols],
-                          dtype=np.intp)
-    for arr, k in ((val, rows.size), (grad, len(jet_rows)),
-                   (hess, len(jet_rows))):
-        if arr is not None and k:
-            i, j = rows[:k], cols[:k]
-            arr[:, j, i] = -arr[:, i, j]
-    return Jet2(val, grad, hess, m=m)
+
+    def __init__(self, m, const=None, blocks=(), fill=None):
+        const = const or {}
+        keys = list(const) + [key for block in blocks for key in block]
+        for i, j in keys:
+            if not 0 <= i < j < m:
+                raise DimensionError(f"bivector table key ({i}, {j}) is not "
+                                     f"strictly upper triangular in {m} x {m}")
+        if len(set(keys)) < len(keys):
+            raise DimensionError("bivector table lists a key twice")
+        self.m = m
+        self.template = np.zeros((m, m))
+        for (i, j), c in const.items():
+            self.template[i, j] = float(c)
+            self.template[j, i] = -self.template[i, j]
+        self.lengths = [(len(block),) for block in blocks]
+        pairs = [(i, j) for block in blocks for i, j in block]
+        self.upper = np.array([i * m + j for i, j in pairs], dtype=np.intp)
+        self.lower = np.array([j * m + i for i, j in pairs], dtype=np.intp)
+        self.fill = fill
+        self.constant = not blocks
+
+    def __call__(self, X):
+        """The matrix jet at the coordinate jet X: its batch and order."""
+        B, m = X.val.shape[0], self.m
+        val = np.empty((B, m, m))
+        val[...] = self.template
+        arrays = [val]
+        if X.grad is not None:
+            arrays.append(np.zeros((B, m, m, m)))
+            if X.hess is not None:
+                arrays.append(np.zeros((B, m, m, m, m)))
+        if not self.constant:
+            blocks = self.fill(X)
+            lengths = [block.val.shape[1:] for block in blocks]
+            if lengths != self.lengths:
+                raise DimensionError(f"bivector table blocks of lengths "
+                                     f"{self.lengths} got entries of lengths "
+                                     f"{lengths}")
+            for arr, part in zip(arrays, ("val", "grad", "hess")):
+                parts = [getattr(block, part) for block in blocks]
+                if any(p is None for p in parts):
+                    raise DimensionError(f"bivector table block has no {part}: "
+                                         f"its jet order is below {X.order}")
+                entries = parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
+                flat = arr.reshape(B, m * m, *arr.shape[3:])
+                flat[:, self.upper] = entries
+                flat[:, self.lower] = -entries    # never negated into out=
+        arrays += [None] * (3 - len(arrays))
+        return Jet2._new(*arrays, m)
 
 
-def _canonical_block(n):
+def _diagonal(lo, hi, shift):
+    """The keys (i, i + shift), lo <= i < hi: a run of one upper diagonal."""
+    return [(i, i + shift) for i in range(lo, hi)]
+
+
+def _canonical(n):
     """Pi_0 = [[0, -I], [I, 0]] on (q_1..q_n, p_1..p_n): {q_i, p_i} = -1."""
-    return np.block([[np.zeros((n, n)), -np.eye(n)],
-                     [np.eye(n), np.zeros((n, n))]])
-
-
-def _const_jet(value, jets):
-    """The constant array ``value`` (a vector or a matrix) as a jet at the
-    batch and order of jets."""
-    return Jet2.const(value, jets[0].m, batch=jets[0].val.shape[0],
-                      order=jets[0].order)
+    return BivectorTable(2 * n, dict.fromkeys(_diagonal(0, n, n), -1.0))
 
 
 def _power_sum(n, k):
@@ -203,16 +219,13 @@ def harmonic(n):
     n = check_int("harmonic n", n, 1)
     m = 2 * n
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    canonical = _canonical_block(n)
 
-    def actions(jets):
-        return [(jets[i] * jets[i] + jets[n + i] * jets[n + i]) * 0.5
-                for i in range(n)]
+    def actions(X):
+        return (X[:n] * X[:n] + X[n:] * X[n:]) * 0.5
 
-    def pi1(jets):
-        I = actions(jets)
-        # I_i dp ^ dq  means {p_i, q_i} = I_i, i.e. {q_i, p_i} = -I_i
-        return _table_to_matrix({(i, n + i): -I[i] for i in range(n)}, jets[0])
+    # I_i dp ^ dq  means {p_i, q_i} = I_i, i.e. {q_i, p_i} = -I_i
+    pi1 = BivectorTable(m, blocks=[_diagonal(0, n, n)],
+                        fill=lambda X: (-actions(X),))
 
     def xn_closed(jets):
         # modular field of the pair: -p_i d/dq_i + q_i d/dp_i
@@ -238,8 +251,7 @@ def harmonic(n):
     return System(
         "harmonic", "harmonic oscillators", n, labels,
         lo=[0.3] * m, hi=[1.5] * m,
-        pi0_fn=lambda jets: _const_jet(canonical, jets),
-        pi1_fn=pi1, domain_fn=domain,
+        pi0=_canonical(n), pi1=pi1, domain_fn=domain,
         description="n uncoupled oscillators; recursion operator diag(I, I)",
         extras={
             "xn_closed": xn_closed,
@@ -259,12 +271,9 @@ def calogero(n):
     """
     n = check_int("calogero n", n, 1)
     labels = [f"F{i+1}" for i in range(n)] + [f"G{i+1}" for i in range(n)]
-
-    def pi0(jets):
-        return _table_to_matrix({(i, n + i): 1.0 for i in range(n)}, jets[0])
-
-    def pi1(jets):
-        return _table_to_matrix({(i, n + i): jets[i] for i in range(n)}, jets[0])
+    pi0 = BivectorTable(2 * n, dict.fromkeys(_diagonal(0, n, n), 1.0))
+    pi1 = BivectorTable(2 * n, blocks=[_diagonal(0, n, n)],
+                        fill=lambda X: (X[:n],))
 
     def x1_closed(jets):
         return jstack([0.0] * n + [jets[i] for i in range(n)])
@@ -272,7 +281,7 @@ def calogero(n):
     return System(
         "calogero", "rational Calogero-Moser", n, labels,
         lo=[0.5] * n + [-1.0] * n, hi=[2.0] * n + [1.0] * n,
-        pi0_fn=pi0, pi1_fn=pi1,
+        pi0=pi0, pi1=pi1,
         domain_fn=lambda x: np.all(x[:, :n] > 0, axis=1),
         description="first-integral chart; recursion operator diag(F, F)",
         extras={
@@ -295,16 +304,14 @@ def toda_moser(n):
     m = 2 * n
     labels = [f"lam{i+1}" for i in range(n)] + [f"r{i+1}" for i in range(n)]
 
-    def pi0(jets):
-        return _table_to_matrix({(i, n + i): jets[n + i] for i in range(n)},
-                                jets[0])
+    pi0 = BivectorTable(m, blocks=[_diagonal(0, n, n)],
+                        fill=lambda X: (X[n:],))
+    pi1 = BivectorTable(m, blocks=[_diagonal(0, n, n)],
+                        fill=lambda X: (X[:n] * X[n:],))
 
-    def pi1(jets):
-        return _table_to_matrix({(i, n + i): jets[i] * jets[n + i]
-                                 for i in range(n)}, jets[0])
-
-    def x0_mu(jets):
-        return _const_jet(np.repeat([1.0, 0.0], n), jets)
+    def x0_mu(X):
+        return Jet2.const(np.repeat([1.0, 0.0], n), m, batch=X.val.shape[0],
+                          order=X.order)
 
     def x1_mu(jets):
         return jstack([jets[i] for i in range(n)]
@@ -333,7 +340,7 @@ def toda_moser(n):
     return System(
         "toda_moser", "Toda lattice, Moser chart", n, labels,
         lo=[0.5] * m, hi=[2.0] * m,
-        pi0_fn=pi0, pi1_fn=pi1,
+        pi0=pi0, pi1=pi1,
         domain_fn=lambda x: np.all(x > 0, axis=1),
         description="spectral chart; recursion operator diag(lambda, lambda)",
         extras={
@@ -364,41 +371,39 @@ def cn_toda(n):
     n = check_int("cn_toda n", n, 2)
     labels = [f"a{i+1}" for i in range(n)] + [f"b{i+1}" for i in range(n)]
 
-    def pi_linear(jets):
-        a = jets[:n]          # a[i] is a_{i+1} in math indexing
-        up = {}
-        for i in range(n - 1):
-            up[(i, n + i)] = -a[i]          # {a_i, b_i}   = -a_i
-            up[(i, n + i + 1)] = a[i]       # {a_i, b_i+1} = +a_i
-        up[(n - 1, 2 * n - 1)] = a[n - 1] * (-2.0)   # {a_n, b_n} = -2 a_n
-        return _table_to_matrix(up, jets[0])
+    pi_linear = BivectorTable(2 * n, blocks=[
+        _diagonal(0, n - 1, n),         # {a_i, b_i}   = -a_i
+        _diagonal(0, n - 1, n + 1),     # {a_i, b_i+1} = +a_i
+        [(n - 1, 2 * n - 1)],           # {a_n, b_n}   = -2 a_n
+    ], fill=lambda X: (-X[:n - 1], X[:n - 1], X[n - 1:n] * (-2.0)))
 
-    def pi_cubic(jets):
-        a, b = jets[:n], jets[n:]
-        up = {}
+    def cubic(X):
+        a, b = X[:n], X[n:]
+        a_i, a_j, b_j = a[:n - 2], a[1:n - 1], b[1:n - 1]   # i < n - 2, j = i + 1
+        a_k, b_k = a[:n - 1], b[:n - 1]                      # k < n - 1
+        a_p, a_n, b_n = a[n - 2:n - 1], a[n - 1:], b[n - 1:]
+        return (a_i * a_j * b_j,
+                a_p * a_n * b_n * 2.0,
+                -(a_k * b_k * b_k + a_k ** 3),
+                (a_n * b_n * b_n + a_n ** 3) * (-2.0),
+                a_i * b_j * b_j + a_i ** 3,
+                a_p ** 3 + a_p * (b_n * b_n - a_n * a_n),
+                a_i * a_j * a_j,
+                -(a_i * a_i * a_j),
+                a_p * a_p * a_n * (-2.0),
+                (a_k * a_k * (b_k + b[1:])) * 2.0)
+
+    pi_cubic = BivectorTable(2 * n, blocks=[
         # a-a couplings
-        for i in range(n - 2):
-            up[(i, i + 1)] = a[i] * a[i + 1] * b[i + 1]
-        up[(n - 2, n - 1)] = a[n - 2] * a[n - 1] * b[n - 1] * 2.0
+        _diagonal(0, n - 2, 1), [(n - 2, n - 1)],
         # a-b couplings
-        for i in range(n - 1):
-            up[(i, n + i)] = -(a[i] * b[i] * b[i] + a[i] ** 3)
-        up[(n - 1, 2 * n - 1)] = (a[n - 1] * b[n - 1] * b[n - 1]
-                                  + a[n - 1] ** 3) * (-2.0)
-        for i in range(n - 2):
-            up[(i, n + i + 1)] = a[i] * b[i + 1] * b[i + 1] + a[i] ** 3
-        up[(n - 2, 2 * n - 1)] = (a[n - 2] ** 3
-                                  + a[n - 2] * (b[n - 1] * b[n - 1]
-                                                - a[n - 1] * a[n - 1]))
-        for i in range(n - 2):
-            up[(i, n + i + 2)] = a[i] * a[i + 1] * a[i + 1]
-        for i in range(1, n - 1):
-            up[(i, n + i - 1)] = -(a[i - 1] * a[i - 1] * a[i])
-        up[(n - 1, 2 * n - 2)] = a[n - 2] * a[n - 2] * a[n - 1] * (-2.0)
+        _diagonal(0, n - 1, n), [(n - 1, 2 * n - 1)],
+        _diagonal(0, n - 2, n + 1), [(n - 2, 2 * n - 1)],
+        _diagonal(0, n - 2, n + 2), _diagonal(1, n - 1, n - 1),
+        [(n - 1, 2 * n - 2)],
         # b-b couplings
-        for i in range(n - 1):
-            up[(n + i, n + i + 1)] = (a[i] * a[i] * (b[i] + b[i + 1])) * 2.0
-        return _table_to_matrix(up, jets[0])
+        _diagonal(n, 2 * n - 1, 1),
+    ], fill=cubic)
 
     def lax_np(x):
         """Symmetric 2n x 2n Lax matrix at points x of shape (B, 2n)."""
@@ -440,7 +445,7 @@ def cn_toda(n):
     return System(
         "cn_toda", "C_n Bogoyavlensky-Toda", n, labels,
         lo=[0.3] * n + [-1.0] * n, hi=[1.2] * n + [1.0] * n,
-        pi0_fn=pi_linear, pi1_fn=pi_cubic,
+        pi0=pi_linear, pi1=pi_cubic,
         domain_fn=lambda x: np.all(x[:, :n] > 0, axis=1),
         pair_names=("pi1", "pi3"),
         description="linear/cubic bracket pair with doubled-root boundary terms",
@@ -464,19 +469,12 @@ def an_toda(n):
     """
     n = check_int("an_toda n", n, 2)
     labels = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    canonical = _canonical_block(n)
-
-    def pi1(jets):
-        q = jets[:n]
-        p = jets[n:]
-        up = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                up[(i, j)] = 1.0                          # A block
-            up[(i, n + i)] = -p[i]                        # -B block: {q_i, p_i} = -p_i
-        for i in range(n - 1):
-            up[(n + i, n + i + 1)] = (q[i] - q[i + 1]).exp()   # C block
-        return _table_to_matrix(up, jets[0])
+    pi1 = BivectorTable(
+        2 * n,
+        {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)},     # A
+        [_diagonal(0, n, n),            # -B: {q_i, p_i} = -p_i
+         _diagonal(n, 2 * n - 1, 1)],   # C: {p_i, p_i+1} = exp(q_i - q_i+1)
+        lambda X: (-X[n:], (X[:n - 1] - X[1:n]).exp()))
 
     def h1_closed(jets):
         out = jets[n]
@@ -523,8 +521,7 @@ def an_toda(n):
     return System(
         "an_toda", "open Toda chain", n, labels,
         lo=[-0.5] * n + [-1.0] * n, hi=[0.5] * n + [1.0] * n,
-        pi0_fn=lambda jets: _const_jet(canonical, jets),
-        pi1_fn=pi1,
+        pi0=_canonical(n), pi1=pi1,
         description="canonical chart; nearest-neighbour exponential couplings",
         extras={
             "h_closed": {1: h1_closed, 2: h2_closed},

@@ -66,6 +66,13 @@ def commands():
     yield ("integrate-toda-moser-n2-t1-flow-1",
            integrate + ["toda-moser", "--n", "2", "--t-end", "1",
                         "--flow", "-1"])
+    # the constant-Pi0 charts, and a flow that inverts N at every stage
+    yield ("integrate-harmonic-n2-t1",
+           integrate + ["harmonic", "--n", "2", "--t-end", "1"])
+    yield ("integrate-calogero-n2-t1",
+           integrate + ["calogero", "--n", "2", "--t-end", "1"])
+    yield ("integrate-an-toda-n3-t1-flow-1",
+           integrate + ["an-toda", "--n", "3", "--t-end", "1", "--flow", "-1"])
     for n in (1, 2, 3):
         yield f"catalog-n{n}", cli + ["catalog", "--n", str(n)]
     for demo in DEMOS:

@@ -300,12 +300,14 @@ def test_index_flow_evaluates_each_bivector_once_per_stage():
     assert_matches_oracle(got, jet_oracle(sys, x, 2, "pi0"))
 
 
-# Jet2 constructions of an index-2 flow at n=3: the six coordinate jets,
-# built once with the rhs, and per stage the pair's tables and their
-# entries.  A change that makes a flow build more jets must say so here.
-RHS_JETS = 6
-STAGE_JETS = {"harmonic": 20, "calogero": 2, "toda_moser": 5, "cn_toda": 57,
-              "an_toda": 9}
+# Jet2 constructions of an index-2 flow at n=3, checked (``Jet2(...)``) and
+# unchecked (``Jet2._new``) alike: the one coordinate jet, built once with
+# the rhs, and per stage the pair's tables, their blocks and the slices of
+# the coordinate jet they read; a constant Pi0 builds nothing after the
+# first stage.  A change that makes a flow build more jets must say so here.
+RHS_JETS = 1
+STAGE_JETS = {"harmonic": 11, "calogero": 2, "toda_moser": 6, "cn_toda": 60,
+              "an_toda": 7}
 
 
 @pytest.mark.parametrize("key", sorted(STAGE_JETS))
@@ -313,19 +315,47 @@ def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
     sys = make_system(key, 3)
     x = sys.sample(samples=1, seed=19)[0]
     built = []
-    init = Jet2.__init__
+    init, new = Jet2.__init__, Jet2._new.__func__
 
-    def counted(self, *args, **kwargs):
+    def counted_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Jet2, "__init__", counted)
+    def counted_new(cls, *args):
+        built.append(1)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Jet2, "__init__", counted_init)
+    monkeypatch.setattr(Jet2, "_new", classmethod(counted_new))
     rhs = hamiltonian_flow_rhs(sys, index=2)
     assert len(built) == RHS_JETS
     rhs(0.0, x)
     built.clear()
     rhs(0.0, x)             # the second stage: what every stage pays
     assert len(built) == STAGE_JETS[key]
+
+
+# system.pi0 calls over ten index-2 stages: a constant Pi0 is evaluated
+# once per rhs, a varying one at every stage.
+TEN_STAGE_PI0S = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
+                  "cn_toda": 10, "an_toda": 1}
+
+
+@pytest.mark.parametrize("key", sorted(TEN_STAGE_PI0S))
+def test_an_index_flow_evaluates_a_constant_pi0_once(key):
+    sys = make_system(key, 3)
+    calls = []
+    pi0 = sys.pi0
+
+    def counted(X):
+        calls.append(1)
+        return pi0(X)
+
+    sys.pi0 = counted
+    rhs = hamiltonian_flow_rhs(sys, index=2)
+    for x in sys.sample(samples=10, seed=19):
+        rhs(0.0, x)
+    assert len(calls) == TEN_STAGE_PI0S[key]
 
 
 # np.linalg.inv calls over ten index-2 stages: a constant Pi0 is inverted

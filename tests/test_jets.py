@@ -93,6 +93,48 @@ def test_coordinate_gradients_are_rows_of_one_identity_stack():
     assert all(j.grad is None for j in Jet2.coords(sample_points(), order=0))
 
 
+@pytest.mark.parametrize("order", (0, 1, 2))
+def test_an_entry_of_the_coordinate_jet_is_the_scalar_coordinate_jet(order):
+    B, m = 4, 5
+    x = sample_points(B=B, m=m)
+    X = Jet2.coords(x, order=order)
+    assert X.val.shape == (B, m) and X.order == order
+    for i in range(m):
+        # x^i as scalar coordinate jets were built before X existed
+        want = (x[:, i], np.tile(np.eye(m)[i], (B, 1)), np.zeros((B, m, m)))
+        got = X[i]
+        assert got.m == m and got.order == order
+        for k, part in enumerate(("val", "grad", "hess")):
+            a = getattr(got, part)
+            assert (a is None) == (k > order)
+            if a is not None:
+                assert a.shape == want[k].shape
+                assert a.tobytes() == np.ascontiguousarray(want[k]).tobytes()
+
+
+def test_slices_of_the_coordinate_jet_are_views():
+    X = Jet2.coords(sample_points(B=3, m=5))
+    Y = X[1:4]
+    assert Y.val.shape == (3, 3) and Y.grad.shape == (3, 3, 5)
+    assert Y.hess.shape == (3, 3, 5, 5) and Y.m == 5
+    for part in ("val", "grad", "hess"):
+        assert np.shares_memory(getattr(Y, part), getattr(X, part))
+    assert np.array_equal(Y[1].val, X[2].val)
+    assert Jet2.coords(sample_points(B=3, m=5), order=0)[1:].grad is None
+
+
+def test_the_coordinate_jet_unpacks_and_a_scalar_jet_has_no_entries():
+    x = sample_points(B=2, m=3)
+    X = Jet2.coords(x)
+    with pytest.raises(IndexError):
+        X[3]
+    x0, x1, x2 = X                      # iteration stops at the IndexError
+    assert np.array_equal(x2.val, x[:, 2])
+    assert np.array_equal(X[-1].val, x[:, 2])
+    with pytest.raises(DimensionError, match="scalar jet"):
+        x0[0]
+
+
 def test_constants_in_a_batch_are_fresh_writable_copies():
     for value in (2.5, np.arange(6.0).reshape(2, 3), -np.eye(3)):
         a = Jet2.const(value, 4, batch=5, order=1)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from ladder_reference import hierarchy_hamiltonian
-from pnhier import systems
+from table_reference import reference_pair
 from pnhier.errors import DimensionError, DomainError, RangeError
 from pnhier.fields import antisymmetry_defect
 from pnhier.hierarchy import recursion_operator, spectrum
-from pnhier.jets import Jet2, jstack
+from pnhier.jets import Jet2
 from pnhier.report import probe_point
-from pnhier.systems import SYSTEMS, make_system
+from pnhier.systems import SYSTEMS, BivectorTable, make_system
 
 rng = np.random.default_rng(20260820)
 
@@ -46,47 +46,21 @@ def test_builder_shapes_and_antisymmetry(key):
     assert sys.description
 
 
-def _nested_table_to_matrix(upper, ref):
-    """Reference assembly: an m x m nested list of scalar jets, one zero
-    constant on every empty slot and a jet negation on every lower entry,
-    stacked row by row by jstack."""
-    m = ref.m
-    zero = Jet2.const(np.zeros(ref.val.shape), m, order=ref.order)
-    rows = [[zero] * m for _ in range(m)]
-    for (i, j), v in upper.items():
-        rows[i][j] = v
-        rows[j][i] = -v
-    return jstack([jstack(row) for row in rows])
-
-
-def _nested_canonical_pi0(jets, n):
-    """Reference Pi_0 = [[0, -I], [I, 0]], built afresh on every call."""
-    block = np.block([[np.zeros((n, n)), -np.eye(n)],
-                      [np.eye(n), np.zeros((n, n))]])
-    return Jet2.const(block, 2 * n, batch=jets[0].val.shape[0],
-                      order=jets[0].order)
-
-
 # toda_moser 4 (m = 8) adds coordinate columns with a 64-byte stride, where
 # numpy 2.4.6 negates wrongly into a non-contiguous ``out=``
 CHARTS = (("harmonic", 2), ("calogero", 2), ("toda_moser", 3),
-          ("toda_moser", 4), ("cn_toda", 3), ("an_toda", 3))
-CANONICAL_PI0 = ("harmonic", "an_toda")
+          ("toda_moser", 4), ("cn_toda", 2), ("cn_toda", 3), ("an_toda", 3))
 
 
 @pytest.mark.parametrize("batch", (1, 5))
 @pytest.mark.parametrize("order", (0, 1, 2))
 @pytest.mark.parametrize("key,n", CHARTS)
 def test_scatter_assembly_matches_nested_jstack_bit_for_bit(key, n, order,
-                                                            batch,
-                                                            monkeypatch):
+                                                            batch):
     sys = make_system(key, n)
-    jets = sys.jets(sys.sample(samples=batch, seed=11), order=order)
-    got = (sys.pi0(jets), sys.pi1(jets))
-    monkeypatch.setattr(systems, "_table_to_matrix", _nested_table_to_matrix)
-    want = (_nested_canonical_pi0(jets, n) if key in CANONICAL_PI0
-            else sys.pi0(jets), sys.pi1(jets))
-    for g, w in zip(got, want):
+    X = sys.jets(sys.sample(samples=batch, seed=11), order=order)
+    got = (sys.pi0(X), sys.pi1(X))
+    for g, w in zip(got, reference_pair(sys, X)):
         assert g.m == w.m == sys.m and g.order == w.order == order
         for k, part in enumerate(("val", "grad", "hess")):
             a, b = getattr(g, part), getattr(w, part)
@@ -98,23 +72,41 @@ def test_scatter_assembly_matches_nested_jstack_bit_for_bit(key, n, order,
 
 @pytest.mark.parametrize("key", ((1, 1), (2, 1), (-1, 2), (0, 4)))
 def test_bivector_table_keys_must_be_strictly_upper(key):
-    ref = Jet2.coords(np.ones((2, 4)))[0]
-    with pytest.raises(DimensionError):
-        systems._table_to_matrix({key: ref}, ref)
+    with pytest.raises(DimensionError, match="strictly upper"):
+        BivectorTable(4, {key: 1.0})
+    with pytest.raises(DimensionError, match="strictly upper"):
+        BivectorTable(4, blocks=[[(0, 3), key]], fill=lambda X: (X[:2],))
+    with pytest.raises(DimensionError, match="twice"):
+        BivectorTable(4, {(0, 3): 1.0}, [[(0, 3)]], lambda X: (X[:1],))
 
 
 def test_bivector_table_entries_carry_the_matrix_order():
-    ref = Jet2.coords(np.ones((2, 4)))[0]
-    flat = Jet2.coords(np.ones((2, 4)), order=1)[0]
-    with pytest.raises(DimensionError):
-        systems._table_to_matrix({(0, 3): flat}, ref)
-    P = systems._table_to_matrix({(0, 3): ref}, ref)
+    X = Jet2.coords(np.ones((2, 4)))
+    flat = Jet2.coords(np.ones((2, 4)), order=1)
+    with pytest.raises(DimensionError, match="below 2"):
+        BivectorTable(4, blocks=[[(0, 3)]], fill=lambda _: (flat[:1],))(X)
+    P = BivectorTable(4, blocks=[[(0, 3)]], fill=lambda _: (flat[:1],))(flat)
     assert np.array_equal(P.val[:, 0, 3], -P.val[:, 3, 0])
 
 
+def test_bivector_table_blocks_have_their_key_count():
+    X = Jet2.coords(np.ones((2, 4)))
+    table = BivectorTable(4, blocks=[[(0, 3), (1, 2)]], fill=lambda X: (X[:2],))
+    for block in (X[:1], X[:3], X[0]):     # a scalar jet is no block either
+        with pytest.raises(DimensionError, match=r"lengths \[\(2,\)\]"):
+            BivectorTable(4, blocks=[[(0, 3), (1, 2)]],
+                          fill=lambda _, b=block: (b,))(X)
+    with pytest.raises(DimensionError, match="lengths"):
+        BivectorTable(4, blocks=[[(0, 3)]], fill=lambda X: (X[:1], X[:1]))(X)
+    P = table(X)
+    assert np.array_equal(P.val[:, [0, 1], [3, 2]], -P.val[:, [3, 2], [0, 1]])
+
+
 def test_bivector_table_constants_are_entries_without_derivatives():
-    ref = Jet2.coords(np.ones((2, 4)))[0]
-    P = systems._table_to_matrix({(0, 3): ref, (1, 2): 2.5}, ref)
+    X = Jet2.coords(np.ones((2, 4)))
+    table = BivectorTable(4, {(1, 2): 2.5}, [[(0, 3)]], lambda X: (X[:1],))
+    assert not table.constant and BivectorTable(4, {(1, 2): 2.5}).constant
+    P = table(X)
     assert np.array_equal(P.val[:, 1, 2], [2.5, 2.5])
     assert np.array_equal(P.val[:, 2, 1], [-2.5, -2.5])
     for part in (P.grad, P.hess):
