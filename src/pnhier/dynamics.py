@@ -120,7 +120,8 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     if not ratio <= MAX_STEPS:
         raise RangeError(f"t_end / dt = {ratio:.3g} exceeds the cap of "
                          f"{MAX_STEPS:g} rk4 steps")
-    steps = int(np.ceil(ratio - 1e-9))
+    # the 1e-9 slack drops a last step of roundoff, never the only one
+    steps = max(1, int(np.ceil(ratio - 1e-9)))
     times, states = [0.0], [x]
     truncated = None
     t = 0.0

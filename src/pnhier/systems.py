@@ -28,6 +28,12 @@ a flow keeps such a Pi0 and its inverse (``dynamics.hamiltonian_flow_rhs``).
 ``tests/table_reference.py`` keeps every table entry by entry, as scalar
 jets stacked row by row: the compiled tables match it byte for byte.
 
+The closed forms are vector expressions over slices of X too, kept apart
+from the engine so that the ``closed-forms`` row checks one against the
+other: a sum over a vector jet v is ``sum(v[1:], v[0])``, left to right, a
+vector field ``jstack`` of its runs' entries (``jstack([*-X[n:], *X[:n]])``),
+and a Lax matrix is written run by run with index arrays.
+
 Five models are registered:
 
   harmonic     uncoupled oscillators in action-style chart (q, p)
@@ -194,16 +200,9 @@ def _power_sum(n, k):
 
     The ladder of a chart whose recursion operator is diag(x_1..x_n, x_1..x_n).
     """
-    def h(jets):
-        if k == 0:
-            out = jets[0].log()
-            for i in range(1, n):
-                out = out + jets[i].log()
-            return out
-        out = jets[0] ** k * (1.0 / k)
-        for i in range(1, n):
-            out = out + jets[i] ** k * (1.0 / k)
-        return out
+    def h(X):
+        v = X[:n].log() if k == 0 else X[:n] ** k * (1.0 / k)
+        return sum(v[1:], v[0])
     return h
 
 
@@ -227,22 +226,17 @@ def harmonic(n):
     pi1 = BivectorTable(m, blocks=[_diagonal(0, n, n)],
                         fill=lambda X: (-actions(X),))
 
-    def xn_closed(jets):
+    def xn_closed(X):
         # modular field of the pair: -p_i d/dq_i + q_i d/dp_i
-        return jstack([-jets[n + i] for i in range(n)]
-                      + [jets[i] for i in range(n)])
+        return jstack([*-X[n:], *X[:n]])
 
-    def deformation_z(jets):
-        I = actions(jets)
-        return jstack([I[i] * jets[i] * (-0.25) for i in range(n)]
-                      + [I[i] * jets[n + i] * (-0.25) for i in range(n)])
+    def deformation_z(X):
+        I = actions(X)
+        return jstack([*I * X[:n] * -0.25, *I * X[n:] * -0.25])
 
-    def h1_closed(jets):
-        I = actions(jets)
-        out = I[0]
-        for t in I[1:]:
-            out = out + t
-        return out
+    def h1_closed(X):
+        I = actions(X)
+        return sum(I[1:], I[0])
 
     def domain(x):
         q, p = x[:, :n], x[:, n:]
@@ -256,7 +250,7 @@ def harmonic(n):
         extras={
             "xn_closed": xn_closed,
             "deformation_z": deformation_z,
-            "deformation_div_closed": lambda jets: -h1_closed(jets),
+            "deformation_div_closed": lambda X: -h1_closed(X),
             "h_closed": {1: h1_closed},
         })
 
@@ -275,8 +269,8 @@ def calogero(n):
     pi1 = BivectorTable(2 * n, blocks=[_diagonal(0, n, n)],
                         fill=lambda X: (X[:n],))
 
-    def x1_closed(jets):
-        return jstack([0.0] * n + [jets[i] for i in range(n)])
+    def x1_closed(X):
+        return jstack([0.0] * n + [*X[:n]])
 
     return System(
         "calogero", "rational Calogero-Moser", n, labels,
@@ -313,29 +307,19 @@ def toda_moser(n):
         return Jet2.const(np.repeat([1.0, 0.0], n), m, batch=X.val.shape[0],
                           order=X.order)
 
-    def x1_mu(jets):
-        return jstack([jets[i] for i in range(n)]
-                      + [-jets[n + i] for i in range(n)])
+    def x1_mu(X):
+        return jstack([*X[:n], *-X[n:]])
 
-    def xm1_mu(jets):
-        return jstack([jets[i] ** -1 for i in range(n)]
-                      + [jets[n + i] * jets[i] ** -2 for i in range(n)])
+    def xm1_mu(X):
+        return jstack([*X[:n] ** -1, *X[n:] * X[:n] ** -2])
 
     def z_closed(i):
-        def z(jets):
-            return jstack([jets[k] ** (i + 1) for k in range(n)]
-                          + [0.0] * n)
+        def z(X):
+            return jstack([*X[:n] ** (i + 1)] + [0.0] * n)
         return z
 
-    def deformation_z(jets):
-        return jstack([jets[k] * jets[k] * (-0.5) for k in range(n)]
-                      + [0.0] * n)
-
-    def sum_lam(jets):
-        out = jets[0]
-        for i in range(1, n):
-            out = out + jets[i]
-        return out
+    def deformation_z(X):
+        return jstack([*X[:n] * X[:n] * -0.5] + [0.0] * n)
 
     return System(
         "toda_moser", "Toda lattice, Moser chart", n, labels,
@@ -349,7 +333,7 @@ def toda_moser(n):
             "xm1_mu": xm1_mu,
             "z_closed": z_closed,
             "deformation_z": deformation_z,
-            "deformation_div_closed": lambda jets: -sum_lam(jets),
+            "deformation_div_closed": lambda X: -sum(X[1:n], X[0]),
             "h_closed": {k: _power_sum(n, k) for k in (-2, -1, 0, 1, 2, 3)},
             "neg_depth": 2,
             "oevel": {"z0": z_closed(0), "lam": -1.0, "mu": 0.0,
@@ -409,38 +393,26 @@ def cn_toda(n):
         """Symmetric 2n x 2n Lax matrix at points x of shape (B, 2n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a, b = x[:, :n], x[:, n:]
-        B = x.shape[0]
-        L = np.zeros((B, 2 * n, 2 * n))
-        for i in range(n):
-            L[:, i, i] = b[:, i]
-            L[:, 2 * n - 1 - i, 2 * n - 1 - i] = -b[:, i]
-        for i in range(n - 1):
-            L[:, i, i + 1] = L[:, i + 1, i] = a[:, i]
-            L[:, 2 * n - 2 - i, 2 * n - 1 - i] = L[:, 2 * n - 1 - i, 2 * n - 2 - i] = -a[:, i]
-        L[:, n - 1, n] = L[:, n, n - 1] = a[:, n - 1]
+        L = np.zeros((x.shape[0], 2 * n, 2 * n))
+        d, s = np.arange(2 * n), np.arange(2 * n - 1)
+        # diagonal (b, then -b reversed); off-diagonal (a, then -a_{n-1..1})
+        L[:, d, d] = np.concatenate([b, -b[:, ::-1]], 1)
+        L[:, s, s + 1] = L[:, s + 1, s] = np.concatenate([a, -a[:, n - 2::-1]], 1)
         return L
 
-    def h2_closed(jets):
+    def h2_closed(X):
         # tr(L^2)/2 = sum b^2 + 2 sum_{i<n} a_i^2 + a_n^2
-        a, b = jets[:n], jets[n:]
-        out = b[0] * b[0]
-        for i in range(1, n):
-            out = out + b[i] * b[i]
-        for i in range(n - 1):
-            out = out + a[i] * a[i] * 2.0
-        out = out + a[n - 1] * a[n - 1]
-        return out
+        aa, bb = X[:n] * X[:n], X[n:] * X[n:]
+        return sum([*bb[1:], *aa[:n - 1] * 2.0, aa[n - 1]], bb[0])
 
-    def printed_flow(jets):
+    def printed_flow(X):
         """The classical equations of motion in (a, b); the engine field
         X_{H2} of pi_linear equals -2 times this (constant included)."""
-        a, b = jets[:n], jets[n:]
-        adot = [a[i] * (b[i + 1] - b[i]) for i in range(n - 1)]
-        adot.append(a[n - 1] * b[n - 1] * (-2.0))
-        bdot = [a[0] * a[0] * 2.0]
-        for i in range(1, n):
-            bdot.append((a[i] * a[i] - a[i - 1] * a[i - 1]) * 2.0)
-        return jstack(adot + bdot)
+        a, b = X[:n], X[n:]
+        aa = a * a
+        return jstack([*a[:n - 1] * (b[1:] - b[:n - 1]),
+                       a[n - 1] * b[n - 1] * -2.0,
+                       aa[0] * 2.0, *(aa[1:] - aa[:n - 1]) * 2.0])
 
     return System(
         "cn_toda", "C_n Bogoyavlensky-Toda", n, labels,
@@ -476,19 +448,12 @@ def an_toda(n):
          _diagonal(n, 2 * n - 1, 1)],   # C: {p_i, p_i+1} = exp(q_i - q_i+1)
         lambda X: (-X[n:], (X[:n - 1] - X[1:n]).exp()))
 
-    def h1_closed(jets):
-        out = jets[n]
-        for i in range(1, n):
-            out = out + jets[n + i]
-        return out
+    def h1_closed(X):
+        return sum(X[n + 1:], X[n])
 
-    def h2_closed(jets):
-        out = jets[n] * jets[n] * 0.5
-        for i in range(1, n):
-            out = out + jets[n + i] * jets[n + i] * 0.5
-        for i in range(n - 1):
-            out = out + (jets[i] - jets[i + 1]).exp()
-        return out
+    def h2_closed(X):
+        kinetic = X[n:] * X[n:] * 0.5
+        return sum([*kinetic[1:], *(X[:n - 1] - X[1:n]).exp()], kinetic[0])
 
     def flaschka_np(x):
         """(q, p) points -> (a_1..a_{n-1}, b_1..b_n)."""
@@ -500,12 +465,10 @@ def an_toda(n):
     def lax_np(x):
         """Symmetric tridiagonal n x n Lax matrix along a (q, p) trajectory."""
         a, b = flaschka_np(x)
-        B = a.shape[0]
-        L = np.zeros((B, n, n))
-        for i in range(n):
-            L[:, i, i] = b[:, i]
-        for i in range(n - 1):
-            L[:, i, i + 1] = L[:, i + 1, i] = a[:, i]
+        L = np.zeros((a.shape[0], n, n))
+        i = np.arange(n)
+        L[:, i, i] = b
+        L[:, i[:-1], i[1:]] = L[:, i[1:], i[:-1]] = a
         return L
 
     def pushed_flow_np(x):

@@ -24,6 +24,10 @@ VERIFY = (("harmonic", 4), ("calogero", 3), ("toda-moser", 3),
 # so that a moved verdict shows in a diff; 1606 is a verify-catalog bench seed
 BORDERLINE = (("cn-toda", 3, 222), ("cn-toda", 3, 281), ("cn-toda", 3, 1606),
               ("an-toda", 4, 84), ("an-toda", 4, 159), ("an-toda", 4, 217))
+# each chart's smallest size, where the closed forms' slices of the
+# coordinate jet are empty or one entry long
+SMALLEST = (("harmonic", 1), ("calogero", 1), ("toda-moser", 1),
+            ("cn-toda", 2), ("an-toda", 2))
 DEMOS = ("catalog_checkup", "ladder_tour", "lattice_flow")
 
 BENCH_TEXT = ("import sys; sys.path.insert(0, 'bench'); import workloads; "
@@ -43,6 +47,10 @@ def commands():
         yield (f"verify-{system}-n{n}-seed{seed}",
                cli + ["verify", "--system", system, "--n", str(n),
                       "--seed", str(seed)])
+    for system, n in SMALLEST:
+        yield (f"verify-{system}-n{n}-seed0",
+               cli + ["verify", "--system", system, "--n", str(n),
+                      "--seed", "0"])
     # large m (16), where the order-2 product rule is most of the time
     yield ("verify-an-toda-n8-samples50-seed0",
            cli + ["verify", "--system", "an-toda", "--n", "8", "--samples", "50",

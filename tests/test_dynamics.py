@@ -125,6 +125,16 @@ def test_rk4_runs_a_step_count_at_the_cap():
     assert len(calls) == 4 and len(traj) == 1
 
 
+@pytest.mark.parametrize("t_end", [1e-12, 1e-300])
+def test_rk4_takes_a_step_when_t_end_is_below_the_rounding_slack(t_end):
+    # t_end / dt <= 1e-9 lies within the step count's rounding slack, and
+    # the run still takes its one step to t_end
+    traj = rk4(rotation, [1.0, 0.0], t_end=t_end, dt=1e-3)
+    assert traj.truncated is None
+    assert traj.rhs_evals == 4 and traj.accepted == 1
+    assert list(traj.times) == [0.0, t_end]
+
+
 def test_guard_truncates_and_rejects_bad_start():
     guard = lambda x: x[:, 0] < 2.0
     traj = rk4(growth, np.array([1.0, 1.0]), t_end=2.0, dt=1e-2, guard=guard)

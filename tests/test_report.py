@@ -119,6 +119,20 @@ def test_each_row_run_alone_matches_the_full_report(key):
         assert [r for r in alone["checks"] if r["name"] == row["name"]] == [row]
 
 
+@pytest.mark.parametrize("key, n", [("harmonic", 1), ("calogero", 1),
+                                    ("toda_moser", 1), ("cn_toda", 2),
+                                    ("an_toda", 2)])
+def test_closed_forms_hold_at_each_charts_smallest_size(key, n):
+    # the closed forms' slices of the coordinate jet are empty or one
+    # entry long here, and a chart's Lax runs are at their shortest
+    with pytest.raises(RangeError):
+        make_system(key, n - 1)
+    rep = verify_report(make_system(key, n), samples=20, seed=5,
+                        checks="closed-forms")
+    assert [r["name"] for r in rep["checks"]] == ["closed-forms"]
+    assert rep["all_pass"]
+
+
 def test_not_applicable_rows_carry_reasons():
     rep = small_report("an_toda", 2)
     na = {r["name"]: r["reason"] for r in rep["checks"]
