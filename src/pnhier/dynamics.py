@@ -158,7 +158,9 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
 
     Propagates the 4th-order solution; the embedded 5th-order solution gives
     the local error, compared against atol + rtol*|x| per component.  Raises
-    StepUnderflow when step control pushes dt below 1e-12.  Leaving the
+    StepUnderflow when step control pushes dt below 1e-12 while the run has
+    time left; a step that reaches t_end ends the run whatever it proposes
+    next, so a t_end below 1e-12 takes one step.  Leaving the
     guarded domain or a SingularTensorError in a stage truncates the run as
     in ``rk4``, and records follow its rule, counted in accepted steps.
     dt_init is checked as rk4's dt is, and atol and rtol as well
@@ -177,7 +179,8 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     truncated = None
     t = 0.0
     accepted, rejected, lo, hi = 0, 0, np.nan, np.nan
-    while t < t_end * (1.0 - 1e-14):
+    t_stop = t_end * (1.0 - 1e-14)
+    while t < t_stop:
         h = min(dt, t_end - t)
         try:
             ks = [rhs(t, x)]
@@ -206,7 +209,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
             rejected += 1
         factor = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2
         dt = h * float(np.clip(factor, 0.2, 5.0))
-        if dt < DT_MIN:
+        if dt < DT_MIN and t < t_stop:
             raise StepUnderflow(f"adaptive step fell below {DT_MIN:g} "
                                 f"at t = {t:.6g}")
     if times[-1] != t:

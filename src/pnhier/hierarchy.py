@@ -194,7 +194,10 @@ class Hierarchy:
 
 
 def cotangent_ladder_defect(N, ladder):
-    """Per-sample max |N^* dh_i - dh_{i+1}| over consecutive ladder indices."""
+    """Per-sample max |N^* dh_i - dh_{i+1}| over consecutive ladder indices.
+
+    Reads values only: N is cut to order 0, so every contraction is."""
+    N = jtruncate(N, 0)
     return worst_defect(
         cotangent_apply(N, differential(ladder[i])).val
         - differential(ladder[i + 1]).val
@@ -206,20 +209,27 @@ def lenard_defect(hier, ladder):
 
     Exercises the bivector ladder of the Hierarchy ``hier`` directly
     (matrix powers of N on pi0), which makes it independent of the
-    cotangent-ladder route.
+    cotangent-ladder route.  Reads values only: each pi_i is cut to
+    order 0, so every contraction is.
     """
+    def pi(i):
+        return jtruncate(hier.bivector(i), 0)
+
     return worst_defect(
-        sharp(hier.bivector(i), differential(ladder[j])).val
-        - sharp(hier.bivector(i + 1), differential(ladder[j - 1])).val
+        sharp(pi(i), differential(ladder[j])).val
+        - sharp(pi(i + 1), differential(ladder[j - 1])).val
         for j in sorted(ladder) if j - 1 in ladder for i in (0, 1))
 
 
 def involution_defect(P0, P1, ladder):
-    """Per-sample max |{h_i, h_j}| over both brackets and all ladder pairs."""
-    idx = sorted(ladder)
+    """Per-sample max |{h_i, h_j}| over both brackets and all ladder pairs.
+
+    Reads values only: P0 and P1 are cut to order 0, so no bracket forms
+    a gradient."""
+    idx, brackets = sorted(ladder), (jtruncate(P0, 0), jtruncate(P1, 0))
     return worst_defect(poisson_bracket(P, ladder[i], ladder[j]).val
                         for ai, i in enumerate(idx) for j in idx[ai + 1:]
-                        for P in (P0, P1))
+                        for P in brackets)
 
 
 def commuting_flows_defect(P0, ladder):

@@ -15,6 +15,7 @@ np.mean and decide what "small" means.
 
 from .fields import (evaluate, hamiltonian_vf, lie_bracket,
                      lie_der_bivector, per_sample, worst_defect)
+from .jets import jtruncate
 from .modular import koszul_d
 
 
@@ -37,11 +38,14 @@ def conformal_defects(P0, P1, Z0, lam, mu, nu, h_anchor):
     """Per-sample defects of the three conformal conditions on Z0.
 
     Returns {"pi0", "pi1", "h"} per-sample arrays: how far L_Z0 pi0, L_Z0 pi1
-    and Z0(h_anchor) are from lam*pi0, mu*pi1 and nu*h_anchor.
+    and Z0(h_anchor) are from lam*pi0, mu*pi1 and nu*h_anchor.  Reads values
+    only: Z0, pi0 and pi1 are cut to order 1 where they are differentiated,
+    and Z0 to order 0 where it is not.
     """
-    d0 = lie_der_bivector(Z0, P0).val - lam * P0.val
-    d1 = lie_der_bivector(Z0, P1).val - mu * P1.val
-    dh = evaluate(Z0, h_anchor).val - nu * h_anchor.val
+    Z1, P0, P1 = jtruncate(Z0, 1), jtruncate(P0, 1), jtruncate(P1, 1)
+    d0 = lie_der_bivector(Z1, P0).val - lam * P0.val
+    d1 = lie_der_bivector(Z1, P1).val - mu * P1.val
+    dh = evaluate(jtruncate(Z0, 0), h_anchor).val - nu * h_anchor.val
     return {"pi0": per_sample(d0), "pi1": per_sample(d1), "h": per_sample(dh)}
 
 
@@ -51,10 +55,11 @@ def hamiltonian_family_defect(hier, ladder, lam, mu, nu, anchor, i_range, j_rang
     Z_i come from the Hierarchy ``hier``.  Pairs with i + j = 0 are
     excluded: there the right-hand side degenerates (h_0 is logarithmic) and
     Z_i(h_{-i}) is a constant instead; see anomaly_defect.  The ladder must
-    cover every i + j that occurs.
+    cover every i + j that occurs.  Reads values only: Z_i is cut to order
+    0, so every contraction is.
     """
     return worst_defect(
-        evaluate(hier.master(i), ladder[j]).val
+        evaluate(jtruncate(hier.master(i), 0), ladder[j]).val
         - coeff_h(lam, mu, nu, anchor, i, j) * ladder[i + j].val
         for i in i_range for j in j_range if i + j != 0)
 
@@ -63,10 +68,12 @@ def anomaly_defect(hier, ladder, lam, mu, anomaly, i_range):
     """Per-sample max defect of Z_i(h_{-i}) = anomaly, a constant, over i in i_range.
 
     For the open lattice systems the constant is n*(mu - lam) with n the
-    number of degrees of freedom; it is independent of i.
+    number of degrees of freedom; it is independent of i.  Reads values
+    only: Z_i is cut to order 0, so every contraction is.
     """
-    return worst_defect(evaluate(hier.master(i), ladder[-i]).val - anomaly
-                        for i in i_range)
+    return worst_defect(
+        evaluate(jtruncate(hier.master(i), 0), ladder[-i]).val - anomaly
+        for i in i_range)
 
 
 def bivector_family_defect(hier, lam, mu, i_range, j_range):
@@ -112,10 +119,12 @@ def deformation_defect(P0, P1, Z, logg=None):
     """Per-sample defect of X^1 = [Z, X^0] + X^0_{div Z} for a Z with L_Z pi0 = pi1.
 
     X^0, X^1 are the modular fields of pi0, pi1 and X^0_f the pi0-hamiltonian
-    field of f = div(Z), all taken in the same volume.
+    field of f = div(Z), all taken in the same volume.  X^0 and div Z are
+    differentiated; X^1, whose value alone is read, is taken from pi1 cut
+    to order 1.
     """
     x0 = koszul_d(P0, logg)
-    x1 = koszul_d(P1, logg)
+    x1 = koszul_d(jtruncate(P1, 1), logg)
     f = koszul_d(Z, logg)
     rhs = lie_bracket(Z, x0).val + hamiltonian_vf(P0, f).val
     return per_sample(x1.val - rhs)

@@ -141,24 +141,31 @@ def _r_nact(ws):
     return per_sample(two.val - one.val)
 
 
+# The modular-route rows read values alone: their operands are cut to
+# order 1, the most a value differentiates, so every contraction is order 0.
+
 def _r_modular_routes(ws):
-    direct = pn_modular_field(ws.P0, ws.N)
-    pair = modular_pair_defect_field(ws.P0, ws.P1, ws.N)
-    ham0 = hamiltonian_vf(ws.P0, ws.hier.hamiltonian(1) * (-1.0))
-    ham1 = hamiltonian_vf(ws.P1, ws.hier.hamiltonian(0) * (-1.0))
+    P0, P1 = jtruncate(ws.P0, 1), jtruncate(ws.P1, 1)
+    direct = pn_modular_field(P0, jtruncate(ws.N, 1))
+    pair = modular_pair_defect_field(P0, P1, ws.N)
+    ham0 = hamiltonian_vf(P0, jtruncate(ws.hier.hamiltonian(1), 1) * (-1.0))
+    ham1 = hamiltonian_vf(P1, jtruncate(ws.hier.hamiltonian(0), 1) * (-1.0))
     return worst_defect(route.val - direct.val for route in (pair, ham0, ham1))
 
 
 def _r_mu_independence(ws):
-    routes = [modular_pair_defect_field(ws.P0, ws.P1, ws.N, lg).val
+    P0, P1 = jtruncate(ws.P0, 1), jtruncate(ws.P1, 1)
+    routes = [modular_pair_defect_field(P0, P1, ws.N, lg).val
               for lg in (None, ws.lg_b, ws.lg_c)]
     return worst_defect(routes[a] - routes[b] for a, b in ((0, 1), (0, 2), (1, 2)))
 
 
 def _r_density_change(ws):
-    flat = [(P, koszul_d(P).val) for P in (ws.P0, ws.P1)]
+    lgs = [jtruncate(lg, 1) for lg in (ws.lg_b, ws.lg_c)]
+    flat = [(P, koszul_d(P).val)
+            for P in (jtruncate(ws.P0, 1), jtruncate(ws.P1, 1))]
     return worst_defect(koszul_d(P, lg).val - base + hamiltonian_vf(P, lg).val
-                        for P, base in flat for lg in (ws.lg_b, ws.lg_c))
+                        for P, base in flat for lg in lgs)
 
 
 def _r_koszul_d2(ws):
@@ -172,11 +179,12 @@ def _r_koszul_generator(ws):
     lad = ws.ladder()
     X = hamiltonian_vf(ws.P0, lad[1])
     Y = hamiltonian_vf(ws.P1, lad[0])
-    # vector-bivector: L_X P = D(X^P) - (DX) P - X ^ (DP)
+    # vector-bivector: L_X P = D(X^P) - (DX) P - X ^ (DP); X ^ (DP) is
+    # differentiated nowhere, so it is formed from cut operands at order 0
     vb = lie_der_bivector(X, ws.P1).val - (
         koszul_d(wedge_vb(X, ws.P1), lg).val
         - scalar_mul(koszul_d(X, lg), ws.P1).val
-        - wedge_vv(X, koszul_d(ws.P1, lg)).val)
+        - wedge_vv(jtruncate(X, 0), koszul_d(jtruncate(ws.P1, 1), lg)).val)
     # vector-vector: [X, Y] = -D(X^Y) - (DX) Y + (DY) X
     vv = lie_bracket(X, Y).val - (
         -koszul_d(wedge_vv(X, Y), lg).val
@@ -264,30 +272,37 @@ def _r_deformation(ws):
 
 
 def _r_closed_forms(ws):
-    """Every closed-form table the catalog entry carries, against the engine."""
+    """Every closed-form table the catalog entry carries, against the engine.
+
+    Both sides read values only, and no value reads more than a gradient:
+    the closed forms take the coordinate jet cut to order 1, and the
+    engine's operands are cut to order 1 too, so every contraction is
+    order 0."""
     sysm = ws.system
     extras = sysm.extras
-    jets = ws.jets
-    lad = ws.ladder()
+    jets = jtruncate(ws.jets, 1)
+    lad = {k: jtruncate(h, 1) for k, h in ws.ladder().items()}
+    P0, P1 = jtruncate(ws.P0, 1), jtruncate(ws.P1, 1)
     d = []
     for k, fn in extras.get("h_closed", {}).items():
         if k in lad:
             d.append(fn(jets).val - lad[k].val)
     if "deformation_z" in extras:
         Z = extras["deformation_z"](jets)
-        d.append(lie_der_bivector(Z, ws.P0).val - ws.P1.val)
+        d.append(lie_der_bivector(Z, P0).val - P1.val)
         if "deformation_div_closed" in extras:
             d.append(koszul_d(Z).val - extras["deformation_div_closed"](jets).val)
     if "xn_closed" in extras:
-        d.append(extras["xn_closed"](jets).val - pn_modular_field(ws.P0, ws.N).val)
+        d.append(extras["xn_closed"](jets).val
+                 - pn_modular_field(P0, jtruncate(ws.N, 1)).val)
     if "x1_closed" in extras:
         x1 = extras["x1_closed"](jets)
-        d.append(hamiltonian_vf(ws.P0, lad[2]).val - x1.val)
-        d.append(hamiltonian_vf(ws.P1, lad[1]).val - x1.val)
+        d.append(hamiltonian_vf(P0, lad[2]).val - x1.val)
+        d.append(hamiltonian_vf(P1, lad[1]).val - x1.val)
     if "x0_mu" in extras:
-        d.append(koszul_d(ws.P0).val - extras["x0_mu"](jets).val)
+        d.append(koszul_d(P0).val - extras["x0_mu"](jets).val)
     if "x1_mu" in extras:
-        d.append(koszul_d(ws.P1).val - extras["x1_mu"](jets).val)
+        d.append(koszul_d(P1).val - extras["x1_mu"](jets).val)
     if "xm1_mu" in extras:
         d.append(ws.hier.modular(-1).val - extras["xm1_mu"](jets).val)
     if "z_closed" in extras and ws.hier.Z0 is not None:
@@ -300,15 +315,15 @@ def _r_closed_forms(ws):
         d.append(np.einsum('bii->b', ws.N.val) - np.einsum('bij,bji->b', L, L))
         d.append(lad[0].val - np.log(np.abs(np.linalg.det(L))))
         if "printed_flow" in extras:
-            flow = hamiltonian_vf(ws.P0, h2)
+            flow = hamiltonian_vf(P0, h2)
             printed = extras["printed_flow"](jets)
             d.append(flow.val - extras["flow_scale"] * printed.val)
-        d.append(sharp(ws.P1, differential(lad[0])).val
-                 - sharp(ws.P0, differential(h2)).val)
+        d.append(sharp(P1, differential(lad[0])).val
+                 - sharp(P0, differential(h2)).val)
     if "pushed_flow_np" in extras:
         n = sysm.n
         h2 = extras["h_closed"][2](jets)
-        X = hamiltonian_vf(ws.P0, h2).val
+        X = hamiltonian_vf(P0, h2).val
         a, b = extras["flaschka_np"](ws.x)
         adot = a * (X[:, :n - 1] - X[:, 1:n]) * 0.5
         bdot = -0.5 * X[:, n:]

@@ -135,6 +135,16 @@ def test_rk4_takes_a_step_when_t_end_is_below_the_rounding_slack(t_end):
     assert list(traj.times) == [0.0, t_end]
 
 
+@pytest.mark.parametrize("t_end", [1e-13, 1e-300])
+def test_rkf45_reaches_a_t_end_below_the_step_floor(t_end):
+    # the step that reaches t_end ends the run: the next step it proposes
+    # lies below DT_MIN but is never taken, so it is no underflow
+    traj = rkf45(rotation, [1.0, 0.0], t_end=t_end)
+    assert traj.truncated is None
+    assert traj.rhs_evals == 6 and traj.accepted == 1 and traj.rejected == 0
+    assert list(traj.times) == [0.0, t_end]
+
+
 def test_guard_truncates_and_rejects_bad_start():
     guard = lambda x: x[:, 0] < 2.0
     traj = rk4(growth, np.array([1.0, 1.0]), t_end=2.0, dt=1e-2, guard=guard)

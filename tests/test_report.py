@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pnhier import fields, jets, modular, report
 from pnhier.dynamics import Trajectory
 from pnhier.errors import RangeError
 from pnhier.report import (CHECK_NAMES, CONTROL_FLOOR, TOL_SCALE,
@@ -117,6 +118,42 @@ def test_each_row_run_alone_matches_the_full_report(key):
     for row in full["checks"]:
         alone = verify_report(system, samples=20, seed=5, checks=row["name"])
         assert [r for r in alone["checks"] if r["name"] == row["name"]] == [row]
+
+
+# Rows that read values only: once the Hierarchy walk is done, none of
+# their contractions forms a derivative.  Left out are the rows with a
+# contraction that differentiates an order-1 intermediate: koszul-d2
+# (D of D P), koszul-generator (D of X ^ P and of X ^ Y for hamiltonian
+# fields X, Y), commuting-flows (brackets of hamiltonian fields) and
+# oevel-deformation (the bracket with X^0 and the field of div Z).
+VALUE_ROWS = frozenset(CHECK_NAMES) - {"koszul-d2", "koszul-generator",
+                                       "commuting-flows", "oevel-deformation"}
+
+
+@pytest.mark.parametrize("key, n", [("toda_moser", 3), ("an_toda", 4)])
+def test_value_only_rows_contract_at_order_0(key, n, monkeypatch):
+    ws = report._Workspace(make_system(key, n), 8, 5, 4)
+    rows = [(name, run) for name, _, need, run in report.REGISTRY
+            if need is None or need(ws) is None]
+    rows += [(name, run) for name, _, run in report.CONTROLS]
+    # a first run of every row walks the Hierarchy as far as any row reads
+    # it, so that the walk's own order-1 and order-2 products go uncounted
+    for _, run in rows:
+        run(ws)
+    orders, contract = [], jets.jcontract
+
+    def spy(*terms):
+        out = contract(*terms)
+        orders.append(out.order)
+        return out
+
+    for module in (jets, fields, modular):
+        monkeypatch.setattr(module, "jcontract", spy)
+    for name, run in rows:
+        if name in VALUE_ROWS:
+            orders.clear()
+            run(ws)
+            assert set(orders) <= {0}, name
 
 
 @pytest.mark.parametrize("key, n", [("harmonic", 1), ("calogero", 1),
