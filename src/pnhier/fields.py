@@ -16,10 +16,8 @@ Terms are summed in the order they are listed (the term-order rule of
 jets).  Identities are checked by evaluating both sides on order-2
 coordinate jets and comparing values, with one level of bracket nesting
 still differentiable.  A defect that reads values only cuts its operands
-with ``jtruncate`` first, to order 1 where it differentiates them and to
-order 0 where it does not, so that each of its contractions is order 0:
-the structure defects here, the ladder defects of hierarchy, the family
-defects of master and the modular-route and closed-form rows of report.
+with ``jtruncate`` first (see there), as the structure defects here and
+the ladder, route and family defects built on them do.
 
 Sign conventions (fixed here once, tested in test_fields.py):
 

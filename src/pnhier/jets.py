@@ -487,7 +487,12 @@ def jtrace(A):
 
 
 def jtruncate(J, order):
-    """J without the derivatives above ``order``, which no consumer reads."""
+    """J without the derivatives above ``order``, which no consumer reads.
+
+    A reader of values cuts one operand of each contraction, to order 1
+    where it is differentiated and to order 0 where it is not: the
+    contraction then has order 0 (see jcontract) and the same value bits.
+    """
     if J.order <= order:
         return J
     return Jet2._new(J.val, J.grad if order >= 1 else None, None, J.m)

@@ -39,10 +39,10 @@ def conformal_defects(P0, P1, Z0, lam, mu, nu, h_anchor):
 
     Returns {"pi0", "pi1", "h"} per-sample arrays: how far L_Z0 pi0, L_Z0 pi1
     and Z0(h_anchor) are from lam*pi0, mu*pi1 and nu*h_anchor.  Reads values
-    only: Z0, pi0 and pi1 are cut to order 1 where they are differentiated,
-    and Z0 to order 0 where it is not.
+    only: Z0 is cut to order 1 where it is differentiated and to order 0
+    where it is not.
     """
-    Z1, P0, P1 = jtruncate(Z0, 1), jtruncate(P0, 1), jtruncate(P1, 1)
+    Z1 = jtruncate(Z0, 1)
     d0 = lie_der_bivector(Z1, P0).val - lam * P0.val
     d1 = lie_der_bivector(Z1, P1).val - mu * P1.val
     dh = evaluate(jtruncate(Z0, 0), h_anchor).val - nu * h_anchor.val
