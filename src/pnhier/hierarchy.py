@@ -13,23 +13,17 @@ and commuting flows; the functions here compute the objects and the defects
 of each identity, leaving pass/fail policy to the caller.
 
 Every ladder object is a power of the one operator N, and ``Hierarchy`` is
-the one place that builds more than one of them.  For a fixed (Pi0, N[, Z0])
-it inverts N at most once and walks N^k outward from k = 0, one factor per
-step, deriving at each k the bivector Pi_k, its modular field X^k, the
-hamiltonian h_k and, when a master field Z0 is given, Z_k = N^k Z0 and
-div Z_k.  The walk multiplies order-1 powers; only X^k and div Z_k, which
-read the Hessians of Pi_k and Z_k, take a second walk at order 2.  Built
-without Pi0 it holds the hamiltonians alone: all that a table of h_k or a
-monitor along a flow reads.  It multiplies in the order ``jmatpow`` does,
-and a contraction's value and gradient do not depend on the jet order, so
+the one place that builds more than one of them, in one walk of N^k
+outward from k = 0 (the class docstring describes it).  Built without Pi0
+it holds the hamiltonians alone: all that a table of h_k or a monitor
+along a flow reads.  It multiplies in the order ``jmatpow`` does, so
 Pi_k, Z_k, X^k, div Z_k, h_0 and h_{+-1} are bit-identical to their
 single-shot formulas, as are the values and gradients of every h_k
-(tests/ladder_reference.py keeps those formulas as the reference).  The
-Hessians of h_k for |k| >= 2 come from the order-1 powers (see
-``Hierarchy``) and may differ from the formulas in their last bits.  It is
-also the package's only builder of hamiltonians.  The flow builds no N jet:
-its order-1 tail (``dynamics``) forms dh_k from the values and gradients of
-the pair on plain arrays.
+(tests/ladder_reference.py keeps those formulas as the reference); the
+Hessians of h_k for |k| >= 2 may differ in their last bits.  It is also
+the package's only builder of hamiltonians.  The flow builds no N jet:
+its order-1 tail (``dynamics``) forms dh_k from the values and gradients
+of the pair on plain arrays.
 """
 
 from __future__ import annotations
@@ -73,124 +67,129 @@ def check_depths(depth, neg_depth):
 class Hierarchy:
     """Every ladder object of one recursion operator, each built once.
 
-    The walk goes outward from k = 0 in either direction as far as the
+    One walk goes outward from k = 0 in either direction as far as the
     largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
     N and N^-1 taken from ``jmatpow`` at order 2.  N is inverted on the
-    first negative index, never again.  At k = 0 no product is formed:
-    Pi_0 is Pi0 and Z_0 is Z0.  The one walk routine runs at two jet
-    orders.  The order-1 walk multiplies order-1 powers and yields what
-    reads no more than a gradient of them; the order-2 walk runs only
-    when a modular field or a master divergence is first asked for, and
-    only as far as asked:
+    first negative index, never again.  Every object lands in one table
+    keyed by (kind, k), kept at the order its consumers read:
 
-        hamiltonian(k) h_k                  order 2    order-1 walk
-        bivector(k)    Pi_k = N^k Pi0       order 1    order-1 walk  needs P0
-        master(k)      Z_k = N^k Z0         order 1    order-1 walk  needs Z0
-        modular(k)     X^k = D_mu Pi_k      order 1    order-2 walk  needs P0
-        master_div(k)  D_mu Z_k             order 1    order-2 walk  needs Z0
+        hamiltonian(k) h_k                  order 2
+        bivector(k)    Pi_k = N^k Pi0       order 1    needs P0
+        master(k)      Z_k = N^k Z0         order 1    needs Z0
+        modular(k)     X^k = D_mu Pi_k      order 1    needs P0
+        master_div(k)  D_mu Z_k             order 1    needs Z0
 
-    For k != 0, with n = |k| and B = N (k > 0) or N^-1 (k < 0), the
-    Hessian of h_k = +-tr(B^n)/(2n) is
+    The walk runs at one jet order: 1 from the first request for a
+    hamiltonian, bivector or master field, 2 from the first for a modular
+    field or master divergence, which read the Hessians of Pi_k and Z_k.
+    An order-2 request made while an order-1 walk runs restarts the walk
+    from k = 0 at order 2; the order-1 ends are dropped, every object
+    built is kept, and that walk serves every kind from then on.  At each
+    k the products N^k Pi0 and N^k Z0 are formed once (at k = 0 none is:
+    Pi_0 is Pi0 and Z_0 is Z0).  Pi_k and Z_k are them cut to order 1,
+    unless already built; at order 2, X^k and div Z_k are their
+    ``koszul_d``.  A contraction's value and gradient do not depend on the
+    jet order, so either walk builds the same bits.  After a restart an
+    order-1 object beyond the old order-1 end costs an order-2 product; no
+    report asks in that order, since the rows that read order-2 objects
+    run after the order-1 families have walked past any index read later.
+
+    h_k takes its value and gradient from N^k cut to order 1.  For k != 0,
+    with n = |k| and B = N (k > 0) or N^-1 (k < 0), its Hessian is
 
         +-1/2 [tr(d_b B^(n-1) d_a B) + tr(B^(n-1) d2_ab B)],
 
-    two contractions of the order-1 B^(n-1), whose gradient already holds
-    the sum over j of B^j dB B^(n-2-j), against the order-2 B; at n = 1 it
-    is the trace of d2 B.  Order-2 matrices are held only at the two ends
-    of the walk, besides N and N^-1.  h_0 = log|det N|/2 is computed on
-    first request.  Modular fields and divergences are taken in the
-    coordinate Lebesgue density.  An object that needs P0 or Z0 raises
-    RangeError when it was passed as None; so does an index that is not an
-    integer in -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are
-    not 1).
+    two contractions of B^(n-1), whose gradient already holds the sum over
+    j of B^j dB B^(n-2-j), against the order-2 B; at n = 1 it is the trace
+    of d2 B.  Powers are held only at the two ends of the walk, besides N
+    and N^-1.  h_0 = log|det N|/2 is computed on first request.  Modular
+    fields and divergences are taken in the coordinate Lebesgue density.
+    An object that needs P0 or Z0 raises RangeError when it was passed as
+    None; so does an index that is not an integer in
+    -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are not 1).
     """
 
     def __init__(self, P0, N, Z0=None):
         self.P0, self.N, self.Z0 = P0, N, Z0
-        self._bivector, self._modular = {}, {}
-        self._hamiltonian, self._master, self._master_div = {}, {}, {}
-        self._base = {}    # +1 / -1 -> order-2 N / N^-1
-        # per walk order: every k it has derived, and +1 / -1 -> (k, N^k)
-        # at that end of the walk
-        self._reached = {1: set(), 2: set()}
-        self._edge = {1: {}, 2: {}}
+        self._objects = {}  # (kind, k) -> jet
+        self._base = {}     # +1 / -1 -> order-2 N / N^-1
+        self._ends = {}     # +1 / -1 -> (k, N^k) at that end of the walk
+        self._order = 0     # the walk's jet order; 0 before the first walk
 
     def bivector(self, k):
-        return self._get(self._bivector, k, 1, needs="P0")
+        return self._get("bivector", k, 1, needs="P0")
 
     def modular(self, k):
-        return self._get(self._modular, k, 2, needs="P0")
+        return self._get("modular", k, 2, needs="P0")
 
     def hamiltonian(self, k):
         k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if k != 0:
-            return self._get(self._hamiltonian, k, 1)
-        if 0 not in self._hamiltonian:
-            self._hamiltonian[0] = jlogabsdet(self.N, "recursion operator") * 0.5
-        return self._hamiltonian[0]
+            return self._get("hamiltonian", k, 1)
+        if ("hamiltonian", 0) not in self._objects:
+            self._objects["hamiltonian", 0] = jlogabsdet(
+                self.N, "recursion operator") * 0.5
+        return self._objects["hamiltonian", 0]
 
     def master(self, k):
-        return self._get(self._master, k, 1, needs="Z0")
+        return self._get("master", k, 1, needs="Z0")
 
     def master_div(self, k):
-        return self._get(self._master_div, k, 2, needs="Z0")
+        return self._get("master_div", k, 2, needs="Z0")
 
     def ladder(self, depth, neg_depth=0):
         """dict {i: h_i} for i = -neg_depth..depth; see check_depths."""
         depth, neg_depth = check_depths(depth, neg_depth)
         return {i: self.hamiltonian(i) for i in range(-neg_depth, depth + 1)}
 
-    def _get(self, table, k, order, needs=None):
+    def _get(self, kind, k, order, needs=None):
         k = check_int("ladder index", k, -LADDER_CAP, LADDER_CAP)
         if needs is not None and getattr(self, needs) is None:
             raise RangeError(f"this hierarchy was built without {needs}")
-        if k not in self._reached[order]:
-            self._walk_to(k, order)
-        return table[k]
+        if (kind, k) not in self._objects:
+            if self._order < order:
+                self._order, self._ends = order, {}
+                self._derive(0, None, None)
+            step = 1 if k > 0 else -1
+            while (kind, k) not in self._objects:
+                if step not in self._base:
+                    self._base[step] = jmatpow(self.N, step)
+                base = self._base[step]
+                j, prev = self._ends.get(step, (0, None))
+                Nj = (jtruncate(base, self._order) if prev is None
+                      else jmatmul(prev, base))
+                self._ends[step] = (j + step, Nj)
+                self._derive(j + step, prev, Nj)
+        return self._objects[kind, k]
 
-    def _walk_to(self, k, order):
-        reached, edge = self._reached[order], self._edge[order]
-        if 0 not in reached:
-            self._derive(0, order, None, None)
-        step = 1 if k > 0 else -1
-        while k not in reached:
-            if step not in self._base:
-                self._base[step] = jmatpow(self.N, step)
-            base = self._base[step]
-            j, prev = edge.get(step, (0, None))
-            Nj = jtruncate(base, order) if prev is None else jmatmul(prev, base)
-            edge[step] = (j + step, Nj)
-            self._derive(j + step, order, prev, Nj)
-
-    def _derive(self, k, order, prev, Nk):
-        """The objects at k of the walk at ``order`` from N^k and the power
-        before it, prev; at k = 0, Nk is None and N^0 = I acts as the
-        identity, so no product is formed, and at |k| = 1 prev is None."""
-        self._reached[order].add(k)
-        if order == 1:
-            keep, bivectors, masters = (lambda J: jtruncate(J, 1),
-                                        self._bivector, self._master)
-            if k != 0:
-                self._hamiltonian[k] = self._hamiltonian_at(k, prev, Nk)
-        else:
-            keep, bivectors, masters = koszul_d, self._modular, self._master_div
-        if self.P0 is not None:
-            bivectors[k] = keep(self.P0 if k == 0 else jmatmul(Nk, self.P0))
-        if self.Z0 is not None:
-            masters[k] = keep(self.Z0 if k == 0 else jmatvec(Nk, self.Z0))
+    def _derive(self, k, prev, Nk):
+        """The objects at k from N^k and the power before it, prev; at
+        k = 0, Nk is None and N^0 = I acts as the identity, so no product
+        is formed, and at |k| = 1 prev is None."""
+        objects = self._objects
+        if k != 0 and ("hamiltonian", k) not in objects:
+            objects["hamiltonian", k] = self._hamiltonian_at(k, prev, Nk)
+        for J0, act, low, high in ((self.P0, jmatmul, "bivector", "modular"),
+                                   (self.Z0, jmatvec, "master", "master_div")):
+            if J0 is None:
+                continue
+            J = J0 if k == 0 else act(Nk, J0)
+            objects.setdefault((low, k), jtruncate(J, 1))
+            if self._order == 2:
+                objects[high, k] = koszul_d(J)
 
     def _hamiltonian_at(self, k, prev, Nk):
-        """h_k from the order-1 walk: value and gradient from the order-1
-        N^k, the Hessian from prev = B^(n-1) and the order-2 B."""
+        """h_k: value and gradient from N^k cut to order 1, the Hessian from
+        prev = B^(n-1) and the order-2 B."""
         base = self._base[1 if k > 0 else -1]
         if prev is None:
             return jtrace(base) * (1.0 / (2 * k))
-        h = jtrace(Nk) * (1.0 / (2 * k))
+        h = jtrace(jtruncate(Nk, 1)) * (1.0 / (2 * k))
         if base.hess is None:
             return h
         d2 = (np.einsum("...ij,...jiab->...ab", prev.val, base.hess)
               + trace_pair(base.grad, prev.grad))
-        return Jet2(h.val, h.grad, d2 * (0.5 if k > 0 else -0.5), m=h.m)
+        return Jet2._new(h.val, h.grad, d2 * (0.5 if k > 0 else -0.5), h.m)
 
 
 def cotangent_ladder_defect(N, ladder):

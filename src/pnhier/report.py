@@ -340,8 +340,7 @@ def _perturbed_n(ws):
     val[:, 0, 0] += 1e-3 * ws.x[:, 0]
     grad = N.grad.copy()
     grad[:, 0, 0, 0] += 1e-3
-    hess = None if N.hess is None else N.hess
-    return Jet2(val, grad, hess, m=N.m)
+    return Jet2._new(val, grad, N.hess, N.m)
 
 
 def _r_control_torsion(ws):

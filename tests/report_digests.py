@@ -55,11 +55,16 @@ def commands():
     yield ("verify-an-toda-n8-samples50-seed0",
            cli + ["verify", "--system", "an-toda", "--n", "8", "--samples", "50",
                   "--seed", "0"])
-    # large m (10) with a master symmetry: the order-2 walk of the modular
-    # fields and master divergences runs there
+    # large m (10) with a master symmetry: the walk at order 2, for the
+    # modular fields and master divergences, runs there
     yield ("verify-toda-moser-n5-samples50-seed0",
            cli + ["verify", "--system", "toda-moser", "--n", "5", "--samples",
                   "50", "--seed", "0"])
+    # the one report whose first ladder request is an order-2 object: the
+    # walk starts at order 2 and serves the order-1 kinds from there
+    yield ("verify-toda-moser-n3-seed0-oevel-modular",
+           cli + ["verify", "--system", "toda-moser", "--n", "3", "--seed", "0",
+                  "--checks", "oevel-modular"])
     for system in CHARTS:
         yield (f"hierarchy-{system}-n3",
                cli + ["hierarchy", "--system", system, "--n", "3"])

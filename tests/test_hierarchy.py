@@ -281,7 +281,7 @@ def test_hierarchy_without_z0_refuses_master_fields():
         hier.ladder(13)
     # without P0 the walk holds powers and hamiltonians alone
     bare = Hierarchy(None, N)
-    for k in (1, -1):
+    for k in (0, 1, -1):
         with pytest.raises(RangeError, match="without P0"):
             bare.bivector(k)
         with pytest.raises(RangeError, match="without P0"):
@@ -342,3 +342,27 @@ def test_one_verify_report_inverts_n_once(monkeypatch):
     rep = verify_report(sys, samples=20, seed=3)
     assert rep["all_pass"] is True
     assert sum(np.array_equal(v, N.val) for v in seen) == 1
+
+
+def test_one_verify_report_walks_each_order2_power_once(monkeypatch):
+    # the one walk forms each order-2 N^k, Pi_k and Z_k once; a walk that
+    # restarted on every order-2 request would multiply them again
+    sys = make_system("toda_moser", 3)
+    orders = {"jmatmul": [], "jmatvec": []}
+
+    def spy(name):
+        real = getattr(hierarchy, name)
+
+        def counting(A, B):
+            out = real(A, B)
+            orders[name].append(out.order)
+            return out
+        return counting
+
+    for name in orders:
+        monkeypatch.setattr(hierarchy, name, spy(name))
+    rep = verify_report(sys, samples=8, seed=3)
+    assert rep["all_pass"] is True
+    # counting the product N = Pi1 Pi0^-1 of recursion_operator
+    assert orders["jmatmul"].count(2) == 15
+    assert orders["jmatvec"].count(2) == 8
