@@ -1,8 +1,11 @@
 """Command-line front end: verify | hierarchy | integrate | catalog.
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 file I/O failure.  Reports go to --out or stdout; human-readable progress
-goes to stderr so captured stdout stays byte-identical across reruns.
+Exit codes: 0 success / all checks pass, 1 check failure or engine failure
+(an EngineError other than a usage error: StepUnderflow, ConvergenceError,
+a singular flow start point; ``failed: <message>`` on stderr), 2 usage
+error, 3 file I/O failure.  Reports go to --out or stdout; human-readable
+progress goes to stderr so captured stdout stays byte-identical across
+reruns.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """Flow integration with conservation monitoring and an in-repo eigensolver.
 
 Hierarchy flows are ordinary ODEs in the chart; this module integrates them
-with fixed-step RK4 or adaptive RKF45, guards the chart domain along the way
-(a run that leaves it, or whose right-hand side turns singular, is truncated
-at its last good step), and evaluates the quantities the flows are supposed
-to conserve (ladder hamiltonians, Lax spectra).  A flow's right-hand side
-keeps what does not change between its stages: the coordinate jet, built
-once, and a constant Pi0 with its inverse.  The symmetric
-eigensolver is written out in full -- Householder tridiagonalization
-followed by QL with implicit shifts -- so spectral drift checks do not
-depend on LAPACK's eigensolver.
+with fixed-step RK4 or adaptive RKF45, two steps under one run loop
+(``_run``) that guards the chart domain along the way (a run that leaves
+it, or whose right-hand side turns singular, is truncated at its last good
+step) and keeps the step statistics, and evaluates the quantities the
+flows are supposed to conserve (ladder hamiltonians, Lax spectra).  A
+flow's right-hand side keeps what does not change between its stages: the
+coordinate jet, built once, and a constant Pi0 with its inverse.  The
+symmetric eigensolver is written out in full -- Householder
+tridiagonalization followed by QL with implicit shifts -- so spectral drift
+checks do not depend on LAPACK's eigensolver.
 It is the package's one eigensolver and runs batched, over a whole
 trajectory's stack of Lax matrices at once.  A per-matrix version of the
 same arithmetic stays in the tests (tests/eigen_reference.py) as its
@@ -49,13 +50,9 @@ RKF45 = {
 class Trajectory:
     """Recorded flow: times, states, truncation flag and step statistics.
 
-    ``truncated`` is None for a complete run, otherwise a short reason string
-    (the run stopped at the last recorded time).  ``rhs_evals`` counts
-    right-hand-side evaluations, ``accepted`` the steps the run advanced by
-    and ``rejected`` the steps error control refused; a step that left the
-    chart domain or hit a singular stage is neither, though its evaluations
-    count (up to the raising one).  ``dt_min`` and ``dt_max`` bound the
-    accepted steps (nan when there are none).
+    ``truncated`` is None for a complete run, otherwise a short reason
+    string; ``rhs_evals``, ``accepted``, ``rejected``, ``dt_min`` and
+    ``dt_max`` are the run's statistics, as ``_run`` defines them.
     """
 
     def __init__(self, times, states, truncated=None, rhs_evals=0,
@@ -83,37 +80,81 @@ def _start_state(rhs, x0, t_end, guard):
     return x0
 
 
-def _counted(rhs):
-    """rhs and a one-element list that counts its calls, raising ones too."""
-    evals = [0]
+def _run(rhs, x, t_end, dt, record_every, guard, step, control):
+    """The one run loop of ``rk4`` and ``rkf45``, and their run contract.
+
+    Each pass tries a step of h = min(dt, t_end - t): ``step(f, t, x, h)``
+    returns the new state and its scaled error, accepted when <= 1 (f is
+    rhs, counted).  ``control(t, h, err, accepted)`` then gives the next dt,
+    or None to end the run, which always takes a first step.
+    Records: the start, every ``record_every``-th accepted step, and the
+    last step reached.  An accepted step that leaves the guarded domain, or
+    a stage that raises SingularTensorError, truncates the run at its last
+    good step with a reason; only a singular start point (the first
+    evaluation) raises.  ``rhs_evals`` counts every evaluation, the raising
+    one too; ``accepted`` counts the steps the run advanced by and
+    ``rejected`` those error control refused (a truncating step is
+    neither); ``dt_min`` and ``dt_max`` bound the accepted steps (nan when
+    there are none).
+    """
+    evals = 0
 
     def counted(t, x):
-        evals[0] += 1
+        nonlocal evals
+        evals += 1
         return rhs(t, x)
-    return counted, evals
+
+    times, states = [0.0], [x]
+    truncated = None
+    t = 0.0
+    accepted, rejected, lo, hi = 0, 0, np.nan, np.nan  # fmin/fmax skip the nan
+    while dt is not None:
+        h = min(dt, t_end - t)
+        try:
+            x_new, err = step(counted, t, x, h)
+        except SingularTensorError as exc:
+            if evals == 1:
+                raise
+            truncated = (f"singular right-hand side in the step to "
+                         f"t = {t + h:.6g}: {exc}")
+            break
+        if err <= 1.0:
+            if guard is not None and not np.all(guard(x_new[None, :])):
+                truncated = f"left the chart domain at t = {t + h:.6g}"
+                break
+            t, x = t + h, x_new
+            accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
+            if accepted % record_every == 0:
+                times.append(t)
+                states.append(x)
+        else:
+            rejected += 1
+        dt = control(t, h, err, accepted)
+    if times[-1] != t:
+        times.append(t)
+        states.append(x)
+    return Trajectory(times, states, truncated, rhs_evals=evals,
+                      accepted=accepted, rejected=rejected, dt_min=lo, dt_max=hi)
 
 
-def _singular_stage(exc, evals, t):
-    """The truncation reason for a SingularTensorError raised by an RK stage
-    of the step to t; re-raised when it came from the first evaluation, at
-    the start point itself."""
-    if evals[0] == 1:
-        raise exc
-    return f"singular right-hand side in the step to t = {t:.6g}: {exc}"
+# written out, not as a tableau: the same bits (signed zeros too), less work
+def _rk4_step(f, t, x, h):
+    k1 = f(t, x)
+    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = f(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0
 
 
 def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
-    """Classical fixed-step RK4 from t=0 to t_end.
+    """Classical fixed-step RK4 from t=0 to t_end (run contract: ``_run``).
 
-    Records the start, every ``record_every``-th step and the last step
-    reached.  If the trajectory leaves the guarded domain, or a stage
-    raises SingularTensorError, it is truncated at the last good step and
-    flagged, not errored; only a singular start point raises.  Finite
-    positive t_end and dt, an integer record_every >= 1 and at most
-    MAX_STEPS steps, or a RangeError before the first step.
+    ceil(t_end / dt) steps (less a last step of roundoff), each of dt or
+    what is left to t_end, none rejected.  Finite positive t_end and dt, an
+    integer record_every >= 1 and at most MAX_STEPS steps, or a RangeError
+    before the first step.
     """
     x = _start_state(rhs, x0, t_end, guard)
-    rhs, evals = _counted(rhs)
     check_positive("dt", dt)
     record_every = check_int("record_every", record_every, 1)
     ratio = t_end / dt               # inf when it overflows
@@ -122,52 +163,23 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
                          f"{MAX_STEPS:g} rk4 steps")
     # the 1e-9 slack drops a last step of roundoff, never the only one
     steps = max(1, int(np.ceil(ratio - 1e-9)))
-    times, states = [0.0], [x]
-    truncated = None
-    t = 0.0
-    accepted, lo, hi = 0, np.nan, np.nan    # fmin/fmax skip the nan
-    for k in range(steps):
-        h = min(dt, t_end - t)
-        try:
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-        except SingularTensorError as exc:
-            truncated = _singular_stage(exc, evals, t + h)
-            break
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if guard is not None and not np.all(guard(x_new[None, :])):
-            truncated = f"left the chart domain at t = {t + h:.6g}"
-            break
-        t, x = t + h, x_new
-        accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
-        if (k + 1) % record_every == 0:
-            times.append(t)
-            states.append(x)
-    if times[-1] != t:      # every run ends on its last good step
-        times.append(t)
-        states.append(x)
-    return Trajectory(times, states, truncated, rhs_evals=evals[0],
-                      accepted=accepted, dt_min=lo, dt_max=hi)
+    return _run(rhs, x, t_end, dt, record_every, guard, _rk4_step,
+                lambda t, h, err, accepted: dt if accepted < steps else None)
 
 
 def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
           record_every=1, guard=None):
-    """Adaptive Fehlberg 4(5) from t=0 to t_end.
+    """Adaptive Fehlberg 4(5) from t=0 to t_end (run contract: ``_run``).
 
     Propagates the 4th-order solution; the embedded 5th-order solution gives
     the local error, compared against atol + rtol*|x| per component.  Raises
     StepUnderflow when step control pushes dt below 1e-12 while the run has
     time left; a step that reaches t_end ends the run whatever it proposes
-    next, so a t_end below 1e-12 takes one step.  Leaving the
-    guarded domain or a SingularTensorError in a stage truncates the run as
-    in ``rk4``, and records follow its rule, counted in accepted steps.
-    dt_init is checked as rk4's dt is, and atol and rtol as well
-    (``errors.check_positive``), each also <= 1e-2.
+    next, so a t_end below 1e-12 takes one step.  dt_init is checked as
+    rk4's dt is, and atol and rtol as well (``errors.check_positive``), each
+    also <= 1e-2.
     """
     x = _start_state(rhs, x0, t_end, guard)
-    rhs, evals = _counted(rhs)
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if check_positive(name, tol) > 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")
@@ -175,48 +187,32 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     c, a, b4, b5 = RKF45["c"], RKF45["a"], RKF45["b4"], RKF45["b5"]
     dt = (min(t_end, 1e-2) if dt_init is None
           else float(check_positive("dt_init", dt_init)))
-    times, states = [0.0], [x]
-    truncated = None
-    t = 0.0
-    accepted, rejected, lo, hi = 0, 0, np.nan, np.nan
     t_stop = t_end * (1.0 - 1e-14)
-    while t < t_stop:
-        h = min(dt, t_end - t)
-        try:
-            ks = [rhs(t, x)]
-            for s in range(1, 6):
-                xs = x + h * sum(aa * kk for aa, kk in zip(a[s], ks))
-                ks.append(rhs(t + c[s] * h, xs))
-        except SingularTensorError as exc:
-            truncated = _singular_stage(exc, evals, t + h)
-            break
+
+    def step(f, t, x, h):
+        ks = [f(t, x)]
+        for s in range(1, 6):
+            xs = x + h * sum(aa * kk for aa, kk in zip(a[s], ks))
+            ks.append(f(t + c[s] * h, xs))
         x4 = x + h * sum(bb * kk for bb, kk in zip(b4, ks))
         x5 = x + h * sum(bb * kk for bb, kk in zip(b5, ks))
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x4))
         err = float(np.max(np.abs(x5 - x4) / scale))
         if not np.isfinite(err):
             err = np.inf  # reject and shrink until StepUnderflow
-        if err <= 1.0:
-            if guard is not None and not np.all(guard(x4[None, :])):
-                truncated = f"left the chart domain at t = {t + h:.6g}"
-                break
-            t, x = t + h, x4
-            accepted, lo, hi = accepted + 1, np.fmin(lo, h), np.fmax(hi, h)
-            if accepted % record_every == 0:
-                times.append(t)
-                states.append(x)
-        else:
-            rejected += 1
+        return x4, err
+
+    def control(t, h, err, accepted):
+        if not t < t_stop:
+            return None
         factor = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2
         dt = h * float(np.clip(factor, 0.2, 5.0))
-        if dt < DT_MIN and t < t_stop:
+        if dt < DT_MIN:
             raise StepUnderflow(f"adaptive step fell below {DT_MIN:g} "
                                 f"at t = {t:.6g}")
-    if times[-1] != t:
-        times.append(t)
-        states.append(x)
-    return Trajectory(times, states, truncated, rhs_evals=evals[0],
-                      accepted=accepted, rejected=rejected, dt_min=lo, dt_max=hi)
+        return dt
+
+    return _run(rhs, x, t_end, dt, record_every, guard, step, control)
 
 
 def integrate(rhs, x0, t_end, method="rk4", dt=1e-3, record_every=1,

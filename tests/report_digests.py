@@ -74,6 +74,11 @@ def commands():
     yield ("integrate-toda-moser-n2-t1-rkf45",
            integrate + ["toda-moser", "--n", "2", "--t-end", "1",
                         "--method", "rkf45"])
+    # rkf45 rejects steps and then leaves the chart domain: the one run of
+    # its rejection and guard-truncation paths
+    yield ("integrate-cn-toda-n2-t1-rkf45",
+           integrate + ["cn-toda", "--n", "2", "--t-end", "1",
+                        "--method", "rkf45"])
     yield ("integrate-cn-toda-n2-t1",
            integrate + ["cn-toda", "--n", "2", "--t-end", "1"])
     yield ("integrate-toda-moser-n2-t1-flow-1",

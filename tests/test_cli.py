@@ -218,6 +218,27 @@ def test_unwritable_out_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_an_engine_failure_exits_1(capsys, monkeypatch):
+    # no catalog chart is singular at its probe point, so the flow is made
+    # singular there: the first evaluation raises, which no run truncates
+    from pnhier import cli
+    from pnhier.errors import SingularTensorError
+
+    def singular_flow(system, index):
+        def rhs(t, x):
+            raise SingularTensorError("pi0 is numerically singular at 1 of 1 "
+                                      "sample points")
+        return rhs
+
+    monkeypatch.setattr(cli, "hamiltonian_flow_rhs", singular_flow)
+    for method in ("rk4", "rkf45"):
+        code, out, err = run(capsys, "integrate", "--system", "an-toda",
+                             "--method", method)
+        assert (code, out) == (1, "")
+        assert err == ("failed: pi0 is numerically singular at 1 of 1 "
+                       "sample points\n")
+
+
 def test_checks_selector_runs_one_row(capsys):
     code, out, _ = run(capsys, "verify", "--system", "cn-toda",
                        "--samples", "15", "--checks", "lenard")

@@ -159,6 +159,35 @@ def test_guard_truncates_and_rejects_bad_start():
     assert traj.truncated is not None
 
 
+@pytest.mark.parametrize("method, options, stages", [
+    ("rk4", {"dt": 0.1}, 4),
+    ("rkf45", {"dt_init": 0.5}, 6),       # a first step too large: rejections
+])
+def test_a_guard_exit_between_records_ends_on_the_last_good_step(
+        method, options, stages):
+    passed = []
+
+    def guard(x):
+        inside = x[:, 0] < np.e
+        if inside.all():
+            passed.append(x[0].copy())
+        return inside
+
+    run = rk4 if method == "rk4" else rkf45
+    traj = run(growth, [1.0], t_end=2.0, record_every=3, guard=guard, **options)
+    prefix = "left the chart domain at t = "
+    assert traj.truncated.startswith(prefix)
+    assert traj.times[-1] < float(traj.truncated[len(prefix):]) < 2.0
+    # the exit falls between records, and the last good step is recorded
+    assert traj.accepted % 3 != 0
+    assert len(traj) == 1 + traj.accepted // 3 + 1
+    assert np.array_equal(traj.states[-1], passed[-1])
+    assert (traj.rejected > 0) == (method == "rkf45")
+    # the refused step's stages count, though it is neither accepted nor
+    # rejected
+    assert traj.rhs_evals == stages * (traj.accepted + traj.rejected + 1)
+
+
 def singular_beyond(t_stop):
     """A rotation whose right-hand side turns singular at times > t_stop,
     and the list of times it was called at (the raising calls included)."""

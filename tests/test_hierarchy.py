@@ -211,8 +211,8 @@ def test_hierarchy_matches_the_single_shot_references_bit_for_bit():
     deep = Hierarchy(P0, N, Z0)
     deep.ladder(6, 6)       # the order-1 walk first, as far as it goes
     # out of order on purpose: the walk must not depend on the request order;
-    # `first` runs the order-2 walk of each k before its order-1 walk, `deep`
-    # long after it
+    # `first` asks for a master divergence first, so its one walk starts at
+    # order 2; `deep` restarts its order-1 walk at order 2 from k = 0
     for k in (3, -6, 0, 6, -1, 1, -3, 2, -2, 5, -5, 4, -4):
         for hier in (first, deep):
             same_bits(hier.master_div(k), koszul_d(ref.master_field(N, Z0, k)))
@@ -268,7 +268,7 @@ def test_only_modular_fields_and_divergences_multiply_order_2_powers(monkeypatch
     # N and N^-1 come from jmatpow at order 2; every power past them, and
     # every Pi_k and Z_k, is formed at order 1
     assert products and max(products) == 1
-    hier.modular(2)         # the order-2 walk: N Pi0, N N, N^2 Pi0, ...
+    hier.modular(2)         # restarts the walk at order 2: N Pi0, N N, ...
     assert max(products) == 2
 
 
