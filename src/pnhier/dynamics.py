@@ -267,16 +267,16 @@ def hamiltonian_flow_rhs(system, index):
       identity stack, shared by every stage.  Nothing downstream writes into
       an operand and every result is a fresh array, so a returned field
       never aliases the buffer.
-    * for a constant Pi0 (a table without jet blocks: harmonic, calogero,
-      an_toda), its value and guarded inverse from the first stage whose
-      guard passes; later stages evaluate neither again, and a failed guard
-      stores nothing.  A varying Pi0 (toda_moser, cn_toda) is evaluated,
+    * for a constant Pi0 (its jet carries the ``constant`` flag, as a
+      table without jet blocks does: harmonic, calogero, an_toda), its
+      value and guarded inverse from the first stage whose guard passes;
+      later stages evaluate neither again, and a failed guard stores
+      nothing.  A varying Pi0 (toda_moser, cn_toda) is evaluated,
       inverted and guarded at every stage.
     """
     index = check_int("flow index", index, -LADDER_CAP, LADDER_CAP)
     point = np.zeros((1, system.m))
     X = Jet2.coords(point, order=1)
-    constant = system.tables[0].constant
     kept = []               # a constant Pi0's value and its guarded inverse
 
     def rhs(t, x):
@@ -287,7 +287,7 @@ def hamiltonian_flow_rhs(system, index):
         else:
             J = system.pi0(X)
             P0, Q = J.val, _guarded_inv(J.val, "pi0")
-            if constant:
+            if J.constant:
                 kept[:] = P0, Q
             else:
                 dP0 = J.grad

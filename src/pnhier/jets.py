@@ -24,7 +24,8 @@ the scalar jet x^i and ``X[a:b]`` a vector jet of coordinates, both views,
 so a chart writes a run of table entries as one vector expression
 (vector forward mode).  Public ``Jet2(...)``, ``coords`` and ``const``
 check what they are given; arithmetic, slices, contractions and the
-bivector tables build their results through the unchecked ``Jet2._new``.
+bivector tables build their results through the unchecked ``Jet2._new``
+(a constant contraction or inverse through ``const``).
 
 One product rule.  Every multilinear operation on jets -- matrix products,
 traces, and every bracket, wedge and Koszul operator in fields and modular --
@@ -47,6 +48,21 @@ once per spec into one batched ``np.matmul`` over views of the operands
 c_einsum and keep its bits.  A plan changes only the order of the inner
 sum over the contracted indices: the term-order rule still holds, and a
 planned value, gradient or Hessian may move in its last bits.
+
+Constant jets.  The flag ``constant`` means: gradient and Hessian are
+known to be zero.  Only what is constant by construction sets it,
+``Jet2.const`` and a bivector table without jet blocks; slices,
+``jtruncate`` and ``jtranspose`` pass it on, and ``jcontract`` of
+constants only and ``jinv`` of a constant return one (``jinv`` then costs
+the inverse alone).  The product rule skips whole kernels, never testing
+an array for zeros: ``jcontract`` skips a constant operand's gradient and
+Hessian kernels and every cross kernel it is in, and ``*`` with one
+constant factor c keeps only g c and H c.  No value moves; a skipped term
+is a product with zeros, so at most a zero derivative entry changes sign
+(or a 0 * inf = nan drops out).  A constant still has gradient and
+Hessian arrays, fresh +0.0 ones where it is built.  ``+``, ``-`` and
+negation do not skip: that would hand back an operand's own array, and
+the flow right-hand side relies on every result being a fresh one.
 """
 
 from __future__ import annotations
@@ -73,7 +89,7 @@ class Jet2:
     (+, -, *, /, **) and the matrix helpers in this module.
     """
 
-    __slots__ = ("val", "grad", "hess", "m")
+    __slots__ = ("val", "grad", "hess", "m", "constant")
 
     def __init__(self, val, grad=None, hess=None, m=None):
         """The checked constructor: coerces to float arrays and checks that
@@ -90,6 +106,7 @@ class Jet2:
                 raise DimensionError("jet needs an explicit chart dimension m "
                                      "when it carries no derivatives")
         self.m = int(m)
+        self.constant = False
         if self.grad is not None and self.grad.shape != self.val.shape + (self.m,):
             raise DimensionError(f"grad shape {self.grad.shape} does not extend "
                                  f"val shape {self.val.shape} by (m={self.m},)")
@@ -100,12 +117,13 @@ class Jet2:
     # ---- constructors -----------------------------------------------------
 
     @classmethod
-    def _new(cls, val, grad, hess, m):
+    def _new(cls, val, grad, hess, m, constant=False):
         """The unchecked constructor, for results whose arrays are float
         and shaped by construction: jet arithmetic, slices, contractions
-        and bivector tables.  Public input goes through ``Jet2(...)``."""
+        and bivector tables.  Public input goes through ``Jet2(...)``.
+        ``constant`` is the flag of the module docstring."""
         J = object.__new__(cls)
-        J.val, J.grad, J.hess, J.m = val, grad, hess, m
+        J.val, J.grad, J.hess, J.m, J.constant = val, grad, hess, m, constant
         return J
 
     @classmethod
@@ -132,7 +150,10 @@ class Jet2:
 
     @classmethod
     def const(cls, value, m, batch=None, order=2):
-        """A constant jet (zero gradient / Hessian) of chart dimension m."""
+        """A constant jet of chart dimension m: its gradient and Hessian are
+        fresh +0.0 arrays, and it carries the ``constant`` flag, so the
+        product rule skips their kernels (see the module docstring).  The
+        value is not copied unless ``batch`` stacks it."""
         val = np.asarray(value, dtype=float)
         if batch is not None:
             out = np.empty((batch,) + val.shape)
@@ -140,7 +161,9 @@ class Jet2:
             val = out
         grad = np.zeros(val.shape + (m,)) if order >= 1 else None
         hess = np.zeros(val.shape + (m, m)) if order >= 2 else None
-        return cls(val, grad, hess, m=m)
+        J = cls(val, grad, hess, m=m)
+        J.constant = True
+        return J
 
     # ---- bookkeeping ------------------------------------------------------
 
@@ -164,7 +187,8 @@ class Jet2:
         at = (slice(None), key)
         return Jet2._new(self.val[at],
                          None if self.grad is None else self.grad[at],
-                         None if self.hess is None else self.hess[at], self.m)
+                         None if self.hess is None else self.hess[at], self.m,
+                         self.constant)
 
     def _coerce(self, other):
         if isinstance(other, Jet2):
@@ -212,6 +236,13 @@ class Jet2:
         val = self.val * o.val
         grad = hess = None
         if self.grad is not None and o.grad is not None:
+            if self.constant != o.constant:
+                # one constant factor c: only g c and H c are not known zeros
+                J, c = (o, self) if self.constant else (self, o)
+                grad = J.grad * c.val[..., None]
+                if J.hess is not None and c.hess is not None:
+                    hess = J.hess * c.val[..., None, None]
+                return Jet2._new(val, grad, hess, self.m)
             grad = self.grad * o.val[..., None] + self.val[..., None] * o.grad
             if self.hess is not None and o.hess is not None:
                 hess = (self.hess * o.val[..., None, None]
@@ -432,8 +463,11 @@ def jcontract(*terms):
     added in the order the terms and operands are given, so a rewrite that
     keeps that order keeps the bits.  The result has the smallest operand
     order: pass operands cut with ``jtruncate`` when only the value is read.
+    A ``constant`` operand's gradient and Hessian kernels, and every cross
+    kernel it is in, are skipped; if every operand is constant, so is the
+    result, with fresh zero derivatives.
     """
-    rules, order = [], 2
+    rules, order, constant = [], 2, True
     for term in terms:
         if isinstance(term[0], str):
             coef, spec, ops = 1, term[0], term[1:]
@@ -441,31 +475,40 @@ def jcontract(*terms):
             coef, spec, ops = term[0], term[1], term[2:]
         rules.append((coef, _product_rule(spec, len(ops)), ops))
         for J in ops:
+            constant = constant and J.constant
             if J.hess is None:
                 order = min(order, 0 if J.grad is None else 1)
     val = grad = hess = None
     for coef, (vkernel, gkernels, hkernels, xkernels), ops in rules:
         vals = [J.val for J in ops]
         val = _accumulate(val, coef, vkernel(*vals))
-        if order < 1:
+        if order < 1 or constant:
             continue
         for k, kernel in enumerate(gkernels):
+            if ops[k].constant:
+                continue
             args = vals.copy()
             args[k] = ops[k].grad
             grad = _accumulate(grad, coef, kernel(*args))
         if order < 2:
             continue
         for k, kernel in enumerate(hkernels):
+            if ops[k].constant:
+                continue
             args = vals.copy()
             args[k] = ops[k].hess
             hess = _accumulate(hess, coef, kernel(*args))
         for k, l, kernel in xkernels:
+            if ops[k].constant or ops[l].constant:
+                continue
             args = vals.copy()
             args[k] = ops[k].grad
             args[l] = ops[l].grad
             cross = kernel(*args)
             hess = _accumulate(hess, coef, cross)
             hess = _accumulate(hess, coef, cross.swapaxes(-1, -2))
+    if constant:
+        return Jet2.const(val, ops[0].m, order=order)
     return Jet2._new(val, grad, hess, ops[0].m)
 
 
@@ -495,14 +538,16 @@ def jtruncate(J, order):
     """
     if J.order <= order:
         return J
-    return Jet2._new(J.val, J.grad if order >= 1 else None, None, J.m)
+    return Jet2._new(J.val, J.grad if order >= 1 else None, None, J.m,
+                     J.constant)
 
 
 def jtranspose(A):
     """Transpose of a matrix jet."""
     return Jet2._new(A.val.swapaxes(-1, -2),
                      None if A.grad is None else A.grad.swapaxes(-3, -2),
-                     None if A.hess is None else A.hess.swapaxes(-4, -3), A.m)
+                     None if A.hess is None else A.hess.swapaxes(-4, -3), A.m,
+                     A.constant)
 
 
 # Reciprocal condition number below which a matrix counts as numerically
@@ -551,9 +596,12 @@ def jinv(A, what="matrix"):
 
     The Hessian d2(A^-1)_ab = V dA_a V dA_b V + (a <-> b) - V d2A_ab V, with
     V = A^-1, is built from batched matrix products, two operands at a
-    time, with at most one Hessian-sized temporary beside the result.
+    time, with at most one Hessian-sized temporary beside the result.  The
+    inverse of a ``constant`` jet is constant and costs no product.
     """
     V = _guarded_inv(A.val, what)
+    if A.constant:
+        return Jet2.const(V, A.m, order=A.order)
     grad = hess = None
     if A.grad is not None:
         VA = np.einsum('...ik,...kla->...ila', V, A.grad)      # V dA_a

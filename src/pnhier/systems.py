@@ -23,8 +23,10 @@ gradients and Hessians once each, and makes one upper write and one
 negated lower write per array; so a negated jet entry keeps the sign of
 its zeros, as the jet negation does, and every constant entry's
 derivatives are +0.0 in both triangles, as a lifted constant's are.  A
-table without blocks is constant (the canonical Pi_0, calogero's pi0), and
-a flow keeps such a Pi0 and its inverse (``dynamics.hamiltonian_flow_rhs``).
+table without blocks is constant (the canonical Pi_0, calogero's pi0): its
+jets carry the ``constant`` flag of ``jets``, so the product rule skips
+their derivative kernels and a flow keeps such a Pi0 and its inverse
+(``dynamics.hamiltonian_flow_rhs``).
 ``tests/table_reference.py`` keeps every table entry by entry, as scalar
 jets stacked row by row: the compiled tables match it byte for byte.
 
@@ -131,7 +133,7 @@ class BivectorTable:
     antisymmetry and a repeated one overwrite an entry.  At each call a
     block whose length is not its key count, or whose jet order is below
     X's (it has no derivatives to write), raises DimensionError too.  A
-    table without blocks is ``constant``.
+    table without blocks is ``constant``, and so are the jets it returns.
     """
 
     def __init__(self, m, const=None, blocks=(), fill=None):
@@ -182,7 +184,7 @@ class BivectorTable:
                 flat[:, self.upper] = entries
                 flat[:, self.lower] = -entries    # never negated into out=
         arrays += [None] * (3 - len(arrays))
-        return Jet2._new(*arrays, m)
+        return Jet2._new(*arrays, m, self.constant)
 
 
 def _diagonal(lo, hi, shift):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnhier import jets as jet_module
 from pnhier.errors import DimensionError, SingularTensorError
 from pnhier.fields import (cotangent_apply, evaluate, hamiltonian_vf,
                            lie_der_bivector, poisson_bracket, schouten_bb,
@@ -21,7 +22,7 @@ from pnhier.jets import (Jet2, check_invertible, differential, jcontract,
                          jinv, jlogabsdet, jmatmul, jmatpow, jmatvec, jstack,
                          jtrace, jtranspose, jtruncate, trace_pair)
 from pnhier.modular import koszul_d, pn_modular_field
-from pnhier.systems import make_system
+from pnhier.systems import BivectorTable, make_system
 
 rng = np.random.default_rng(20260816)
 
@@ -607,3 +608,142 @@ def test_integer_power_is_repeated_product(v, p):
     assert np.allclose(direct.val, repeated.val, atol=1e-12)
     assert np.allclose(direct.grad, repeated.grad, atol=1e-10)
     assert np.allclose(direct.hess, repeated.hess, atol=1e-9)
+
+
+# ---- constant jets ---------------------------------------------------------
+
+def constant_matrix_jet(B=4, n=3, m=3, seed=1):
+    """A well-conditioned batch of n x n matrices as a constant jet."""
+    r = np.random.default_rng(seed)
+    return Jet2.const(np.eye(n) * 3.0 + r.uniform(-1.0, 1.0, (B, n, n)), m)
+
+
+def unflagged(J):
+    """J's arrays as a jet without the constant flag."""
+    return Jet2(J.val, J.grad, J.hess, m=J.m)
+
+
+def test_the_constant_flag_is_set_by_construction_and_passed_on():
+    C, A = constant_matrix_jet(), random_matrix_jet(4, 3, 3)
+    X = Jet2.coords(sample_points(B=4, m=4))
+    blockless = BivectorTable(4, {(0, 2): -1.0, (1, 3): -1.0})
+    with_block = BivectorTable(4, {(0, 2): -1.0}, [[(1, 3)]],
+                               lambda X: (X[:1],))
+    flagged = {
+        "const": Jet2.const(2.5, 3),
+        "const order 0": Jet2.const(2.5, 3, order=0),
+        "blockless table": blockless(X),
+        "order-1 table": blockless(Jet2.coords(X.val, order=1)),
+        "entry": C[0], "slice": C[1:], "jtruncate 1": jtruncate(C, 1),
+        "jtruncate 0": jtruncate(C, 0), "jtranspose": jtranspose(C),
+        "all-constant jcontract": jcontract(("ik,kj->ij", C, C),
+                                            (2.0, "ij->ji", C)),
+        "jinv": jinv(C), "jinv order 1": jinv(jtruncate(C, 1)),
+    }
+    plain = {
+        "Jet2(...)": unflagged(C), "coords": X, "coordinate": X[0],
+        "table with a block": with_block(X),
+        "mixed jcontract": jcontract(("ik,kj->ij", A, C)),
+        "sum": C + C, "difference": C - C, "negation": -C,
+        "sum with a number": C + 1.0, "mixed product": A * C,
+        "jinv of a varying jet": jinv(A),
+    }
+    for name, J in flagged.items():
+        assert J.constant is True, name
+    for name, J in plain.items():
+        assert J.constant is False, name
+
+
+def test_a_built_constant_owns_fresh_zero_derivatives():
+    C = constant_matrix_jet()
+    X = Jet2.coords(sample_points(B=4, m=4))
+    built = (C, Jet2.const(np.ones(2), 3, batch=5),
+             BivectorTable(4, {(0, 2): -1.0})(X), jinv(C),
+             jcontract(("ik,kj->ij", C, C)))
+    for J in built:
+        assert J.constant and J.order == 2
+        for k, part in enumerate((J.grad, J.hess), 1):
+            assert part.shape == J.val.shape + (J.m,) * k
+            assert part.flags.owndata and part.flags.writeable
+            assert not part.any() and not np.signbit(part).any()
+            assert not any(np.shares_memory(part, other.grad)
+                           or np.shares_memory(part, other.hess)
+                           for other in built if other is not J)
+
+
+def test_jcontract_runs_no_derivative_kernel_of_a_constant(monkeypatch):
+    calls, rule = [], jet_module._product_rule
+
+    def spy(spec, n):
+        value, grads, hessians, crosses = rule(spec, n)
+
+        def tagged(tag, kernel):
+            def run(*args):
+                calls.append(tag)
+                return kernel(*args)
+            return run
+
+        return (tagged("val", value),
+                tuple(tagged(f"grad{k}", g) for k, g in enumerate(grads)),
+                tuple(tagged(f"hess{k}", h) for k, h in enumerate(hessians)),
+                tuple((k, l, tagged(f"cross{k}{l}", x))
+                      for k, l, x in crosses))
+
+    monkeypatch.setattr(jet_module, "_product_rule", spy)
+    A, B = (random_matrix_jet(3, 3, 3, seed=seed) for seed in (1, 2))
+    C = constant_matrix_jet(3, 3, 3)
+    cases = (
+        (("ik,kj->ij", A, B), "val grad0 grad1 hess0 hess1 cross01"),
+        (("ik,kj->ij", A, C), "val grad0 hess0"),
+        (("ik,kj->ij", C, B), "val grad1 hess1"),
+        (("ik,kl,lj->ij", A, C, B), "val grad0 grad2 hess0 hess2 cross02"),
+        (("ik,kl,lj->ij", C, A, C), "val grad1 hess1"),
+        (("ik,kl,lj->ij", C, C, C), "val"),
+        (("ik,kj->ij", jtruncate(A, 1), C), "val grad0"),
+    )
+    for term, want in cases:
+        calls.clear()
+        jcontract(term)
+        assert calls == want.split(), want
+
+
+def test_the_inverse_of_a_constant_forms_no_product(monkeypatch):
+    calls = []
+    for name in ("einsum", "matmul"):
+        def spy(*args, real=getattr(np, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    monkeypatch.setattr(jet_module, "_einsum", np.einsum)
+    C = constant_matrix_jet()
+    assert jinv(C).constant and calls == []
+    jinv(unflagged(C))                      # the spy sees the general route
+    assert "einsum" in calls and "matmul" in calls
+
+
+def test_a_product_with_a_constant_equals_its_unflagged_twin():
+    # values bit for bit; a skipped term is a product with zeros, so the
+    # derivatives agree under == (a zero's sign may differ)
+    x = sample_points(B=4)
+    x0, x1, _ = Jet2.coords(x)
+    A = random_matrix_jet(4, 3, 3, seed=3)
+    builds = (
+        lambda c: jcontract(("ik,kj->ij", A, c)),
+        lambda c: jcontract(("ik,kj->ij", c, A),
+                            (-1, "ik,kl,lj->ij", A, c, A)),
+        lambda c: jmatmul(A, jinv(c)),
+        lambda c: jinv(c),
+        lambda c: A * c,
+        lambda c: c * A,
+        lambda c: x0 * c[0][0],
+        lambda c: c[1][2] * (x0 * x1),
+        lambda c: jtruncate(x0, 1) * c[0][1],
+    )
+    C = constant_matrix_jet()
+    for build in builds:
+        got, want = build(C), build(unflagged(C))
+        assert got.order == want.order
+        assert got.val.tobytes() == want.val.tobytes()
+        assert np.array_equal(got.grad, want.grad)
+        assert got.hess is want.hess is None or np.array_equal(got.hess,
+                                                               want.hess)

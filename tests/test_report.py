@@ -156,6 +156,51 @@ def test_value_only_rows_contract_at_order_0(key, n, monkeypatch):
             assert set(orders) <= {0}, name
 
 
+def row_defects(system, seed):
+    """verify_report's rendering and each row's per-sample defect array."""
+    arrays, judged = {}, report._judged_row
+
+    def spy(ws, name, identity, run, *rest):
+        def recorded(ws):
+            arrays[name] = np.asarray(run(ws), dtype=float)
+            return arrays[name]
+        return judged(ws, name, identity, recorded, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_judged_row", spy)
+        text = render_report(verify_report(system, seed=seed))
+    return text, arrays
+
+
+@pytest.mark.parametrize("key, n", [("harmonic", 4), ("calogero", 3),
+                                    ("an_toda", 4)])
+def test_constant_jets_keep_every_row_defect_bit_for_bit(key, n, monkeypatch):
+    # the product rule skips the derivative kernels of constant jets; with
+    # the flag cleared on every jet it runs them all, as it did before the
+    # flag existed, and every row must read the same bytes
+    system = make_system(key, n)
+    assert system.pi0(system.jets(probe_point(system))).constant
+    flagged = [row_defects(system, seed) for seed in (0, 7)]
+    new, const = jets.Jet2._new.__func__, jets.Jet2.const.__func__
+
+    def const_unflagged(cls, *args, **kwargs):
+        J = const(cls, *args, **kwargs)
+        J.constant = False
+        return J
+
+    monkeypatch.setattr(jets.Jet2, "_new", classmethod(
+        lambda cls, val, grad, hess, m, constant=False:
+        new(cls, val, grad, hess, m)))
+    monkeypatch.setattr(jets.Jet2, "const", classmethod(const_unflagged))
+    assert not system.pi0(system.jets(probe_point(system))).constant
+    for seed, (text, arrays) in zip((0, 7), flagged):
+        plain_text, plain = row_defects(system, seed)
+        assert plain_text == text
+        assert sorted(plain) == sorted(arrays) and len(arrays) > 10
+        for name, d in arrays.items():
+            assert plain[name].tobytes() == d.tobytes(), (seed, name)
+
+
 @pytest.mark.parametrize("key, n", [("harmonic", 1), ("calogero", 1),
                                     ("toda_moser", 1), ("cn_toda", 2),
                                     ("an_toda", 2)])
