@@ -1,4 +1,4 @@
-"""Flow integration with conservation monitoring and an in-repo eigensolver.
+"""Flow integration with conservation monitoring.
 
 Hierarchy flows are ordinary ODEs in the chart; this module integrates them
 with fixed-step RK4 or adaptive RKF45, two steps under one run loop
@@ -7,14 +7,11 @@ it, or whose right-hand side turns singular, is truncated at its last good
 step) and keeps the step statistics, and evaluates the quantities the
 flows are supposed to conserve (ladder hamiltonians, Lax spectra).  A
 flow's right-hand side keeps what does not change between its stages: the
-coordinate jet, built once, and a constant Pi0 with its inverse.  The
-symmetric eigensolver is written out in full -- Householder
-tridiagonalization followed by QL with implicit shifts -- so spectral drift
-checks do not depend on LAPACK's eigensolver.
-It is the package's one eigensolver and runs batched, over a whole
-trajectory's stack of Lax matrices at once.  A per-matrix version of the
-same arithmetic stays in the tests (tests/eigen_reference.py) as its
-bit-for-bit reference; LAPACK's eigvalsh is the independent cross-check.
+coordinate jet, built once, and a constant Pi0 with its inverse.  The Lax
+spectra of a whole trajectory come from one LAPACK call
+(``np.linalg.eigvalsh``), as N's spectrum (``hierarchy.spectrum``) does; a
+per-matrix Householder-QL solver in the tests (tests/eigen_reference.py)
+is their independent cross-check.
 """
 
 from __future__ import annotations
@@ -345,143 +342,34 @@ def lax_monitors(system, states):
     return {f"lambda_{j + 1}": ev[:, j] for j in range(ev.shape[1])}
 
 
-# ---- symmetric eigensolver -----------------------------------------------------
-#
-# One batched solver: every step runs over the whole (B, k, k) stack at once,
-# with boolean masks where a per-matrix solver would branch.  Per matrix it
-# does the scalar arithmetic of the per-matrix reference in
-# tests/eigen_reference.py, so the two agree bit for bit.
-
-def _tridiagonalize(T):
-    """Householder reduction of a stack of symmetric matrices, in place.
-
-    Returns the (B, k) diagonals and (B, k - 1) off-diagonals.  A matrix
-    whose column is already reduced (norm == 0 or vn == 0) skips the step.
-    """
-    k = T.shape[-1]
-    for i in range(k - 2):
-        x = T[:, i + 1:, i]
-        norm = np.sqrt(np.sum(x * x, axis=-1))
-        v = x.copy()
-        v[:, 0] -= np.where(x[:, 0] >= 0.0, -norm, norm)
-        vn = np.sqrt(np.sum(v * v, axis=-1))
-        live = (norm != 0.0) & (vn != 0.0)
-        if live.all():
-            S = T
-        else:
-            sel = np.flatnonzero(live)
-            S, v, vn = T[sel], v[sel], vn[sel]
-        v /= vn[:, None]
-        # two-sided reflection H T H with H = I - 2 v v^T on the trailing block
-        S[:, i + 1:, i:] -= 2.0 * (v[:, :, None]
-                                   * np.matmul(v[:, None, :], S[:, i + 1:, i:]))
-        S[:, :, i + 1:] -= 2.0 * (np.matmul(S[:, :, i + 1:], v[:, :, None])
-                                  * v[:, None, :])
-        if S is not T:
-            T[sel] = S
-    return np.diagonal(T, 0, 1, 2).copy(), np.diagonal(T, 1, 1, 2).copy()
-
-
-def _ql_implicit(d, e, budget, tag):
-    """Eigenvalues of a stack of symmetric tridiagonal matrices (rows of d
-    and e) by QL with implicit shifts, sorted per row.
-
-    Each round splits off, per matrix, the eigenvalue at its current index l
-    when the off-diagonal below it is negligible, and otherwise runs one
-    implicit-shift sweep from its deflation point m down to l.  A sweep
-    that underflows (r == 0) stops early and the matrix retries the same l.
-    More than ``budget`` sweeps on any one matrix is a ConvergenceError.
-    """
-    B, n = d.shape
-    d = d.copy()
-    ee = np.zeros((B, n))
-    ee[:, :n - 1] = e
-    eps = np.finfo(float).eps
-    l = np.zeros(B, dtype=np.intp)
-    used = np.zeros(B, dtype=np.intp)
-    col = np.arange(n)
-    small = np.ones((B, n), dtype=bool)      # column n - 1: always a split
-    while True:
-        live = l < n
-        if not live.any():
-            return np.sort(d, axis=-1)
-        small[:, :n - 1] = (np.abs(ee[:, :n - 1])
-                            <= eps * (np.abs(d[:, :n - 1]) + np.abs(d[:, 1:])))
-        m_ = np.argmax(small & (col >= l[:, None]), axis=1)
-        l[live & (m_ == l)] += 1
-        idx = np.flatnonzero(live & (m_ > l))
-        if idx.size == 0:
-            continue
-        used[idx] += 1
-        if np.any(used > budget):
-            raise ConvergenceError(
-                f"{tag}: QL did not converge within {budget} iterations")
-        D, E, lo, hi = d[idx], ee[idx], l[idx], m_[idx]
-        rows = np.arange(idx.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # masked-out rows compute values that are never stored
-            dl, el = D[rows, lo], E[rows, lo]
-            g = (D[rows, lo + 1] - dl) / (2.0 * el)
-            r = np.hypot(g, 1.0)
-            g = D[rows, hi] - dl + el / (g + np.where(g >= 0.0, r, -r))
-            s, c, p = np.ones(idx.size), np.ones(idx.size), np.zeros(idx.size)
-            going = np.ones(idx.size, dtype=bool)
-            for i in range(int(hi.max()) - 1, int(lo.min()) - 1, -1):
-                run = going & (lo <= i) & (i < hi)
-                f = s * E[:, i]
-                b = c * E[:, i]
-                r = np.hypot(f, g)
-                E[run, i + 1] = r[run]
-                stop = run & (r == 0.0)
-                D[stop, i + 1] -= p[stop]
-                E[stop, hi[stop]] = 0.0
-                going &= ~stop
-                run &= ~stop
-                s_new, c_new = f / r, g / r
-                g = np.where(run, D[:, i + 1] - p, g)
-                r = (D[:, i] - g) * s_new + 2.0 * c_new * b
-                p_new = s_new * r
-                D[run, i + 1] = (g + p_new)[run]
-                g = np.where(run, c_new * r - b, g)
-                s = np.where(run, s_new, s)
-                c = np.where(run, c_new, c)
-                p = np.where(run, p_new, p)
-        fin = rows[going]
-        D[fin, lo[fin]] -= p[fin]
-        E[fin, lo[fin]] = g[fin]
-        E[fin, hi[fin]] = 0.0
-        d[idx], ee[idx] = D, E
-
+# ---- Lax spectra -------------------------------------------------------------
 
 def lax_eigenvalues(L, tag="lax"):
     """Sorted eigenvalues of a real symmetric matrix or a (B, k, k) stack.
 
-    One batched solver in the package: Householder tridiagonalization
-    followed by implicit-shift QL, run over the whole stack at once and
-    budgeted at 30*k iterations per matrix (ConvergenceError beyond).  A 2-D
-    input is a batch of one and gives a (k,) result; an empty stack gives a
-    (0, k) one.  Every size k takes the same path: at k = 1 the reduction
-    and the QL sweep do nothing and the diagonal is returned as it is.
-    Input must be square (DimensionError), finite, and each matrix
-    symmetric to roundoff at its own scale max(|L|, 1) (DomainError
-    otherwise).  The per-matrix reference in tests/eigen_reference.py must
-    agree bit for bit, and LAPACK's eigvalsh is the independent cross-check.
+    One LAPACK call (``np.linalg.eigvalsh``, the ``dsyevd`` route) on the
+    whole stack; a failure to converge there is a ConvergenceError naming
+    ``tag``.  A 2-D input is a batch of one and gives a (k,) result; an
+    empty stack gives a (0, k) one.  Input must be square
+    (DimensionError), finite, and each matrix symmetric to roundoff at its
+    own scale max(|L|, 1) (DomainError otherwise).  The per-matrix
+    Householder-QL solver in tests/eigen_reference.py is the independent
+    cross-check.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim not in (2, 3) or L.shape[-1] != L.shape[-2]:
         raise DimensionError(f"{tag}: expected a square matrix or a stack "
                              f"of them, got {L.shape}")
-    stack = L[None] if L.ndim == 2 else L       # a 2-D input is a batch of one
-    k = stack.shape[-1]
     # before the symmetry test, which a nan passes (nan > tol is false)
-    if not np.isfinite(stack).all():
+    if not np.isfinite(L).all():
         raise DomainError(f"{tag}: matrix has non-finite entries")
-    # initial=0.0: a 0 x 0 matrix has no entries to take the maximum of
-    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2), initial=0.0), 1.0)
-    asym = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2),
-                  initial=0.0)
+    # each matrix at its own scale (initial=0.0: a 0 x 0 matrix has no
+    # entries to take the maximum of)
+    scale = np.maximum(np.max(np.abs(L), axis=(-2, -1), initial=0.0), 1.0)
+    asym = np.max(np.abs(L - L.swapaxes(-2, -1)), axis=(-2, -1), initial=0.0)
     if np.any(asym > 1e-10 * scale):
         raise DomainError(f"{tag}: matrix is not symmetric")
-    d, e = _tridiagonalize(stack.copy())
-    ev = _ql_implicit(d, e, budget=30 * k, tag=tag)
-    return ev[0] if L.ndim == 2 else ev
+    try:
+        return np.linalg.eigvalsh(L)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{tag}: {exc}") from exc

@@ -41,7 +41,8 @@ class StepUnderflow(EngineError):
 
 
 class ConvergenceError(EngineError):
-    """An iterative solver exhausted its iteration budget."""
+    """LAPACK's symmetric eigensolver did not converge on a Lax matrix
+    (``dynamics.lax_eigenvalues``, which names the matrix's tag)."""
 
 
 def check_int(name, value, lo=None, hi=None):

@@ -80,6 +80,10 @@ try:    # the C routine behind np.einsum(optimize=False), without the 1-2 us wra
 except ImportError:     # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
 
+# the class test of every Jet2._new result reads this global: np.ndarray,
+# a numpy module attribute, takes twice as long as the test itself
+_ndarray = np.ndarray
+
 
 class Jet2:
     """Value + gradient + Hessian of a batched quantity.
@@ -121,7 +125,11 @@ class Jet2:
         """The unchecked constructor, for results whose arrays are float
         and shaped by construction: jet arithmetic, slices, contractions
         and bivector tables.  Public input goes through ``Jet2(...)``.
-        ``constant`` is the flag of the module docstring."""
+        ``constant`` is the flag of the module docstring.  A numpy scalar
+        value (what arithmetic on two unbatched jets gives) becomes a 0-d
+        array, so every ``.val`` is an array."""
+        if val.__class__ is not _ndarray:
+            val = np.asarray(val)
         J = object.__new__(cls)
         J.val, J.grad, J.hess, J.m, J.constant = val, grad, hess, m, constant
         return J

@@ -1,11 +1,13 @@
-"""Per-matrix symmetric eigensolver: the bit-for-bit reference for
+"""Per-matrix symmetric eigensolver: the independent cross-check of
 ``dynamics.lax_eigenvalues``.
 
 Householder tridiagonalization and implicit-shift QL, one matrix at a
-time, with Python control flow.  The package's batched solver runs the
-same scalar arithmetic over a whole stack at once, with masks where this
-code branches, so its eigenvalues must equal these bit for bit.  LAPACK's
-``eigvalsh`` stays the independent cross-check of both.
+time, with Python control flow.  The package takes its Lax spectra from
+LAPACK (``np.linalg.eigvalsh``); this is another algorithm with other
+roundoff, so the tests hold the two to agree within a stated number of
+units of eps * max(1, |lambda|), not bit for bit.  The rare branch of the
+QL sweep (r == 0, an underflow) is checked against LAPACK on tridiagonal
+matrices that reach it.
 """
 
 import numpy as np
@@ -35,7 +37,7 @@ def _tridiagonalize(A):
     return np.diag(T).copy(), np.diag(T, 1).copy()
 
 
-def _ql_implicit(d, e, budget, tag):
+def reference_ql(d, e, budget, tag):
     """Eigenvalues of a symmetric tridiagonal matrix by QL with implicit shifts."""
     n = d.size
     d = d.copy()
@@ -95,5 +97,5 @@ def reference_eigenvalues(L, budget=None, tag="reference"):
     if k == 1:
         return L[:, 0, :1].copy()
     budget = 30 * k if budget is None else budget
-    return np.array([_ql_implicit(*_tridiagonalize(A), budget=budget, tag=tag)
+    return np.array([reference_ql(*_tridiagonalize(A), budget=budget, tag=tag)
                      for A in L]).reshape(L.shape[0], k)

@@ -101,13 +101,18 @@ def commands():
     yield "bench-flow-an-toda-seed0", [sys.executable, "-c", BENCH_TEXT]
 
 
-def main(argv):
-    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+def run(tree, cmd):
+    """Run one command in TREE against its ``src``, BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
+
+
+def main(argv):
+    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
     for label, cmd in commands():
-        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
+        done = run(tree, cmd)
         out = hashlib.sha256(done.stdout).hexdigest()
         err = hashlib.sha256(done.stderr).hexdigest()
         print(f"{label} {done.returncode} {out} {err}", flush=True)

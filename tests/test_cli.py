@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pnhier.cli import main
+from pnhier.errors import SingularTensorError
 
 
 def run(capsys, *argv):
@@ -218,25 +219,35 @@ def test_unwritable_out_exits_3(capsys, tmp_path):
     assert code == 3
 
 
-def test_an_engine_failure_exits_1(capsys, monkeypatch):
+def singular_flow(system, index):
+    def rhs(t, x):
+        raise SingularTensorError("pi0 is numerically singular at 1 of 1 "
+                                  "sample points")
+    return rhs
+
+
+def no_convergence(L):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("target, failure, message", [
     # no catalog chart is singular at its probe point, so the flow is made
     # singular there: the first evaluation raises, which no run truncates
-    from pnhier import cli
-    from pnhier.errors import SingularTensorError
-
-    def singular_flow(system, index):
-        def rhs(t, x):
-            raise SingularTensorError("pi0 is numerically singular at 1 of 1 "
-                                      "sample points")
-        return rhs
-
-    monkeypatch.setattr(cli, "hamiltonian_flow_rhs", singular_flow)
+    ("pnhier.cli.hamiltonian_flow_rhs", singular_flow,
+     "pi0 is numerically singular at 1 of 1 sample points"),
+    # LAPACK fails on the recorded Lax stack: lax_monitors raises a
+    # ConvergenceError after the run
+    ("numpy.linalg.eigvalsh", no_convergence,
+     "an_toda Lax: Eigenvalues did not converge"),
+], ids=("singular-start", "lax-convergence"))
+def test_an_engine_failure_exits_1(capsys, monkeypatch, target, failure,
+                                   message):
+    monkeypatch.setattr(target, failure)
     for method in ("rk4", "rkf45"):
         code, out, err = run(capsys, "integrate", "--system", "an-toda",
-                             "--method", method)
+                             "--t-end", "0.1", "--method", method)
         assert (code, out) == (1, "")
-        assert err == ("failed: pi0 is numerically singular at 1 of 1 "
-                       "sample points\n")
+        assert err == f"failed: {message}\n"
 
 
 def test_checks_selector_runs_one_row(capsys):

@@ -610,6 +610,34 @@ def test_integer_power_is_repeated_product(v, p):
     assert np.allclose(direct.hess, repeated.hess, atol=1e-9)
 
 
+UNBATCHED = {
+    "+": (lambda a, b: a + b, 3.5),
+    "-": (lambda a, b: a - b, 0.5),
+    "*": (lambda a, b: a * b, 3.0),
+    "/": (lambda a, b: a / b, 2.0 / 1.5),
+    "neg": (lambda a, b: -a, -2.0),
+    "exp": (lambda a, b: a.exp(), np.exp(2.0)),
+    "log": (lambda a, b: a.log(), np.log(2.0)),
+    "sqrt": (lambda a, b: a.sqrt(), np.sqrt(2.0)),
+    "**3": (lambda a, b: a ** 3, 8.0),
+    "**0.5": (lambda a, b: a ** 0.5, np.sqrt(2.0)),
+    "const+const": (lambda a, b: b + b, 3.0),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNBATCHED))
+def test_arithmetic_on_unbatched_jets_gives_a_0d_array(op):
+    # two 0-d operands make numpy return a scalar, which .val must not hold
+    a = Jet2(2.0, [1.0, 0.5, 0.0], np.zeros((3, 3)))
+    b = Jet2.const(1.5, 3)
+    fn, want = UNBATCHED[op]
+    r = fn(a, b)
+    assert type(r.val) is np.ndarray and r.val.shape == ()
+    assert r.val == want
+    r.val[...] = 7.0            # a numpy scalar would refuse the write
+    assert r.val == 7.0
+
+
 # ---- constant jets ---------------------------------------------------------
 
 def constant_matrix_jet(B=4, n=3, m=3, seed=1):
