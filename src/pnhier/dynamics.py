@@ -69,7 +69,7 @@ class Trajectory:
                 f"[{self.times[0]:g}, {self.times[-1]:g}]{flag})")
 
 
-def _start_state(rhs, x0, t_end, guard):
+def _start_state(x0, t_end, guard):
     x0 = np.asarray(x0, dtype=float).ravel()
     check_positive("t_end", t_end)
     if guard is not None and not np.all(guard(x0[None, :])):
@@ -151,7 +151,7 @@ def rk4(rhs, x0, t_end, dt, record_every=1, guard=None):
     integer record_every >= 1 and at most MAX_STEPS steps, or a RangeError
     before the first step.
     """
-    x = _start_state(rhs, x0, t_end, guard)
+    x = _start_state(x0, t_end, guard)
     check_positive("dt", dt)
     record_every = check_int("record_every", record_every, 1)
     ratio = t_end / dt               # inf when it overflows
@@ -176,7 +176,7 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     rk4's dt is, and atol and rtol as well (``errors.check_positive``), each
     also <= 1e-2.
     """
-    x = _start_state(rhs, x0, t_end, guard)
+    x = _start_state(x0, t_end, guard)
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if check_positive(name, tol) > 1e-2:
             raise RangeError(f"{name} must lie in (0, 1e-2], got {tol}")

@@ -102,8 +102,9 @@ class Hierarchy:
     two contractions of B^(n-1), whose gradient already holds the sum over
     j of B^j dB B^(n-2-j), against the order-2 B; at n = 1 it is the trace
     of d2 B.  Powers are held only at the two ends of the walk, besides N
-    and N^-1.  h_0 = log|det N|/2 is computed on first request.  Modular
-    fields and divergences are taken in the coordinate Lebesgue density.
+    and N^-1.  h_0 = log|det N|/2 is computed on first request by
+    ``jlogabsdet``, which inverts N apart from the walk.  Modular fields
+    and divergences are taken in the coordinate Lebesgue density.
     An object that needs P0 or Z0 raises RangeError when it was passed as
     None; so does an index that is not an integer in
     -LADDER_CAP..LADDER_CAP, on every call (True and 1.0 are not 1).

@@ -97,7 +97,8 @@ class Jet2:
 
     def __init__(self, val, grad=None, hess=None, m=None):
         """The checked constructor: coerces to float arrays and checks that
-        grad and hess extend the value's shape by (m,) and (m, m)."""
+        grad and hess extend the value's shape by (m,) and (m, m), m an
+        integer >= 1 (None reads it off the derivatives)."""
         self.val = np.asarray(val, dtype=float)
         self.grad = None if grad is None else np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
@@ -109,7 +110,7 @@ class Jet2:
             else:
                 raise DimensionError("jet needs an explicit chart dimension m "
                                      "when it carries no derivatives")
-        self.m = int(m)
+        self.m = check_int("m", m, 1)
         self.constant = False
         if self.grad is not None and self.grad.shape != self.val.shape + (self.m,):
             raise DimensionError(f"grad shape {self.grad.shape} does not extend "
@@ -141,9 +142,11 @@ class Jet2:
         X is one (B, m) vector jet: its value is x itself (a float x is not
         copied), its gradient one (B, m, m) identity stack and its Hessian
         zeros.  ``X[i]`` is the scalar jet x^i and ``X[a:b]`` the vector jet
-        of coordinates a..b-1, views both.  Lower orders save a lot of
-        memory on long batches (a trajectory only needs values).
+        of coordinates a..b-1, views both.  ``order`` is an integer in 0..2;
+        lower orders save a lot of memory on long batches (a trajectory only
+        needs values).
         """
+        order = check_int("order", order, 0, 2)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -161,10 +164,13 @@ class Jet2:
         """A constant jet of chart dimension m: its gradient and Hessian are
         fresh +0.0 arrays, and it carries the ``constant`` flag, so the
         product rule skips their kernels (see the module docstring).  The
-        value is not copied unless ``batch`` stacks it."""
+        value is not copied unless ``batch`` (None or an integer >= 0)
+        stacks it; m >= 1 and order in 0..2 are integers too."""
+        m = check_int("m", m, 1)
+        order = check_int("order", order, 0, 2)
         val = np.asarray(value, dtype=float)
         if batch is not None:
-            out = np.empty((batch,) + val.shape)
+            out = np.empty((check_int("batch", batch, 0),) + val.shape)
             out[...] = val
             val = out
         grad = np.zeros(val.shape + (m,)) if order >= 1 else None
@@ -207,15 +213,20 @@ class Jet2:
 
     # ---- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """self + other (op np.add) or self - other (op np.subtract),
+        component by component, as one fresh jet: ``-`` is not a negation
+        and a sum, yet bit for bit self + (-other), signed zeros included."""
         o = self._coerce(other)
-        val = self.val + o.val
         grad = hess = None
         if self.grad is not None and o.grad is not None:
-            grad = self.grad + o.grad
+            grad = op(self.grad, o.grad)
         if self.hess is not None and o.hess is not None:
-            hess = self.hess + o.hess
-        return Jet2._new(val, grad, hess, self.m)
+            hess = op(self.hess, o.hess)
+        return Jet2._new(op(self.val, o.val), grad, hess, self.m)
+
+    def __add__(self, other):
+        return self._sum(other, np.add)
 
     __radd__ = __add__
 
@@ -225,16 +236,7 @@ class Jet2:
                          None if self.hess is None else -self.hess, self.m)
 
     def __sub__(self, other):
-        # one jet, not a negation and a sum: bit for bit self + (-other),
-        # signed zeros included
-        o = self._coerce(other)
-        val = self.val - o.val
-        grad = hess = None
-        if self.grad is not None and o.grad is not None:
-            grad = self.grad - o.grad
-        if self.hess is not None and o.hess is not None:
-            hess = self.hess - o.hess
-        return Jet2._new(val, grad, hess, self.m)
+        return self._sum(other, np.subtract)
 
     def __rsub__(self, other):
         return self._coerce(other) - self

@@ -64,12 +64,12 @@ def hamiltonian_family_defect(hier, ladder, lam, mu, nu, anchor, i_range, j_rang
         for i in i_range for j in j_range if i + j != 0)
 
 
-def anomaly_defect(hier, ladder, lam, mu, anomaly, i_range):
+def anomaly_defect(hier, ladder, anomaly, i_range):
     """Per-sample max defect of Z_i(h_{-i}) = anomaly, a constant, over i in i_range.
 
-    For the open lattice systems the constant is n*(mu - lam) with n the
-    number of degrees of freedom; it is independent of i.  Reads values
-    only: Z_i is cut to order 0, so every contraction is.
+    The caller supplies the constant: for the open lattice systems it is
+    n*(mu - lam) with n the number of degrees of freedom, independent of i.
+    Reads values only: Z_i is cut to order 0, so every contraction is.
     """
     return worst_defect(
         evaluate(jtruncate(hier.master(i), 0), ladder[-i]).val - anomaly

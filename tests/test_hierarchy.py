@@ -17,7 +17,7 @@ from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
                               lenard_defect, n_act, recursion_operator,
                               spectral_pairing, spectrum)
 from pnhier import hierarchy, jets
-from pnhier.jets import Jet2, jmatpow, jtrace
+from pnhier.jets import Jet2, jlogabsdet, jmatpow, jtrace
 from pnhier.modular import koszul_d
 from pnhier.report import verify_report
 from pnhier.systems import make_system
@@ -130,6 +130,28 @@ def test_h0_gradient_against_fd_of_slogdet():
     h0 = ref.hierarchy_hamiltonian(N, 0)
     assert np.allclose(h0.val, h0_np(x), atol=1e-13)
     assert np.allclose(h0.grad, pj.fd_grad(h0_np, x), atol=1e-7)
+
+
+@pytest.mark.parametrize("n, samples, seed", [(3, 100, 222), (3, 100, 281),
+                                              (6, 50, 0)])
+def test_cn_toda_commuting_flows_hold_with_the_lax_h0(n, samples, seed):
+    # The oracle of ROADMAP item 1(a).  On cn_toda det N = (det L)^2 and L
+    # is linear in x with L(0) = 0, so h_0 = log|det L|, with gradient
+    # lax_np(e_a) in each coordinate a and Hessian zero.  cond(L) stays far
+    # below cond(N): with this h_0 the row holds at the points where the
+    # engine's h_0 Hessian reads 1.2e-7 to 6.0e-7 against tol 1e-7.
+    system = make_system("cn_toda", n)
+    x = system.sample(samples, seed)
+    jets = system.jets(x)
+    P0 = system.pi0(jets)
+    ladder = Hierarchy(P0, recursion_operator(P0, system.pi1(jets))).ladder(4)
+    lax, m = system.extras["lax_np"], system.m
+    dL = np.moveaxis(lax(np.eye(m)), 0, -1)              # (2n, 2n, m)
+    h0 = jlogabsdet(Jet2(lax(x), np.broadcast_to(dL, (samples,) + dL.shape),
+                         np.zeros((samples,) + dL.shape + (m,))))
+    for oracle, engine in ((h0.val, ladder[0].val), (h0.grad, ladder[0].grad)):
+        assert np.max(np.abs(oracle - engine)) <= 1e-10 * np.max(np.abs(engine))
+    assert np.max(commuting_flows_defect(P0, {**ladder, 0: h0})) < 1e-7
 
 
 def test_spectrum_against_dense_eigvals():

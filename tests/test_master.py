@@ -90,10 +90,10 @@ def test_anomaly_is_the_site_count():
         sys, jets, P0, P1, N = tm_workspace(n=n)
         Z0 = sys.extras["oevel"]["z0"](jets)
         ladder = Hierarchy(None, N).ladder(depth=3, neg_depth=3)
-        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, float(n), range(-2, 3))
+        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, float(n), range(-2, 3))
         assert np.max(d) < 1e-12
         # and the wrong constant is detected
-        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, LAM, MU, float(n) + 0.5,
+        d = anomaly_defect(Hierarchy(P0, N, Z0), ladder, float(n) + 0.5,
                            range(-2, 3))
         assert np.min(d) > 0.4
 

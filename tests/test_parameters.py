@@ -2,9 +2,10 @@
 
 ``errors.check_int`` refuses a float, a bool, a string and None with a
 RangeError instead of truncating or leaking a TypeError, and accepts numpy
-integers as the ints they are.  The flow index and ``record_every`` take the
-same cases in tests/test_dynamics.py.  ``errors.check_positive`` refuses
-zero, negatives, nan, infinities and non-numbers alike.
+integers as the ints they are; a jet order is one in 0..2.  The flow index
+and ``record_every`` take the same cases in tests/test_dynamics.py.
+``errors.check_positive`` refuses zero, negatives, nan, infinities and
+non-numbers alike.
 """
 
 import numpy as np
@@ -47,16 +48,44 @@ ENTRY_POINTS = {
         None, DIAG).hamiltonian(v).val.tolist(),
     **{f"make_system-{key}": (lambda key: lambda v: _chart(key, v))(key)
        for key in SYSTEMS},
+    "Jet2-m": lambda v: repr(Jet2(np.zeros(2), m=v)),
+    "Jet2.const-m": lambda v: repr(Jet2.const(1.0, v)),
+    "Jet2.const-batch": lambda v: Jet2.const(1.0, 2, batch=v).val.tolist(),
 }
+
+# None reads m off the derivatives, and asks const for an unbatched value
+NONE_IS_A_DEFAULT = ("Jet2-m", "Jet2.const-batch")
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_integer_parameters_refuse_non_integers_and_take_numpy_ints(entry):
     call = ENTRY_POINTS[entry]
     for bad in (2.5, True, "2", None):
+        if bad is None and entry in NONE_IS_A_DEFAULT:
+            continue
         with pytest.raises(RangeError, match="must be an integer"):
             call(bad)
     assert call(np.int64(3)) == call(3)
+
+
+JET_ORDERS = {
+    "Jet2.coords-order": lambda v: repr(Jet2.coords(np.zeros((1, 2)), order=v)),
+    "Jet2.const-order": lambda v: repr(Jet2.const(1.0, 2, order=v)),
+    "System.jets-order": lambda v: repr(
+        make_system("harmonic", 1).jets([[0.5, 0.5]], order=v)),
+}
+
+
+@pytest.mark.parametrize("entry", JET_ORDERS)
+def test_jet_orders_are_integers_in_0_to_2(entry):
+    call = JET_ORDERS[entry]
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(RangeError, match="must be an integer"):
+            call(bad)
+    for bad in (-1, 3):
+        with pytest.raises(RangeError, match=r"order must be in 0\.\.2"):
+            call(bad)
+    assert [call(np.int64(k)) for k in range(3)] == [call(k) for k in range(3)]
 
 
 def _never(t, x):

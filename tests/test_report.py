@@ -273,9 +273,17 @@ def test_catalog_report_lists_every_system():
 
 
 def test_trajectory_csv_layout():
-    traj = Trajectory([0.0, 0.5], [[1.0, 2.0], [3.0, 4.0]])
-    text = trajectory_csv(traj, ["q", "p"], {"h_0": np.array([5.0, 6.0])})
+    traj = Trajectory([0.0, 0.5, 0.1], [[1.0, 2.0], [3.0, 4.0], [-0.0, 1e16]])
+    monitors = {"h_0": np.array([5.0, 6.0, 5e-324]),
+                "h_1": np.array([7.0, 8.0, np.nan]),
+                "h_2": np.array([9.0, 1.0, np.inf]),
+                "h_3": np.array([2.0, 3.0, -np.inf])}
+    text = trajectory_csv(traj, ["q", "p"], monitors)
     lines = text.strip().split("\n")
-    assert lines[0] == "t,q,p,h_0"
-    assert lines[1] == "0.0,1.0,2.0,5.0"
-    assert lines[2] == "0.5,3.0,4.0,6.0"
+    assert lines[0] == "t,q,p,h_0,h_1,h_2,h_3"
+    assert lines[1] == "0.0,1.0,2.0,5.0,7.0,9.0,2.0"
+    assert lines[2] == "0.5,3.0,4.0,6.0,8.0,1.0,3.0"
+    # a signed zero, shortest round trips, a subnormal and non-finite values
+    assert lines[3] == "0.1,-0.0,1e+16,5e-324,nan,inf,-inf"
+    assert trajectory_csv(traj, ["q", "p"], {}) == (
+        "t,q,p\n0.0,1.0,2.0\n0.5,3.0,4.0\n0.1,-0.0,1e+16\n")
