@@ -6,8 +6,11 @@ with fixed-step RK4 or adaptive RKF45, two steps under one run loop
 it, or whose right-hand side turns singular, is truncated at its last good
 step) and keeps the step statistics, and evaluates the quantities the
 flows are supposed to conserve (ladder hamiltonians, Lax spectra).  A
-flow's right-hand side keeps what does not change between its stages: the
-coordinate jet, built once, and a constant Pi0 with its inverse.  The Lax
+flow's right-hand side reads each bivector table as its value and the
+gradients of its entries, contracts dh against those entries, takes the
+pi1 leg for indices k >= 2 (Lenard), and keeps what does not change
+between its stages: the coordinate jet, built once, and a constant Pi0
+with its inverse and, for dh_1, its contraction vector.  The Lax
 spectra of a whole trajectory come from one LAPACK call
 (``np.linalg.eigvalsh``), as N's spectrum (``hierarchy.spectrum``) does; a
 per-matrix Householder-QL solver in the tests (tests/eigen_reference.py)
@@ -248,13 +251,18 @@ def hamiltonian_flow_rhs(system, index):
 
     ``index`` is the ladder index k, an integer in -12..12 (the ladder cap
     of ``check_depths``; not a float, bool or string); a bad index is a
-    RangeError here, before any stage.  The pi1 flow of h_k is the pi0 flow of h_(k+1) (Lenard).
+    RangeError here, before any stage.
 
-    Each stage evaluates pi1 once, and pi0 once unless it is kept (below),
-    on an order-1 coordinate jet; the rest is an order-1 tail on plain
-    arrays (see ``_ladder_differential``) that builds no jet: it reads only
-    the values and gradients of the pair.  The jet route
-    ``hamiltonian_vf(pi0, h_k)``, with h_k built from N, is its test oracle.
+    Two legs.  For k <= 1 the field is Pi0# dh_k; for k >= 2 it is
+    Pi1# dh_(k-1), the same field by the Lenard relation
+    pi0# dh_k = pi1# dh_(k-1), with one power of N fewer and still no
+    inverse of N.  Each stage reads pi1 once, and pi0 once unless it is
+    kept (below), through ``System.sparse`` on an order-1 coordinate jet:
+    each table's value and the gradients of its entries above the
+    diagonal.  The rest is an order-1 tail on plain arrays (see
+    ``_ladder_differential``) that builds no jet and no dense derivative
+    tensor.  The jet route ``hamiltonian_vf(pi0, h_k)``, with h_k built
+    from N, is its test oracle.
 
     The rhs keeps state between calls, so it is not reentrant:
 
@@ -264,38 +272,55 @@ def hamiltonian_flow_rhs(system, index):
       identity stack, shared by every stage.  Nothing downstream writes into
       an operand and every result is a fresh array, so a returned field
       never aliases the buffer.
-    * for a constant Pi0 (its jet carries the ``constant`` flag, as a
-      table without jet blocks does: harmonic, calogero, an_toda), its
-      value and guarded inverse from the first stage whose guard passes;
-      later stages evaluate neither again, and a failed guard stores
-      nothing.  A varying Pi0 (toda_moser, cn_toda) is evaluated,
-      inverted and guarded at every stage.
+    * for a constant Pi0 (a table without jet blocks, whose entry gradients
+      are an empty stack: harmonic, calogero, an_toda), its value and
+      guarded inverse Q from the first stage whose guard passes, and when
+      dh_1 is the differential read (k = 1 and k = 2), whose tail is then
+      R = Q, the contraction vector of Q against pi1's entries as well; later
+      stages evaluate, invert and contract none of them again, and a failed
+      guard stores nothing.  A varying Pi0 (toda_moser, cn_toda) is
+      evaluated, inverted and guarded at every stage.
     """
     index = check_int("flow index", index, -LADDER_CAP, LADDER_CAP)
+    leg = 1 if index >= 2 else 0
+    k = index - leg                     # the ladder index of the differential
     point = np.zeros((1, system.m))
     X = Jet2.coords(point, order=1)
-    kept = []               # a constant Pi0's value and its guarded inverse
+    kept = []           # a constant Pi0's value, its guarded inverse and c
 
     def rhs(t, x):
         point[0] = _stage_point(system, x)
-        dP0 = None
         if kept:
-            P0, Q = kept
+            P0, Q, c = kept
+            G0 = None
         else:
-            J = system.pi0(X)
-            P0, Q = J.val, _guarded_inv(J.val, "pi0")
-            if J.constant:
-                kept[:] = P0, Q
-            else:
-                dP0 = J.grad
-        dh = _ladder_differential(Q, system.pi1(X), index, dP0)
-        return _einsum("...ji,...j->...i", P0, dh)[0]     # P0# dh
+            P0, G0 = system.sparse(0, X)
+            Q = _guarded_inv(P0, "pi0")
+            c = None
+            if not G0.shape[1]:                 # a constant Pi0
+                G0 = None
+                if k == 1:
+                    c = _entry_trace(Q, system.tables[1])
+                kept[:] = P0, Q, c
+        P1, G1 = system.sparse(1, X)
+        dh = _ladder_differential(Q, P1, G1, k, system.tables, c, G0)
+        return _einsum("...ji,...j->...i", P1 if leg else P0, dh)[0]  # P# dh
 
     return rhs
 
 
-def _ladder_differential(Q, P1, k, dP0):
-    """dh_k from the values and gradients of the pair, on plain arrays.
+def _entry_trace(R, table):
+    """The (B, 1, K) row c with 1/2 tr(R dPi_a) = sum_e c_e G[e, a], G the
+    table's (B, K, m) entry gradients: entry e is +G[e] at the flat index
+    table.upper[e] and -G[e] at table.lower[e], so
+    c_e = (R[lower_e] - R[upper_e]) / 2, R flat in (i, j).  The halving is
+    exact, so c G has the bits of half the full trace."""
+    flat = R.reshape(R.shape[0], 1, -1)
+    return 0.5 * (flat[..., table.lower] - flat[..., table.upper])
+
+
+def _ladder_differential(Q, P1, G1, k, tables, c=None, G0=None):
+    """dh_k from the pair's values and entry gradients, on plain arrays.
 
     For every integer k, h_k = tr(N^k)/2k (h_0 = log|det N|/2) has
     dh_k,a = 1/2 tr(N^(k-1) dN_a).  With Q = Pi0^-1, N = Pi1 Q and
@@ -303,21 +328,29 @@ def _ladder_differential(Q, P1, k, dP0):
 
         dh_k,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(k-1),
 
-    so no dN tensor is formed.  Q is the caller's guarded inverse of Pi0
-    and dP0 its gradient, None for a constant Pi0, whose term is zero.  For
-    k <= 0, N^-1 comes from the guarded inverse, so a singular N raises
-    SingularTensorError as on the jet route.  Gradients are read in their
-    stored (B, i, j, a) layout.
+    so no dN tensor is formed, and no dPi tensor either: each half trace
+    is contracted over a table's K entries (``_entry_trace``, ``tables``
+    the pair's), one (1, K) @ (K, m) product against their (B, K, m)
+    gradients, G1 of pi1 and G0 of pi0.  Q is the caller's guarded inverse
+    of Pi0; G0 is None for a constant Pi0, whose term is zero.  c is Q's
+    contraction vector against pi1's entries when the caller kept it
+    (k = 1 with a constant Pi0), and then no m x m product is formed.
+    For k <= 0, N^-1 comes from the guarded inverse, so a singular N
+    raises SingularTensorError as on the jet route.
     """
-    N = np.matmul(P1.val, Q)
-    base = N if k >= 1 else _guarded_inv(N, "recursion operator")
     R = Q
-    for _ in range(abs(k - 1)):
-        R = np.matmul(R, base)
-    dh = _einsum("...ij,...jia->...a", R, P1.grad)
-    if dP0 is not None:
-        dh = dh - _einsum("...ij,...jia->...a", np.matmul(R, N), dP0)
-    return 0.5 * dh
+    if k != 1 or G0 is not None:
+        N = np.matmul(P1, Q)
+        base = N if k >= 1 else _guarded_inv(N, "recursion operator")
+        for _ in range(abs(k - 1)):
+            R = np.matmul(R, base)
+    if c is None:
+        c = _entry_trace(R, tables[1])
+    dh = np.matmul(c, G1)
+    if G0 is not None:
+        RN = np.matmul(R, N)
+        dh = dh - np.matmul(_entry_trace(RN, tables[0]), G0)
+    return dh[:, 0]
 
 
 # ---- conservation monitoring ---------------------------------------------------

@@ -69,9 +69,11 @@ class Hierarchy:
 
     One walk goes outward from k = 0 in either direction as far as the
     largest |k| requested: N^k = N^(k-1) N and N^-k = N^-(k-1) N^-1, with
-    N and N^-1 taken from ``jmatpow`` at order 2.  N is inverted on the
-    first negative index, never again.  Every object lands in one table
-    keyed by (kind, k), kept at the order its consumers read:
+    N and N^-1 taken at order 2, N from ``jmatpow`` and N^-1 from ``jinv``
+    under the name "recursion operator", the name h_0's inverse has too.
+    N is inverted on the first negative index, never again.  Every object
+    lands in one table keyed by (kind, k), kept at the order its consumers
+    read:
 
         hamiltonian(k) h_k                  order 2
         bivector(k)    Pi_k = N^k Pi0       order 1    needs P0
@@ -154,7 +156,9 @@ class Hierarchy:
             step = 1 if k > 0 else -1
             while (kind, k) not in self._objects:
                 if step not in self._base:
-                    self._base[step] = jmatpow(self.N, step)
+                    # N^-1 carries the walk's name, as h_0's inverse does
+                    self._base[step] = (jmatpow(self.N, step) if step > 0
+                                        else jinv(self.N, "recursion operator"))
                 base = self._base[step]
                 j, prev = self._ends.get(step, (0, None))
                 Nj = (jtruncate(base, self._order) if prev is None

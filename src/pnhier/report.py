@@ -431,7 +431,10 @@ def _selected(name, tokens):
 def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
     """Run the identity suite on seeded samples and assemble the report dict:
     integer samples >= 1, seed in [0, 2**128) and depth in 1..12, a finite
-    positive tol, or a RangeError before a sample is drawn."""
+    positive tol, or a RangeError before a sample is drawn.  A ``checks``
+    selection must name a check and judge a row: one whose rows are all
+    not-applicable on the chart is a RangeError too, since its verdict
+    would pass on nothing."""
     check_positive("tol", tol)
     depth, _ = check_depths(depth, 0)
     tokens = _tokens(checks)
@@ -459,6 +462,11 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
         if not _selected(name, tokens):
             continue
         rows.append(_judged_row(ws, name, identity, run, "floor", CONTROL_FLOOR))
+    judged = [r for r in rows if "pass" in r]
+    if not judged:
+        raise RangeError(f"check selection {checks!r} judges no row on "
+                         f"{system.key}: every selected check is "
+                         f"not-applicable there")
 
     pairing = spectral_pairing(ws.N)
     spectrum = {
@@ -467,7 +475,6 @@ def verify_report(system, samples=100, seed=42, tol=1e-8, depth=4, checks=None):
         "distinct_min": int(np.min(pairing["distinct"])),
         "independent_all": bool(np.all(pairing["independent"])),
     }
-    judged = [r for r in rows if "pass" in r]
     report = {
         "meta": _meta("verify", system, version_extras={
             "samples": ws.samples, "seed": ws.seed, "tol": float(tol),

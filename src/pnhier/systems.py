@@ -17,18 +17,25 @@ made: a constant (m, m) template that holds the table's plain-number
 entries in both triangles, {x^i, x^j} = c above the diagonal and -c below,
 and flat upper and lower indices for a few jet blocks.  A block is a run
 of entries above the diagonal written as one vector jet over slices of
-the coordinate jet X (an_toda's -B block is ``-X[n:]``).  One evaluation
-copies the template into the value array, concatenates the blocks' values,
-gradients and Hessians once each, and makes one upper write and one
-negated lower write per array; so a negated jet entry keeps the sign of
-its zeros, as the jet negation does, and every constant entry's
-derivatives are +0.0 in both triangles, as a lifted constant's are.  A
-table without blocks is constant (the canonical Pi_0, calogero's pi0): its
-jets carry the ``constant`` flag of ``jets``, so the product rule skips
-their derivative kernels and a flow keeps such a Pi0 and its inverse
-(``dynamics.hamiltonian_flow_rhs``).
+the coordinate jet X (an_toda's -B block is ``-X[n:]``).  One routine,
+``BivectorTable.entries``, evaluates the blocks and concatenates their
+values, gradients and Hessians once each, as (B, K, ...) stacks of the K
+jet entries.  It has two readers.  The matrix jet (``__call__``, what
+every verify path reads) copies the template into the value array and
+makes one upper write and one negated lower write per array; so a negated
+jet entry keeps the sign of its zeros, as the jet negation does, and every
+constant entry's derivatives are +0.0 in both triangles, as a lifted
+constant's are.  The flow's reader (``BivectorTable.sparse``, exposed as
+``System.sparse``) makes the same value and returns the (B, K, m) entry
+gradients as they are, so a flow never builds a dense (B, m, m, m)
+gradient (``dynamics.hamiltonian_flow_rhs``).  A table without blocks is
+constant (the canonical Pi_0, calogero's pi0): its jets carry the
+``constant`` flag of ``jets``, so the product rule skips their derivative
+kernels, and its entry gradients are an empty (B, 0, m) stack, so a flow
+keeps such a Pi0 and its inverse.
 ``tests/table_reference.py`` keeps every table entry by entry, as scalar
-jets stacked row by row: the compiled tables match it byte for byte.
+jets stacked row by row: the compiled tables match it byte for byte, and
+the two readers match each other.
 
 The closed forms are vector expressions over slices of X too, kept apart
 from the engine so that the ``closed-forms`` row checks one against the
@@ -119,6 +126,11 @@ class System:
     def pi1(self, X):
         return self.tables[1](X)
 
+    def sparse(self, j, X):
+        """pi_j (j = 0 or 1) as the flow right-hand side reads it: its value
+        and the gradients of its entries (``BivectorTable.sparse``)."""
+        return self.tables[j].sparse(X)
+
 
 # ---- bivector tables ---------------------------------------------------------
 
@@ -130,10 +142,14 @@ class BivectorTable:
     (B, k) vector jets on the coordinate jet X, k the block's key count.
     Every key must satisfy 0 <= i < j < m and appear once, or compiling
     raises DimensionError, since a diagonal or lower key would break
-    antisymmetry and a repeated one overwrite an entry.  At each call a
-    block whose length is not its key count, or whose jet order is below
-    X's (it has no derivatives to write), raises DimensionError too.  A
-    table without blocks is ``constant``, and so are the jets it returns.
+    antisymmetry and a repeated one overwrite an entry.  ``upper`` and
+    ``lower`` hold the blocks' keys, in order, as flat indices i*m + j and
+    j*m + i of an (m, m) matrix.  ``entries(X)`` is the one evaluation,
+    and its two readers are ``__call__`` (the matrix jet) and ``sparse``
+    (the value and the entry gradients).  At each evaluation a block whose
+    length is not its key count, or whose jet order is below X's (it has
+    no derivatives to write), raises DimensionError too.  A table without
+    blocks is ``constant``, and so are the jets it returns.
     """
 
     def __init__(self, m, const=None, blocks=(), fill=None):
@@ -157,6 +173,40 @@ class BivectorTable:
         self.fill = fill
         self.constant = not blocks
 
+    def entries(self, X):
+        """The jet entries at the coordinate jet X, the one evaluation of
+        the table: the blocks' values, gradients and Hessians, up to X's
+        order, each concatenated once in key order, as (B, K), (B, K, m)
+        and (B, K, m, m) arrays, K the count of keys in blocks; [] for a
+        constant table."""
+        if self.constant:
+            return []
+        blocks = self.fill(X)
+        lengths = [block.val.shape[1:] for block in blocks]
+        if lengths != self.lengths:
+            raise DimensionError(f"bivector table blocks of lengths "
+                                 f"{self.lengths} got entries of lengths "
+                                 f"{lengths}")
+        order = X.order
+        low = min(block.order for block in blocks)
+        if low < order:
+            raise DimensionError(f"bivector table block has no "
+                                 f"{('grad', 'hess')[low]}: its jet order "
+                                 f"is below {order}")
+        stacks = []
+        for part in ("val", "grad", "hess")[:order + 1]:
+            parts = [getattr(block, part) for block in blocks]
+            stacks.append(parts[0] if len(parts) == 1
+                          else np.concatenate(parts, 1))
+        return stacks
+
+    def _scatter(self, arr, entries):
+        """Write (B, K, ...) entries into arr, a zero or template (B, m, m,
+        ...) array: +entries above the diagonal, -entries below."""
+        flat = arr.reshape(arr.shape[0], self.m * self.m, *arr.shape[3:])
+        flat[:, self.upper] = entries
+        flat[:, self.lower] = -entries        # never negated into out=
+
     def __call__(self, X):
         """The matrix jet at the coordinate jet X: its batch and order."""
         B, m = X.val.shape[0], self.m
@@ -167,24 +217,24 @@ class BivectorTable:
             arrays.append(np.zeros((B, m, m, m)))
             if X.hess is not None:
                 arrays.append(np.zeros((B, m, m, m, m)))
-        if not self.constant:
-            blocks = self.fill(X)
-            lengths = [block.val.shape[1:] for block in blocks]
-            if lengths != self.lengths:
-                raise DimensionError(f"bivector table blocks of lengths "
-                                     f"{self.lengths} got entries of lengths "
-                                     f"{lengths}")
-            for arr, part in zip(arrays, ("val", "grad", "hess")):
-                parts = [getattr(block, part) for block in blocks]
-                if any(p is None for p in parts):
-                    raise DimensionError(f"bivector table block has no {part}: "
-                                         f"its jet order is below {X.order}")
-                entries = parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
-                flat = arr.reshape(B, m * m, *arr.shape[3:])
-                flat[:, self.upper] = entries
-                flat[:, self.lower] = -entries    # never negated into out=
+        for arr, entries in zip(arrays, self.entries(X)):
+            self._scatter(arr, entries)
         arrays += [None] * (3 - len(arrays))
         return Jet2._new(*arrays, m, self.constant)
+
+    def sparse(self, X):
+        """The table at an order-1 or order-2 coordinate jet X as the flow
+        reads it: the (B, m, m) value, the bytes of ``__call__``'s, and the
+        (B, K, m) gradients of the entries above the diagonal, in the order
+        of ``upper`` and ``lower`` (K = 0 for a constant table)."""
+        B, m = X.val.shape[0], self.m
+        val = np.empty((B, m, m))
+        val[...] = self.template
+        if self.constant:
+            return val, np.zeros((B, 0, m))
+        entries = self.entries(X)
+        self._scatter(val, entries[0])
+        return val, entries[1]
 
 
 def _diagonal(lo, hi, shift):

@@ -94,6 +94,16 @@ def commands():
            integrate + ["calogero", "--n", "2", "--t-end", "1"])
     yield ("integrate-an-toda-n3-t1-flow-1",
            integrate + ["an-toda", "--n", "3", "--t-end", "1", "--flow", "-1"])
+    # the flow's two legs: index 1 on the pi0 leg with the kept contraction
+    # of a constant Pi0, index 3 on the pi1 leg with a power of N per stage,
+    # and the pi1 leg beside a varying Pi0
+    yield ("integrate-an-toda-n3-t1-flow1",
+           integrate + ["an-toda", "--n", "3", "--t-end", "1", "--flow", "1"])
+    yield ("integrate-an-toda-n3-t1-flow3",
+           integrate + ["an-toda", "--n", "3", "--t-end", "1", "--flow", "3"])
+    yield ("integrate-toda-moser-n2-t1-flow3",
+           integrate + ["toda-moser", "--n", "2", "--t-end", "1",
+                        "--flow", "3"])
     for n in (1, 2, 3):
         yield f"catalog-n{n}", cli + ["catalog", "--n", str(n)]
     for demo in DEMOS:

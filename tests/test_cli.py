@@ -118,6 +118,20 @@ def test_empty_check_selection_exits_2(capsys):
         assert "names no check" in err
 
 
+def test_a_selection_that_judges_no_row_exits_2(capsys):
+    # calogero has no master symmetry: every oevel row is not-applicable,
+    # and a verdict over no row would pass on nothing
+    code, out, err = run(capsys, "verify", "--system", "calogero", "--n", "2",
+                         "--checks", "oevel")
+    assert code == 2
+    assert out == ""
+    assert "judges no row on calogero" in err
+    # one judged row is enough
+    code, out, _ = run(capsys, "verify", "--system", "calogero", "--n", "2",
+                       "--checks", "oevel,torsion")
+    assert code == 0 and '"all_pass": true' in out
+
+
 def test_integrate_checks_depth_before_integrating(capsys, monkeypatch):
     from pnhier import cli
 

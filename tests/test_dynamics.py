@@ -13,6 +13,7 @@ import pytest
 
 from eigen_reference import reference_eigenvalues, reference_ql
 from ladder_reference import hierarchy_hamiltonian
+from pnhier import dynamics
 from pnhier.dynamics import (MAX_STEPS, Trajectory, hamiltonian_flow_rhs,
                              hierarchy_monitors, integrate, lax_eigenvalues,
                              lax_monitors, rk4, rkf45)
@@ -337,11 +338,13 @@ def assert_matches_oracle(got, want):
 def test_index_flow_evaluates_each_bivector_once_per_stage():
     sys = make_system("an_toda", 3)
     calls = {"pi0": 0, "pi1": 0}
-    for name in calls:
-        def counted(jets, _fn=getattr(sys, name), _name=name):
-            calls[_name] += 1
-            return _fn(jets)
-        setattr(sys, name, counted)
+    sparse = sys.sparse
+
+    def counted(j, jets):
+        calls[("pi0", "pi1")[j]] += 1
+        return sparse(j, jets)
+
+    sys.sparse = counted
     x = sys.sample(samples=1, seed=19)[0]
     rhs = hamiltonian_flow_rhs(sys, index=2)
     got = rhs(0.0, x)
@@ -351,12 +354,14 @@ def test_index_flow_evaluates_each_bivector_once_per_stage():
 
 # Jet2 constructions of an index-2 flow at n=3, checked (``Jet2(...)``) and
 # unchecked (``Jet2._new``) alike: the one coordinate jet, built once with
-# the rhs, and per stage the pair's tables, their blocks and the slices of
-# the coordinate jet they read; a constant Pi0 builds nothing after the
-# first stage.  A change that makes a flow build more jets must say so here.
+# the rhs, and per stage the blocks of the pair's tables and the slices of
+# the coordinate jet they read (the flow reads each table as plain arrays,
+# ``System.sparse``, so no table jet is built); a constant Pi0 builds
+# nothing after the first stage.  A change that makes a flow build more
+# jets must say so here.
 RHS_JETS = 1
-STAGE_JETS = {"harmonic": 11, "calogero": 2, "toda_moser": 6, "cn_toda": 60,
-              "an_toda": 7}
+STAGE_JETS = {"harmonic": 10, "calogero": 1, "toda_moser": 4, "cn_toda": 58,
+              "an_toda": 6}
 
 
 @pytest.mark.parametrize("key", sorted(STAGE_JETS))
@@ -384,8 +389,8 @@ def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
     assert len(built) == STAGE_JETS[key]
 
 
-# system.pi0 calls over ten index-2 stages: a constant Pi0 is evaluated
-# once per rhs, a varying one at every stage.
+# pi0 evaluations (``system.sparse(0, X)``) over ten index-2 stages: a
+# constant Pi0 is evaluated once per rhs, a varying one at every stage.
 TEN_STAGE_PI0S = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
                   "cn_toda": 10, "an_toda": 1}
 
@@ -394,13 +399,14 @@ TEN_STAGE_PI0S = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
 def test_an_index_flow_evaluates_a_constant_pi0_once(key):
     sys = make_system(key, 3)
     calls = []
-    pi0 = sys.pi0
+    sparse = sys.sparse
 
-    def counted(X):
-        calls.append(1)
-        return pi0(X)
+    def counted(j, X):
+        if j == 0:
+            calls.append(1)
+        return sparse(j, X)
 
-    sys.pi0 = counted
+    sys.sparse = counted
     rhs = hamiltonian_flow_rhs(sys, index=2)
     for x in sys.sample(samples=10, seed=19):
         rhs(0.0, x)
@@ -429,6 +435,36 @@ def test_an_index_flow_inverts_a_pinned_number_of_times(key, monkeypatch):
     for x in xs:
         rhs(0.0, x)
     assert len(calls) == TEN_STAGE_INVS[key]
+
+
+@pytest.mark.parametrize("index", (1, 2))
+def test_a_kept_contraction_forms_no_matrix_product(index, monkeypatch):
+    """With a constant Pi0, dh_1 contracts Q against pi1's entries, so
+    after the first stage of an index-1 or index-2 flow the stage makes one
+    (1, K) @ (K, m) product and one P# dh contraction: no m x m product
+    (no N, no power of N) and no (., m, m, m) operand."""
+    sys = make_system("an_toda", 3)
+    m = sys.m
+    x, y = sys.sample(samples=2, seed=41)
+    rhs = hamiltonian_flow_rhs(sys, index=index)
+    rhs(0.0, x)
+    calls = {"matmul": [], "einsum": []}
+
+    def spy(name, fn):
+        def shapes(*args):
+            calls[name].append([np.shape(a) for a in args
+                                if not isinstance(a, str)])
+            return fn(*args)
+        return shapes
+
+    monkeypatch.setattr(np, "matmul", spy("matmul", np.matmul))
+    monkeypatch.setattr(dynamics, "_einsum", spy("einsum", dynamics._einsum))
+    rhs(0.0, y)
+    monkeypatch.undo()
+    assert len(calls["matmul"]) == len(calls["einsum"]) == 1
+    for operands in calls["matmul"] + calls["einsum"]:
+        assert sum(s[-2:] == (m, m) for s in operands) <= 1, operands
+        assert all(len(s) < 4 for s in operands), operands
 
 
 def integrate_both_ways(sys, x0, index, steps=200, dt=1e-3):
@@ -506,28 +542,31 @@ def test_the_pi1_flow_of_h_k_is_the_index_k_plus_1_flow(key):
 def test_order_one_tail_keeps_the_singularity_guards():
     sys = make_system("an_toda", 2)
     x = sys.sample(samples=1, seed=5)[0]
-    pi0, pi1 = sys.pi0, sys.pi1
+    sparse = sys.sparse
 
-    def rank_one(fn):
-        def degenerate(jets):
-            P = fn(jets)
-            val = P.val.copy()
-            val[:, 1:] = 0.0            # rows 2.. vanish: rank <= 1
-            return Jet2(val, P.grad, m=P.m)
+    def rank_one(which):
+        def degenerate(j, jets):
+            P, G = sparse(j, jets)
+            if j == which:
+                P = P.copy()
+                P[:, 1:] = 0.0          # rows 2.. vanish: rank <= 1
+            return P, G
         return degenerate
 
-    sys.pi0 = rank_one(pi0)
+    sys.sparse = rank_one(0)
     for index in (-1, 0, 2):
         rhs = hamiltonian_flow_rhs(sys, index=index)
         for _ in range(2):      # a failed guard stores no inverse to reuse
             with pytest.raises(SingularTensorError, match="pi0"):
                 rhs(0.0, x)
     # a singular pi1 makes N singular: only the indices that invert N notice
-    sys.pi0, sys.pi1 = pi0, rank_one(pi1)
+    sys.sparse = rank_one(1)
     for index in (-1, 0):
         with pytest.raises(SingularTensorError, match="recursion operator"):
             hamiltonian_flow_rhs(sys, index=index)(0.0, x)
-    assert np.all(np.isfinite(hamiltonian_flow_rhs(sys, index=2)(0.0, x)))
+    # k = 1 (pi0 leg) and k >= 2 (pi1 leg, dh_(k-1)) never invert N
+    for index in (1, 2, 3):
+        assert np.all(np.isfinite(hamiltonian_flow_rhs(sys, index=index)(0.0, x)))
 
 
 @pytest.mark.parametrize("index", [2.5, 2.0, "2", True, None, 13, -13, 400])
@@ -537,7 +576,7 @@ def test_flow_index_must_be_an_integer_within_the_ladder_cap(index):
     def never(jets):
         raise AssertionError("a stage was evaluated for a bad flow index")
 
-    sys.pi0 = sys.pi1 = never
+    sys.pi0 = sys.pi1 = sys.sparse = never
     with pytest.raises(RangeError, match="flow index"):
         hamiltonian_flow_rhs(sys, index=index)
 

@@ -10,7 +10,7 @@ import pytest
 
 import ladder_reference as ref
 import polyjets as pj
-from pnhier.errors import RangeError
+from pnhier.errors import RangeError, SingularTensorError
 from pnhier.fields import per_sample
 from pnhier.hierarchy import (Hierarchy, commuting_flows_defect,
                               cotangent_ladder_defect, involution_defect,
@@ -292,6 +292,22 @@ def test_only_modular_fields_and_divergences_multiply_order_2_powers(monkeypatch
     assert products and max(products) == 1
     hier.modular(2)         # restarts the walk at order 2: N Pi0, N N, ...
     assert max(products) == 2
+
+
+def test_a_singular_recursion_operator_has_one_name():
+    """h_0 (log|det N|) and h_-1 (the walk's N^-1) name a singular N alike."""
+    val = np.diag([1.0, 0.0])[None]
+    N = Jet2(val, np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2)))
+    messages = []
+    for k in (0, -1, -2):
+        with pytest.raises(SingularTensorError,
+                           match="^recursion operator is exactly singular"):
+            try:
+                Hierarchy(None, N).hamiltonian(k)
+            except SingularTensorError as exc:
+                messages.append(str(exc))
+                raise
+    assert len(set(messages)) == 1
 
 
 def test_hierarchy_without_z0_refuses_master_fields():

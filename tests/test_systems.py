@@ -116,6 +116,46 @@ def test_bivector_table_constants_are_entries_without_derivatives():
         assert np.array_equal(part[:, 3, 0], -part[:, 0, 3])
 
 
+def scattered(table, entries):
+    """Entry derivatives written +entries above and -entries below the
+    diagonal into zeros, as (B, m, m, ...) arrays."""
+    B, m = entries.shape[0], table.m
+    flat = np.zeros((B, m * m) + entries.shape[2:])
+    flat[:, table.upper] = entries
+    flat[:, table.lower] = -entries
+    return flat.reshape((B, m, m) + entries.shape[2:])
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_the_sparse_reader_has_the_bytes_of_the_matrix_jet(key):
+    sys = make_system(key, 3)
+    m = sys.m
+    for B in (1, 7):
+        x = sys.sample(samples=B, seed=43)
+        for order in (1, 2):
+            X = Jet2.coords(x, order=order)
+            for j, table in enumerate(sys.tables):
+                P = table(X)
+                val, G = sys.sparse(j, X)
+                assert val.shape == P.val.shape
+                assert val.tobytes() == P.val.tobytes()
+                assert G.shape == (B, table.upper.size, m)
+                assert scattered(table, G).tobytes() == P.grad.tobytes()
+                # a constant table has no entries: K = 0, zero derivatives
+                assert (G.shape[1] == 0) == table.constant
+                entries = table.entries(X)
+                if table.constant:
+                    assert entries == []
+                    entries = [None, G, np.zeros((B, 0, m, m))]
+                assert entries[1].tobytes() == G.tobytes()
+                if order == 2:
+                    assert (scattered(table, entries[2]).tobytes()
+                            == P.hess.tobytes())
+    # the constant tables: the canonical Pi_0 and calogero's pi0
+    assert [t.constant for t in sys.tables] == [
+        key in ("harmonic", "calogero", "an_toda"), False]
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_probe_point_is_in_domain(key):
     sys = make_system(key, 2)
