@@ -7,10 +7,11 @@ it, or whose right-hand side turns singular, is truncated at its last good
 step) and keeps the step statistics, and evaluates the quantities the
 flows are supposed to conserve (ladder hamiltonians, Lax spectra).  A
 flow's right-hand side reads each bivector table as its value and the
-gradients of its entries, contracts dh against those entries, takes the
-pi1 leg for indices k >= 2 (Lenard), and keeps what does not change
-between its stages: the coordinate jet, built once, and a constant Pi0
-with its inverse and, for dh_1, its contraction vector.  The Lax
+gradients of its entries, contracts dh against those entries (both through
+the table, ``systems.BivectorTable``), takes the pi1 leg for indices
+k >= 2 (Lenard), and makes once, with the right-hand side, what does not
+change between its stages: the coordinate jet, and a constant Pi0 with its
+inverse and, for dh_1, its contraction row.  The Lax
 spectra of a whole trajectory come from one LAPACK call
 (``np.linalg.eigvalsh``), as N's spectrum (``hierarchy.spectrum``) does; a
 per-matrix Householder-QL solver in the tests (tests/eigen_reference.py)
@@ -91,11 +92,12 @@ def _run(rhs, x, t_end, dt, record_every, guard, step, control):
     last step reached.  An accepted step that leaves the guarded domain, or
     a stage that raises SingularTensorError, truncates the run at its last
     good step with a reason; only a singular start point (the first
-    evaluation) raises.  ``rhs_evals`` counts every evaluation, the raising
-    one too; ``accepted`` counts the steps the run advanced by and
-    ``rejected`` those error control refused (a truncating step is
-    neither); ``dt_min`` and ``dt_max`` bound the accepted steps (nan when
-    there are none).
+    evaluation) raises, and a flow with a singular constant Pi0 raises
+    before, when its right-hand side is made (``hamiltonian_flow_rhs``).
+    ``rhs_evals`` counts every evaluation, the raising one too;
+    ``accepted`` counts the steps the run advanced by and ``rejected``
+    those error control refused (a truncating step is neither); ``dt_min``
+    and ``dt_max`` bound the accepted steps (nan when there are none).
     """
     evals = 0
 
@@ -172,7 +174,9 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
     """Adaptive Fehlberg 4(5) from t=0 to t_end (run contract: ``_run``).
 
     Propagates the 4th-order solution; the embedded 5th-order solution gives
-    the local error, compared against atol + rtol*|x| per component.  Raises
+    the local error, compared against atol + rtol*|x| per component.  A
+    step with a non-finite error, or with a stage point that overflowed
+    (where rhs is then not evaluated), is rejected and shrunk.  Raises
     StepUnderflow when step control pushes dt below 1e-12 while the run has
     time left; a step that reaches t_end ends the run whatever it proposes
     next, so a t_end below 1e-12 takes one step.  dt_init is checked as
@@ -193,6 +197,8 @@ def rkf45(rhs, x0, t_end, atol=1e-10, rtol=1e-10, dt_init=None,
         ks = [f(t, x)]
         for s in range(1, 6):
             xs = x + h * sum(aa * kk for aa, kk in zip(a[s], ks))
+            if not np.isfinite(xs).all():
+                return x, np.inf    # an overflowed stage: reject, never evaluate
             ks.append(f(t + c[s] * h, xs))
         x4 = x + h * sum(bb * kk for bb, kk in zip(b4, ks))
         x5 = x + h * sum(bb * kk for bb, kk in zip(b5, ks))
@@ -254,103 +260,73 @@ def hamiltonian_flow_rhs(system, index):
     RangeError here, before any stage.
 
     Two legs.  For k <= 1 the field is Pi0# dh_k; for k >= 2 it is
-    Pi1# dh_(k-1), the same field by the Lenard relation
+    Pi1# dh_j with j = k - 1, the same field by the Lenard relation
     pi0# dh_k = pi1# dh_(k-1), with one power of N fewer and still no
-    inverse of N.  Each stage reads pi1 once, and pi0 once unless it is
-    kept (below), through ``System.sparse`` on an order-1 coordinate jet:
-    each table's value and the gradients of its entries above the
-    diagonal.  The rest is an order-1 tail on plain arrays (see
-    ``_ladder_differential``) that builds no jet and no dense derivative
-    tensor.  The jet route ``hamiltonian_vf(pi0, h_k)``, with h_k built
-    from N, is its test oracle.
+    inverse of N.  Each table is read through its ``sparse`` reader on an
+    order-1 coordinate jet: its value and the gradients of its entries
+    above the diagonal.  The rest is an order-1 tail on plain arrays that
+    builds no jet and no dense derivative tensor.  For every integer j,
+    h_j = tr(N^j)/2j (h_0 = log|det N|/2) has dh_j,a = 1/2 tr(N^(j-1) dN_a).
+    With Q = Pi0^-1, N = Pi1 Q and dN_a = dPi1_a Q - N dPi0_a Q, the cyclic
+    trace gives
 
-    The rhs keeps state between calls, so it is not reentrant:
+        dh_j,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(j-1),
 
-    * one (1, m) point buffer and its order-1 coordinate jet, built once
-      here.  A stage shape-checks its point (DimensionError) and writes it
-      into the buffer, which is the jet's value; its gradient is one
-      identity stack, shared by every stage.  Nothing downstream writes into
-      an operand and every result is a fresh array, so a returned field
-      never aliases the buffer.
-    * for a constant Pi0 (a table without jet blocks, whose entry gradients
-      are an empty stack: harmonic, calogero, an_toda), its value and
-      guarded inverse Q from the first stage whose guard passes, and when
-      dh_1 is the differential read (k = 1 and k = 2), whose tail is then
-      R = Q, the contraction vector of Q against pi1's entries as well; later
-      stages evaluate, invert and contract none of them again, and a failed
-      guard stores nothing.  A varying Pi0 (toda_moser, cn_toda) is
-      evaluated, inverted and guarded at every stage.
+    and each half trace is one (1, K) @ (K, m) product of the table's
+    ``half_trace`` row and its entry gradients.  For j <= 0, N^-1 comes
+    from the guarded inverse, so a singular N raises SingularTensorError
+    as on the jet route ``hamiltonian_vf(pi0, h_k)``, with h_k built from
+    N, which is the test oracle.
+
+    What does not change between stages is made here, once:
+
+    * one (1, m) point buffer and its order-1 coordinate jet.  A stage
+      shape-checks its point (DimensionError) and writes it into the
+      buffer, which is the jet's value; its gradient is one identity stack,
+      shared by every stage.  Nothing downstream writes into an operand and
+      every result is a fresh array, so a returned field never aliases the
+      buffer.  The buffer is the rhs's one state between calls, so it is
+      not reentrant.
+    * for a constant Pi0 (a table without jet blocks: harmonic, calogero,
+      an_toda), its value and guarded inverse Q, so a singular constant Pi0
+      raises SingularTensorError("pi0 ...") here; its dPi0 term is zero.
+      At j = 1 (k = 1 and k = 2) R = Q, so Q's ``half_trace`` row against
+      pi1's entries is fixed too, and a stage forms no m x m product.  A
+      varying Pi0 (toda_moser, cn_toda) is evaluated, inverted and guarded
+      at every stage.
     """
     index = check_int("flow index", index, -LADDER_CAP, LADDER_CAP)
     leg = 1 if index >= 2 else 0
-    k = index - leg                     # the ladder index of the differential
+    j = index - leg                     # the ladder index of the differential
     point = np.zeros((1, system.m))
     X = Jet2.coords(point, order=1)
-    kept = []           # a constant Pi0's value, its guarded inverse and c
+    pi0, pi1 = system.tables
+    if pi0.constant:
+        P = pi0.sparse(X)[0]
+        Q = _guarded_inv(P, "pi0")
+        fixed = P, Q, (pi1.half_trace(Q) if j == 1 else None)
 
     def rhs(t, x):
         point[0] = _stage_point(system, x)
-        if kept:
-            P0, Q, c = kept
-            G0 = None
+        if pi0.constant:
+            P0, Q, c = fixed
         else:
-            P0, G0 = system.sparse(0, X)
-            Q = _guarded_inv(P0, "pi0")
-            c = None
-            if not G0.shape[1]:                 # a constant Pi0
-                G0 = None
-                if k == 1:
-                    c = _entry_trace(Q, system.tables[1])
-                kept[:] = P0, Q, c
-        P1, G1 = system.sparse(1, X)
-        dh = _ladder_differential(Q, P1, G1, k, system.tables, c, G0)
-        return _einsum("...ji,...j->...i", P1 if leg else P0, dh)[0]  # P# dh
+            P0, G0 = pi0.sparse(X)
+            Q, c = _guarded_inv(P0, "pi0"), None
+        P1, G1 = pi1.sparse(X)
+        R = Q
+        if c is None:
+            N = np.matmul(P1, Q)
+            base = N if j >= 1 else _guarded_inv(N, "recursion operator")
+            for _ in range(abs(j - 1)):
+                R = np.matmul(R, base)
+            c = pi1.half_trace(R)
+        dh = np.matmul(c, G1)
+        if not pi0.constant:
+            dh = dh - np.matmul(pi0.half_trace(np.matmul(R, N)), G0)
+        return _einsum("...ji,...j->...i", P1 if leg else P0, dh[:, 0])[0]
 
     return rhs
-
-
-def _entry_trace(R, table):
-    """The (B, 1, K) row c with 1/2 tr(R dPi_a) = sum_e c_e G[e, a], G the
-    table's (B, K, m) entry gradients: entry e is +G[e] at the flat index
-    table.upper[e] and -G[e] at table.lower[e], so
-    c_e = (R[lower_e] - R[upper_e]) / 2, R flat in (i, j).  The halving is
-    exact, so c G has the bits of half the full trace."""
-    flat = R.reshape(R.shape[0], 1, -1)
-    return 0.5 * (flat[..., table.lower] - flat[..., table.upper])
-
-
-def _ladder_differential(Q, P1, G1, k, tables, c=None, G0=None):
-    """dh_k from the pair's values and entry gradients, on plain arrays.
-
-    For every integer k, h_k = tr(N^k)/2k (h_0 = log|det N|/2) has
-    dh_k,a = 1/2 tr(N^(k-1) dN_a).  With Q = Pi0^-1, N = Pi1 Q and
-    dN_a = dPi1_a Q - N dPi0_a Q, the cyclic trace gives
-
-        dh_k,a = 1/2 tr(R dPi1_a) - 1/2 tr(R N dPi0_a),    R = Q N^(k-1),
-
-    so no dN tensor is formed, and no dPi tensor either: each half trace
-    is contracted over a table's K entries (``_entry_trace``, ``tables``
-    the pair's), one (1, K) @ (K, m) product against their (B, K, m)
-    gradients, G1 of pi1 and G0 of pi0.  Q is the caller's guarded inverse
-    of Pi0; G0 is None for a constant Pi0, whose term is zero.  c is Q's
-    contraction vector against pi1's entries when the caller kept it
-    (k = 1 with a constant Pi0), and then no m x m product is formed.
-    For k <= 0, N^-1 comes from the guarded inverse, so a singular N
-    raises SingularTensorError as on the jet route.
-    """
-    R = Q
-    if k != 1 or G0 is not None:
-        N = np.matmul(P1, Q)
-        base = N if k >= 1 else _guarded_inv(N, "recursion operator")
-        for _ in range(abs(k - 1)):
-            R = np.matmul(R, base)
-    if c is None:
-        c = _entry_trace(R, tables[1])
-    dh = np.matmul(c, G1)
-    if G0 is not None:
-        RN = np.matmul(R, N)
-        dh = dh - np.matmul(_entry_trace(RN, tables[0]), G0)
-    return dh[:, 0]
 
 
 # ---- conservation monitoring ---------------------------------------------------

@@ -25,14 +25,16 @@ every verify path reads) copies the template into the value array and
 makes one upper write and one negated lower write per array; so a negated
 jet entry keeps the sign of its zeros, as the jet negation does, and every
 constant entry's derivatives are +0.0 in both triangles, as a lifted
-constant's are.  The flow's reader (``BivectorTable.sparse``, exposed as
-``System.sparse``) makes the same value and returns the (B, K, m) entry
-gradients as they are, so a flow never builds a dense (B, m, m, m)
-gradient (``dynamics.hamiltonian_flow_rhs``).  A table without blocks is
-constant (the canonical Pi_0, calogero's pi0): its jets carry the
-``constant`` flag of ``jets``, so the product rule skips their derivative
-kernels, and its entry gradients are an empty (B, 0, m) stack, so a flow
-keeps such a Pi0 and its inverse.
+constant's are.  The flow's reader (``BivectorTable.sparse``) makes the
+same value and returns the (B, K, m) entry gradients as they are, and
+``BivectorTable.half_trace`` contracts a matrix against those entries, so
+a flow never builds a dense (B, m, m, m) gradient and no other module
+knows the entry format (``dynamics.hamiltonian_flow_rhs``).  A table
+without blocks is constant (the canonical Pi_0, calogero's pi0): its jets
+carry the ``constant`` flag of ``jets``, so the product rule skips their
+derivative kernels, and its entry gradients are an empty (B, 0, m) stack,
+so a flow fixes such a Pi0 and its inverse when its right-hand side is
+made.
 ``tests/table_reference.py`` keeps every table entry by entry, as scalar
 jets stacked row by row: the compiled tables match it byte for byte, and
 the two readers match each other.
@@ -126,11 +128,6 @@ class System:
     def pi1(self, X):
         return self.tables[1](X)
 
-    def sparse(self, j, X):
-        """pi_j (j = 0 or 1) as the flow right-hand side reads it: its value
-        and the gradients of its entries (``BivectorTable.sparse``)."""
-        return self.tables[j].sparse(X)
-
 
 # ---- bivector tables ---------------------------------------------------------
 
@@ -146,10 +143,11 @@ class BivectorTable:
     ``lower`` hold the blocks' keys, in order, as flat indices i*m + j and
     j*m + i of an (m, m) matrix.  ``entries(X)`` is the one evaluation,
     and its two readers are ``__call__`` (the matrix jet) and ``sparse``
-    (the value and the entry gradients).  At each evaluation a block whose
-    length is not its key count, or whose jet order is below X's (it has
-    no derivatives to write), raises DimensionError too.  A table without
-    blocks is ``constant``, and so are the jets it returns.
+    (the value and the entry gradients), which ``half_trace`` contracts
+    against; no other module reads that format.  At each evaluation a
+    block whose length is not its key count, or whose jet order is below
+    X's (it has no derivatives to write), raises DimensionError too.  A
+    table without blocks is ``constant``, and so are the jets it returns.
     """
 
     def __init__(self, m, const=None, blocks=(), fill=None):
@@ -235,6 +233,16 @@ class BivectorTable:
         entries = self.entries(X)
         self._scatter(val, entries[0])
         return val, entries[1]
+
+    def half_trace(self, R):
+        """The (B, 1, K) row c with 1/2 tr(R dPi_a) = sum_e c_e G[e, a],
+        R a (B, m, m) array and G the (B, K, m) entry gradients of
+        ``sparse``: entry e is +G[e] at the flat index upper[e] and -G[e]
+        at lower[e], so c_e = (R[lower_e] - R[upper_e]) / 2, R flat in
+        (i, j).  The halving is exact, so c G has the bits of half the full
+        trace; a constant table gives a (B, 1, 0) row."""
+        flat = R.reshape(R.shape[0], 1, -1)
+        return 0.5 * (flat[..., self.lower] - flat[..., self.upper])
 
 
 def _diagonal(lo, hi, shift):

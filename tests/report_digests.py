@@ -104,6 +104,14 @@ def commands():
     yield ("integrate-toda-moser-n2-t1-flow3",
            integrate + ["toda-moser", "--n", "2", "--t-end", "1",
                         "--flow", "3"])
+    # the h_0 flow beside a constant and a varying Pi0, and a varying Pi0
+    # at j = 1 on the pi0 leg
+    yield ("integrate-harmonic-n2-t1-flow0",
+           integrate + ["harmonic", "--n", "2", "--t-end", "1", "--flow", "0"])
+    yield ("integrate-cn-toda-n2-t1-flow0",
+           integrate + ["cn-toda", "--n", "2", "--t-end", "1", "--flow", "0"])
+    yield ("integrate-cn-toda-n2-t1-flow1",
+           integrate + ["cn-toda", "--n", "2", "--t-end", "1", "--flow", "1"])
     for n in (1, 2, 3):
         yield f"catalog-n{n}", cli + ["catalog", "--n", str(n)]
     for demo in DEMOS:

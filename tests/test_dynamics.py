@@ -22,6 +22,7 @@ from pnhier.errors import (ConvergenceError, DimensionError, DomainError,
 from pnhier.fields import hamiltonian_vf
 from pnhier.hierarchy import recursion_operator
 from pnhier.jets import Jet2
+from pnhier.report import probe_point
 from pnhier.systems import make_system
 
 rng = np.random.default_rng(20260821)
@@ -244,6 +245,28 @@ def test_a_singular_start_point_still_raises(method):
     assert calls == [0.0]
 
 
+def test_rkf45_rejects_a_step_whose_stage_point_overflows():
+    """cn_toda's index-4 flow overflows at the stage points of rkf45's
+    first step from the probe point.  The step is rejected before the rhs
+    is evaluated at a non-finite point (where a singular-Pi0 guard would
+    end the run for a false reason), so the run shrinks its step and goes
+    on until it leaves the chart domain."""
+    sys = make_system("cn_toda", 2)
+    rhs = hamiltonian_flow_rhs(sys, index=4)
+    points = []
+
+    def recorded(t, x):
+        points.append(x)
+        return rhs(t, x)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = rkf45(recorded, probe_point(sys), t_end=0.5,
+                     guard=sys.domain_ok)
+    assert np.isfinite(points).all()
+    assert traj.truncated.startswith("left the chart domain at t = ")
+    assert traj.rejected > 0 and traj.accepted > 0
+
+
 def test_non_finite_rhs_underflows_the_step():
     def bad(t, x):
         return np.full_like(x, np.nan)
@@ -338,13 +361,15 @@ def assert_matches_oracle(got, want):
 def test_index_flow_evaluates_each_bivector_once_per_stage():
     sys = make_system("an_toda", 3)
     calls = {"pi0": 0, "pi1": 0}
-    sparse = sys.sparse
 
-    def counted(j, jets):
-        calls[("pi0", "pi1")[j]] += 1
-        return sparse(j, jets)
+    def counted(name, sparse):
+        def reader(jets):
+            calls[name] += 1
+            return sparse(jets)
+        return reader
 
-    sys.sparse = counted
+    for name, table in zip(calls, sys.tables):
+        table.sparse = counted(name, table.sparse)
     x = sys.sample(samples=1, seed=19)[0]
     rhs = hamiltonian_flow_rhs(sys, index=2)
     got = rhs(0.0, x)
@@ -356,8 +381,8 @@ def test_index_flow_evaluates_each_bivector_once_per_stage():
 # unchecked (``Jet2._new``) alike: the one coordinate jet, built once with
 # the rhs, and per stage the blocks of the pair's tables and the slices of
 # the coordinate jet they read (the flow reads each table as plain arrays,
-# ``System.sparse``, so no table jet is built); a constant Pi0 builds
-# nothing after the first stage.  A change that makes a flow build more
+# ``BivectorTable.sparse``, so no table jet is built); a constant Pi0
+# builds nothing.  A change that makes a flow build more
 # jets must say so here.
 RHS_JETS = 1
 STAGE_JETS = {"harmonic": 10, "calogero": 1, "toda_moser": 4, "cn_toda": 58,
@@ -389,8 +414,9 @@ def test_an_index_flow_stage_builds_a_pinned_number_of_jets(key, monkeypatch):
     assert len(built) == STAGE_JETS[key]
 
 
-# pi0 evaluations (``system.sparse(0, X)``) over ten index-2 stages: a
-# constant Pi0 is evaluated once per rhs, a varying one at every stage.
+# pi0 evaluations (``system.tables[0].sparse(X)``) over ten index-2
+# stages: a constant Pi0 is evaluated once per rhs, a varying one at every
+# stage.
 TEN_STAGE_PI0S = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
                   "cn_toda": 10, "an_toda": 1}
 
@@ -399,14 +425,13 @@ TEN_STAGE_PI0S = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
 def test_an_index_flow_evaluates_a_constant_pi0_once(key):
     sys = make_system(key, 3)
     calls = []
-    sparse = sys.sparse
+    sparse = sys.tables[0].sparse
 
-    def counted(j, X):
-        if j == 0:
-            calls.append(1)
-        return sparse(j, X)
+    def counted(X):
+        calls.append(1)
+        return sparse(X)
 
-    sys.sparse = counted
+    sys.tables[0].sparse = counted
     rhs = hamiltonian_flow_rhs(sys, index=2)
     for x in sys.sample(samples=10, seed=19):
         rhs(0.0, x)
@@ -423,7 +448,6 @@ TEN_STAGE_INVS = {"harmonic": 1, "calogero": 1, "toda_moser": 10,
 def test_an_index_flow_inverts_a_pinned_number_of_times(key, monkeypatch):
     sys = make_system(key, 3)
     xs = sys.sample(samples=10, seed=19)
-    rhs = hamiltonian_flow_rhs(sys, index=2)
     calls = []
     inv = np.linalg.inv
 
@@ -432,6 +456,7 @@ def test_an_index_flow_inverts_a_pinned_number_of_times(key, monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
+    rhs = hamiltonian_flow_rhs(sys, index=2)  # a constant Pi0 is inverted here
     for x in xs:
         rhs(0.0, x)
     assert len(calls) == TEN_STAGE_INVS[key]
@@ -539,28 +564,41 @@ def test_the_pi1_flow_of_h_k_is_the_index_k_plus_1_flow(key):
             assert_matches_oracle(got, jet_oracle(sys, x, k, "pi1"))
 
 
-def test_order_one_tail_keeps_the_singularity_guards():
+def rank_one(table):
+    """Make the table's reader return a value whose rows 2.. vanish."""
+    sparse = table.sparse
+
+    def degenerate(jets):
+        P, G = sparse(jets)
+        P = P.copy()
+        P[:, 1:] = 0.0          # rows 2.. vanish: rank <= 1
+        return P, G
+
+    table.sparse = degenerate
+
+
+def test_a_singular_constant_pi0_raises_when_the_rhs_is_made():
     sys = make_system("an_toda", 2)
+    rank_one(sys.tables[0])
+    for index in range(-12, 13):
+        with pytest.raises(SingularTensorError, match="pi0"):
+            hamiltonian_flow_rhs(sys, index=index)
+
+
+def test_order_one_tail_keeps_the_singularity_guards():
+    # a varying Pi0 is guarded at every stage
+    sys = make_system("toda_moser", 2)
     x = sys.sample(samples=1, seed=5)[0]
-    sparse = sys.sparse
-
-    def rank_one(which):
-        def degenerate(j, jets):
-            P, G = sparse(j, jets)
-            if j == which:
-                P = P.copy()
-                P[:, 1:] = 0.0          # rows 2.. vanish: rank <= 1
-            return P, G
-        return degenerate
-
-    sys.sparse = rank_one(0)
+    rank_one(sys.tables[0])
     for index in (-1, 0, 2):
         rhs = hamiltonian_flow_rhs(sys, index=index)
         for _ in range(2):      # a failed guard stores no inverse to reuse
             with pytest.raises(SingularTensorError, match="pi0"):
                 rhs(0.0, x)
     # a singular pi1 makes N singular: only the indices that invert N notice
-    sys.sparse = rank_one(1)
+    sys = make_system("an_toda", 2)
+    x = sys.sample(samples=1, seed=5)[0]
+    rank_one(sys.tables[1])
     for index in (-1, 0):
         with pytest.raises(SingularTensorError, match="recursion operator"):
             hamiltonian_flow_rhs(sys, index=index)(0.0, x)
@@ -576,7 +614,7 @@ def test_flow_index_must_be_an_integer_within_the_ladder_cap(index):
     def never(jets):
         raise AssertionError("a stage was evaluated for a bad flow index")
 
-    sys.pi0 = sys.pi1 = sys.sparse = never
+    sys.pi0 = sys.pi1 = sys.tables[0].sparse = sys.tables[1].sparse = never
     with pytest.raises(RangeError, match="flow index"):
         hamiltonian_flow_rhs(sys, index=index)
 

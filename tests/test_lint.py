@@ -1,4 +1,4 @@
-"""Every parameter of the package is read.
+"""Every parameter of the package is read, and every public name has a caller.
 
 Parses each function and lambda in ``src/pnhier`` (nothing is executed):
 every parameter must be loaded somewhere in its body, nested functions
@@ -6,12 +6,21 @@ included.  A parameter nothing reads is an option no code honours, or an
 argument the callee could derive from its other inputs.  The only
 exceptions are the interface parameters below, which a signature shared
 with other callables fixes.
+
+Every public module-level function, class and constant of the package must
+be referenced (a name loaded, an attribute read or a name imported) in
+``src``, ``demos`` or ``bench`` outside its own definition: a public name
+that only the tests use is code the program does not run.  The one
+exception is a name the acceptance gate imports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pnhier"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pnhier"
+PROGRAM = ("src", "demos", "bench")
 
 # (module, qualified name, parameter): read by other callables of the same
 # interface, not by this one
@@ -52,3 +61,51 @@ def test_every_parameter_is_read():
     assert sorted(unread - INTERFACE) == []
     # an exception whose parameter is gone or read again leaves the list
     assert sorted(INTERFACE - unread) == []
+
+
+# (module, name): public names with no caller in the program
+UNCALLED = {
+    # the acceptance gate (tests/test_acceptance.py) imports it
+    ("fields", "schouten_bf"),
+}
+
+
+def _public(tree):
+    """(name, defining node) of every public module-level function, class
+    and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _referenced(node):
+    """Every name loaded, attribute read and name imported under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def test_every_public_name_has_a_program_caller():
+    program = Counter(name for folder in PROGRAM
+                      for path in sorted((ROOT / folder).rglob("*.py"))
+                      for name in _referenced(ast.parse(path.read_text())))
+    uncalled = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _public(ast.parse(path.read_text())):
+            # a reference inside the definition itself (recursion) is no caller
+            if program[name] == Counter(_referenced(node))[name]:
+                uncalled.add((path.stem, name))
+    assert sorted(uncalled - UNCALLED) == []
+    # an exception that gains a caller, or is gone, leaves the list
+    assert sorted(UNCALLED - uncalled) == []

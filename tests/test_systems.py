@@ -136,7 +136,7 @@ def test_the_sparse_reader_has_the_bytes_of_the_matrix_jet(key):
             X = Jet2.coords(x, order=order)
             for j, table in enumerate(sys.tables):
                 P = table(X)
-                val, G = sys.sparse(j, X)
+                val, G = table.sparse(X)
                 assert val.shape == P.val.shape
                 assert val.tobytes() == P.val.tobytes()
                 assert G.shape == (B, table.upper.size, m)
@@ -154,6 +154,24 @@ def test_the_sparse_reader_has_the_bytes_of_the_matrix_jet(key):
     # the constant tables: the canonical Pi_0 and calogero's pi0
     assert [t.constant for t in sys.tables] == [
         key in ("harmonic", "calogero", "an_toda"), False]
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_half_trace_contracts_like_the_dense_trace(key):
+    """half_trace(R) @ G is 1/2 tr(R dPi_a), dPi from the matrix jet."""
+    sys = make_system(key, 3)
+    m = sys.m
+    for B in (1, 7):
+        X = Jet2.coords(sys.sample(samples=B, seed=47), order=1)
+        R = rng.standard_normal((B, m, m))
+        for table in sys.tables:
+            c = table.half_trace(R)
+            assert c.shape == (B, 1, table.upper.size)
+            assert (c.shape[2] == 0) == table.constant
+            got = np.matmul(c, table.sparse(X)[1])[:, 0]
+            want = 0.5 * np.einsum("bij,bjia->ba", R, table(X).grad)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(
+                1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
